@@ -18,6 +18,7 @@ from .tensor import (
     clamp,
     log,
     absval,
+    l1_norm,
     reduce_sum,
     reduce_mean,
     softmax_rows,
@@ -36,8 +37,9 @@ from .checkpoint import dumps_deterministic, save_checkpoint, load_checkpoint
 __all__ = [
     "Tensor", "constant", "add", "sub", "mul", "div", "neg", "matmul",
     "transpose", "dense", "activation", "relu", "sigmoid", "clamped_sigmoid",
-    "clamp", "log", "absval", "reduce_sum", "reduce_mean", "softmax_rows",
-    "outer_rows", "bmatvec", "col", "as_column", "backward", "PROB_EPS",
+    "clamp", "log", "absval", "l1_norm", "reduce_sum", "reduce_mean",
+    "softmax_rows", "outer_rows", "bmatvec", "col", "as_column", "backward",
+    "PROB_EPS",
     "ParamStore", "glorot_uniform",
     "TrainConfig", "AdamState", "optimizer_step", "global_grad_norm",
     "GradCheckReport", "finite_diff_check",

@@ -8,18 +8,21 @@ The update follows the standard bias-corrected first/second moment scheme
     p <- p - lr * m_hat / (sqrt(v_hat) + eps)
 
 so the very first step moves each parameter by -lr * sign(g) up to the eps
-correction. State (m, v, step counter) lives in :class:`AdamState`, keyed by
-parameter name; the step is deterministic given (params, grads, state).
+correction. The step runs on one flat vector: every gradient is gathered in
+the store's parameter order, and the moments live in :class:`AdamState` as
+flat vectors of the same layout. The arithmetic is elementwise, so it is
+bitwise that of a per-parameter loop; the step is deterministic given
+(params, grads, state).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError
+from ..errors import ConfigError, NumericError, StateError
 from .params import ParamStore
 
 
@@ -67,10 +70,15 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers plus the step counter."""
+    """Adam's first/second moments plus the step counter.
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    ``m`` and ``v`` are flat vectors with one entry per parameter element,
+    in the store's parameter order. They stay None until the first step
+    allocates them, so ``AdamState()`` is a fresh state for any store.
+    """
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
 
 
@@ -85,45 +93,47 @@ def global_grad_norm(params: ParamStore) -> float:
 
 
 def optimizer_step(params: ParamStore, config: TrainConfig, state: AdamState) -> None:
-    """Apply one in-place update using each parameter's accumulated grad.
+    """Apply one Adam step using each parameter's accumulated grad.
 
-    Raises :class:`NumericError` naming the first offending parameter if any
-    gradient contains a non-finite entry. All-zero gradients leave parameters
-    bitwise unchanged (aside from the step counter advancing).
+    A missing grad counts as zeros. Each ``p.value`` is rebound to a new
+    array; the old array is never written. Raises :class:`NumericError`
+    naming the first offending parameter if any gradient contains a
+    non-finite entry, and :class:`StateError` if ``state`` holds moments for
+    a store of another size. All-zero gradients leave parameters bitwise
+    unchanged (aside from the step counter advancing).
     """
     config.validate()
-    for name, t in params.items():
-        g = t.grad
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
+    tensors = params.tensors()
+    g = np.concatenate([np.zeros(t.value.size) if t.grad is None
+                        else t.grad.ravel() for t in tensors])
+    if not np.isfinite(g).all():
+        for name, t in params.items():
+            if t.grad is not None and not np.all(np.isfinite(t.grad)):
+                raise NumericError(f"non-finite gradient for parameter {name!r}")
+    if state.m is None:
+        state.m = np.zeros_like(g)
+        state.v = np.zeros_like(g)
+    elif state.m.shape != g.shape:
+        raise StateError(
+            f"AdamState holds moments for {state.m.size} entries, "
+            f"the parameters have {g.size}")
 
-    scale = 1.0
     if config.clip_norm is not None:
         norm = global_grad_norm(params)
         if norm > config.clip_norm:
-            scale = config.clip_norm / norm
+            g = g * (config.clip_norm / norm)
 
     state.step += 1
     t_step = state.step
     bc1 = 1.0 - config.beta1 ** t_step
     bc2 = 1.0 - config.beta2 ** t_step
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.value)
-        if scale != 1.0:
-            g = g * scale
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.value)
-            v = np.zeros_like(p.value)
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.value = p.value - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+    state.m = config.beta1 * state.m + (1.0 - config.beta1) * g
+    state.v = config.beta2 * state.v + (1.0 - config.beta2) * (g * g)
+    m_hat = state.m / bc1
+    v_hat = state.v / bc2
+    update = config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+    offset = 0
+    for p in tensors:
+        size = p.value.size
+        p.value = p.value - update[offset:offset + size].reshape(p.value.shape)
+        offset += size

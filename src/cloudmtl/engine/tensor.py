@@ -4,10 +4,12 @@ Every operation is a pure function: it reads its operands, allocates a new
 ``Tensor`` holding the result, and records a vector-Jacobian product (VJP)
 closure for the backward pass. Calling :func:`backward` on a scalar result
 walks the recorded graph once in reverse topological order and *adds* the
-resulting cotangents into each node's ``grad`` field. Because accumulation
-is additive, two backward passes without an intervening ``zero_grads``
-produce exactly doubled gradients, and gradients of a sum of losses equal
-the sum of the individual gradients.
+resulting cotangents into the ``grad`` field of each leaf it reaches
+(parameters and constants, the nodes without a VJP); intermediate nodes pass
+their cotangent on and keep ``grad = None``, as in PyTorch's autograd.
+Because accumulation is additive, two backward passes without an intervening
+``zero_grads`` produce exactly doubled gradients, and gradients of a sum of
+losses equal the sum of the individual gradients.
 
 Design constraints honored throughout:
 
@@ -40,9 +42,11 @@ class Tensor:
     """A node in the autodiff graph: a float64 value plus backward plumbing.
 
     ``parents`` and ``vjp`` are empty for leaves (parameters, constants).
-    ``grad`` is lazily allocated by :func:`backward`; parameter leaves get a
-    zero-initialized ``grad`` from :class:`~cloudmtl.engine.params.ParamStore`
-    so accumulation across batches works without special cases.
+    Only leaves ever hold a ``grad``: :func:`backward` allocates it lazily on
+    a leaf it reaches and leaves it ``None`` on every intermediate node.
+    Parameter leaves get a zero-initialized ``grad`` from
+    :class:`~cloudmtl.engine.params.ParamStore` so accumulation across
+    batches works without special cases.
     """
 
     __slots__ = ("value", "grad", "parents", "vjp", "name")
@@ -180,15 +184,19 @@ def neg(a) -> Tensor:
 # linear algebra
 
 
-def matmul(a, b) -> Tensor:
-    """2-D matrix product. Shapes (n, k) @ (k, m) -> (n, m)."""
-    a, b = _wrap(a), _wrap(b)
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise DimensionError(
             f"matmul expects 2-D operands, got {a.value.shape} and {b.value.shape}")
     if a.value.shape[1] != b.value.shape[0]:
         raise DimensionError(
             f"matmul inner dimensions differ: {a.value.shape} @ {b.value.shape}")
+
+
+def matmul(a, b) -> Tensor:
+    """2-D matrix product. Shapes (n, k) @ (k, m) -> (n, m)."""
+    a, b = _wrap(a), _wrap(b)
+    _check_matmul(a, b)
     out_val = a.value @ b.value
 
     def vjp(g):
@@ -205,12 +213,22 @@ def transpose(a) -> Tensor:
 
 
 def dense(x, w, b) -> Tensor:
-    """Affine layer: ``x @ w + b`` with ``b`` broadcast across rows."""
+    """Affine layer: ``x @ w + b`` with ``b`` broadcast across rows.
+
+    One graph node; value and cotangents are bitwise those of
+    ``add(matmul(x, w), b)``.
+    """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if b.value.ndim != 1 or b.value.shape[0] != w.value.shape[1]:
         raise DimensionError(
             f"dense bias shape {b.value.shape} incompatible with weight {w.value.shape}")
-    return add(matmul(x, w), b)
+    _check_matmul(x, w)
+    out_val = x.value @ w.value + b.value
+
+    def vjp(g):
+        return g @ w.value.T, x.value.T @ g, g.sum(axis=0)
+
+    return Tensor(out_val, (x, w, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +315,27 @@ def absval(x) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # reductions
+
+
+def l1_norm(tensors: Sequence) -> Tensor:
+    """``sum_t sum(|t|)`` over ``tensors``, summed in the order given.
+
+    One graph node; value and cotangents are bitwise those of the chain
+    ``add(...add(reduce_sum(absval(t0)), reduce_sum(absval(t1)))...)``.
+    Each operand's cotangent is ``g * sign(t)`` (0 where an entry is 0).
+    """
+    ts = tuple(_wrap(t) for t in tensors)
+    if not ts:
+        raise DimensionError("l1_norm needs at least one tensor")
+    values = [t.value for t in ts]
+    total = np.abs(values[0]).sum()
+    for v in values[1:]:
+        total = total + np.abs(v).sum()
+
+    def vjp(g):
+        return tuple(g * np.sign(v) for v in values)
+
+    return Tensor(total, ts, vjp)
 
 
 def reduce_sum(x, axis=None) -> Tensor:
@@ -447,12 +486,13 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor, upstream=None) -> None:
-    """Accumulate d(root)/d(node) into ``node.grad`` for every graph node.
+    """Accumulate d(root)/d(leaf) into ``leaf.grad`` for every leaf reached.
 
     ``upstream`` seeds the cotangent of ``root`` (defaults to ones, i.e. the
     gradient of ``root`` itself; for the usual scalar loss that is 1.0).
     Cotangents are computed in a fresh table on every call and then *added*
-    into ``grad``, so repeated calls accumulate.
+    into the ``grad`` of each leaf (a node whose ``vjp`` is None), so
+    repeated calls accumulate. Intermediate nodes keep ``grad = None``.
     """
     if not isinstance(root, Tensor):
         raise StateError(
@@ -472,10 +512,10 @@ def backward(root: Tensor, upstream=None) -> None:
         g = cotangent.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = np.zeros_like(node.value)
-        node.grad = node.grad + g
         if node.vjp is None:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.value)
+            node.grad = node.grad + g
             continue
         parent_grads = node.vjp(g)
         for parent, pg in zip(node.parents, parent_grads):

@@ -14,8 +14,8 @@ MT-HCCAR       MT-HCCR plus cross-attention between the regression
 MLP-BASELINE   one hidden layer of 10 units, 5 outputs
 =============  =====================================================
 
-Capability flags (hierarchical, aux head, attention, decoder) derive from
-the variant name; they are not free knobs.
+Capability flags (hierarchical, aux head, attention, decoder, conditional
+phase) derive from the variant name; they are not free knobs.
 """
 
 from __future__ import annotations
@@ -31,14 +31,15 @@ VARIANT_HCCR = "MT-HCCR"
 VARIANT_HCCAR = "MT-HCCAR"
 VARIANT_MLP = "MLP-BASELINE"
 
-# name -> (hierarchical, aux head, attention, encoder-decoder)
-_VARIANT_FLAGS: dict[str, tuple[bool, bool, bool, bool]] = {
-    VARIANT_SEQ: (False, False, False, False),
-    VARIANT_CR: (False, False, False, True),
-    VARIANT_HCR: (True, False, False, True),
-    VARIANT_HCCR: (True, True, False, True),
-    VARIANT_HCCAR: (True, True, True, True),
-    VARIANT_MLP: (False, False, False, False),
+# name -> (hierarchical, aux head, attention, encoder-decoder,
+#          phase outputs conditional on cloudy)
+_VARIANT_FLAGS: dict[str, tuple[bool, bool, bool, bool, bool]] = {
+    VARIANT_SEQ: (False, False, False, False, True),
+    VARIANT_CR: (False, False, False, True, False),
+    VARIANT_HCR: (True, False, False, True, True),
+    VARIANT_HCCR: (True, True, False, True, True),
+    VARIANT_HCCAR: (True, True, True, True, True),
+    VARIANT_MLP: (False, False, False, False, False),
 }
 
 VARIANTS = tuple(_VARIANT_FLAGS)
@@ -113,6 +114,15 @@ class ArchitectureSpec:
     @property
     def has_decoder(self) -> bool:
         return _VARIANT_FLAGS[self.variant][3]
+
+    @property
+    def conditional_phase(self) -> bool:
+        """Phase outputs are probabilities given cloudy, not joint ones.
+
+        True for the hierarchical variants (the phase branch is gated by
+        the mask) and for SEQ (its phase net trains on cloudy pixels only).
+        """
+        return _VARIANT_FLAGS[self.variant][4]
 
     @property
     def latent_dim(self) -> int:

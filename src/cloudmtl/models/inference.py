@@ -78,7 +78,7 @@ def predictions_from_outputs(outputs: ModelOutputs, spec: ArchitectureSpec
     label = np.where(cloudy, np.where(liquid, LABEL_LIQUID, LABEL_ICE),
                      LABEL_CLEAR).astype(np.int64)
     cot = np.where(cloudy, outputs.y_cot_hat.value, np.nan)
-    if spec.hierarchical or spec.variant == "SEQ":
+    if spec.conditional_phase:
         # Phase heads only ever see (predicted-)cloudy pixels, so the
         # calibrated class score is the joint path probability.
         score_liquid = u_cloud * u_liquid

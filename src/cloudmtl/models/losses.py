@@ -108,6 +108,18 @@ def _bce_pair(u: Tensor, labels: np.ndarray) -> Tensor:
     return E.neg(E.add(pos, neg))
 
 
+def lasso_penalty(params: ParamStore | None, lam: float) -> Tensor:
+    """``lam`` times the L1 norm of every weight (non-bias) parameter.
+
+    An exact 0.0 constant when ``params`` is None, ``lam`` is 0 or the store
+    has no weights.
+    """
+    weights = params.weight_tensors() if params is not None and lam > 0 else []
+    if not weights:
+        return E.constant(0.0)
+    return E.mul(lam, E.l1_norm(weights))
+
+
 def compute_loss(outputs: ModelOutputs, targets: LossTargets,
                  spec: ArchitectureSpec,
                  params: ParamStore | None = None) -> tuple[Tensor, LossBreakdown]:
@@ -142,9 +154,10 @@ def compute_loss(outputs: ModelOutputs, targets: LossTargets,
         l_cmask = E.reduce_mean(mask_ce)
         phase_ce = E.add(_bce_pair(u_liquid, targets.l_liquid),
                          _bce_pair(u_ice, targets.l_ice))
-        if spec.variant == "SEQ":
-            # The sequential pipeline's phase net only ever trains on cloudy
-            # pixels, so its composite loss averages over those alone.
+        if spec.conditional_phase:
+            # A flat conditional phase head (the sequential pipeline's phase
+            # net) only ever trains on cloudy pixels, so its composite loss
+            # averages over those alone.
             sel = targets.cloudy.astype(np.float64)
             l_cphase = E.div(E.reduce_sum(E.mul(phase_ce, E.constant(sel))),
                              E.constant(max(float(sel.sum()), 1.0)))
@@ -177,14 +190,7 @@ def compute_loss(outputs: ModelOutputs, targets: LossTargets,
     else:
         l_rec = zero
 
-    if params is not None and spec.lasso_lambda > 0:
-        acc = None
-        for w in params.weight_tensors():
-            s = E.reduce_sum(E.absval(w))
-            acc = s if acc is None else E.add(acc, s)
-        l_lasso = E.mul(spec.lasso_lambda, acc) if acc is not None else zero
-    else:
-        l_lasso = zero
+    l_lasso = lasso_penalty(params, spec.lasso_lambda)
 
     l_hc = E.add(l_cmask, l_cphase)
     l_car = E.add(l_reg, l_caux)

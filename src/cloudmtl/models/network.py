@@ -53,18 +53,6 @@ class ModelOutputs:
     x_recon: Tensor | None = None
     latent: Tensor | None = None
 
-    @property
-    def u_thin(self) -> Tensor:
-        return E.col(self.aux_probs, 0)
-
-    @property
-    def u_mod(self) -> Tensor:
-        return E.col(self.aux_probs, 1)
-
-    @property
-    def u_thick(self) -> Tensor:
-        return E.col(self.aux_probs, 2)
-
 
 def cross_attention(theta1, theta2, w_q, w_k, w_v, w_z) -> Tensor:
     """Attention-refined regression features; see the module docstring.

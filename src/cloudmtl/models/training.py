@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import engine as E
-from ..engine import ParamStore, TrainConfig, AdamState, backward, optimizer_step
+from ..engine import TrainConfig, AdamState, backward, optimizer_step
 from ..errors import ConfigError
 from .config import VARIANT_SEQ
-from .losses import LossTargets, compute_loss
-from .network import Model, SequentialModel, _chain
+from .losses import LossTargets, compute_loss, lasso_penalty
+from .network import Model, SequentialModel
 
 HISTORY_COLUMNS = ("epoch", "l_cmask", "l_cphase", "l_reg", "l_caux",
                    "l_rec", "l_lasso", "total", "val_total")
@@ -126,16 +126,6 @@ def _train_joint(model: Model, train_targets: LossTargets, config: TrainConfig,
 # sequential pipeline
 
 
-def _lasso_term(ps: ParamStore, lam: float):
-    if lam <= 0:
-        return E.constant(0.0)
-    acc = None
-    for w in ps.weight_tensors():
-        s = E.reduce_sum(E.absval(w))
-        acc = s if acc is None else E.add(acc, s)
-    return E.mul(lam, acc) if acc is not None else E.constant(0.0)
-
-
 def _stage_subset(model: SequentialModel, targets: LossTargets) -> np.ndarray:
     """Pixels for the phase/COT stages: predicted-cloudy intersect cloudy."""
     out = model.forward(targets.x, train_mode=False)
@@ -161,7 +151,7 @@ def _train_sequential(model: SequentialModel, train_targets: LossTargets,
             pos = E.mul(E.constant(labels), E.log(col))
             neg = E.mul(E.constant(1.0 - labels), E.log(E.sub(1.0, col)))
             ce = E.sub(ce, E.reduce_mean(E.add(pos, neg)))
-        lasso = _lasso_term(model.subnet_params["mask_net"], lam)
+        lasso = lasso_penalty(model.subnet_params["mask_net"], lam)
         total = E.add(ce, lasso)
         return total, {"l_cmask": float(ce.value), "l_lasso": float(lasso.value),
                        "total": float(total.value)}
@@ -175,7 +165,7 @@ def _train_sequential(model: SequentialModel, train_targets: LossTargets,
             pos = E.mul(E.constant(labels), E.log(col))
             neg = E.mul(E.constant(1.0 - labels), E.log(E.sub(1.0, col)))
             ce = E.sub(ce, E.reduce_mean(E.add(pos, neg)))
-        lasso = _lasso_term(model.subnet_params["phase_net"], lam)
+        lasso = lasso_penalty(model.subnet_params["phase_net"], lam)
         total = E.add(ce, lasso)
         return total, {"l_cphase": float(ce.value), "l_lasso": float(lasso.value),
                        "total": float(total.value)}
@@ -185,7 +175,7 @@ def _train_sequential(model: SequentialModel, train_targets: LossTargets,
         err = E.reduce_sum(E.absval(E.sub(y, E.constant(batch.y_cot))))
         if spec.reg_norm == "mean":
             err = E.div(err, E.constant(max(float(len(batch)), 1.0)))
-        lasso = _lasso_term(model.subnet_params["cot_net"], lam)
+        lasso = lasso_penalty(model.subnet_params["cot_net"], lam)
         total = E.add(err, lasso)
         return total, {"l_reg": float(err.value), "l_lasso": float(lasso.value),
                        "total": float(total.value)}

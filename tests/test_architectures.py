@@ -7,7 +7,7 @@ import pytest
 
 from cloudmtl import engine as E
 from cloudmtl.errors import ConfigError, DimensionError
-from cloudmtl.models import ArchitectureSpec, build_model
+from cloudmtl.models import VARIANTS, ArchitectureSpec, build_model
 from cloudmtl.models.network import cross_attention
 
 WIDTHS = dict(input_dim=16, encoder_widths=(8, 4), head_hidden=(4,))
@@ -119,6 +119,12 @@ def test_output_shapes_and_flags():
                                        rtol=0, atol=1e-12)
         if has_recon:
             assert out.x_recon.value.shape == (9, 16)
+
+
+def test_conditional_phase_flag():
+    """Hierarchical variants and SEQ report phase given cloudy; flat ones not."""
+    conditional = {v for v in VARIANTS if small(v).conditional_phase}
+    assert conditional == {"SEQ", "MT-HCR", "MT-HCCR", "MT-HCCAR"}
 
 
 def test_hierarchical_mask_pair_is_complementary():

@@ -1,0 +1,215 @@
+"""Bitwise equivalence of the fused engine paths with their compositions.
+
+The fused ``dense`` and ``l1_norm`` nodes and the flat-vector Adam step
+must reproduce the unfused graph and the per-parameter update byte for
+byte, so trained weights do not change. Every comparison here is on raw
+bytes, never ``allclose``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cloudmtl.engine as E
+from cloudmtl.data import Standardizer, generate_dataset, get_sensor
+from cloudmtl.engine import AdamState, ParamStore, TrainConfig, optimizer_step
+from cloudmtl.errors import NumericError, StateError
+from cloudmtl.models import ArchitectureSpec, LossTargets, build_model, train_model
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+dims = st.integers(min_value=1, max_value=6)
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def unfused_dense(x, w, b):
+    return E.add(E.matmul(x, w), b)
+
+
+def unfused_l1_norm(tensors):
+    acc = None
+    for t in tensors:
+        s = E.reduce_sum(E.absval(t))
+        acc = s if acc is None else E.add(acc, s)
+    return acc
+
+
+def run_graph(fn, arrays, upstream):
+    leaves = [E.constant(a.copy()) for a in arrays]
+    out = fn(*leaves)
+    E.backward(out, upstream=upstream)
+    return out.value, [t.grad for t in leaves]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=dims, k=dims, m=dims, seed=seeds)
+def test_dense_is_bitwise_add_of_matmul(n, k, m, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(n, k)), rng.normal(size=(k, m)), rng.normal(size=m)]
+    up = rng.normal(size=(n, m))
+    value, grads = run_graph(E.dense, arrays, up)
+    ref_value, ref_grads = run_graph(unfused_dense, arrays, up)
+    assert same_bytes(value, ref_value)
+    for g, r in zip(grads, ref_grads):
+        assert same_bytes(g, r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shapes=st.lists(st.tuples(dims, dims), min_size=1, max_size=5),
+       seed=seeds, lam=st.floats(min_value=1e-8, max_value=1.0))
+def test_l1_norm_lasso_is_bitwise_the_absval_chain(shapes, seed, lam):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=s) for s in shapes]
+    arrays[0].flat[0] = 0.0  # sign(0) = 0 on both paths
+    up = np.asarray(rng.normal())
+    value, grads = run_graph(lambda *ts: E.mul(lam, E.l1_norm(ts)), arrays, up)
+    ref_value, ref_grads = run_graph(
+        lambda *ts: E.mul(lam, unfused_l1_norm(ts)), arrays, up)
+    assert same_bytes(value, ref_value)
+    for g, r in zip(grads, ref_grads):
+        assert same_bytes(g, r)
+
+
+def test_backward_keeps_grad_on_leaves_only():
+    x = E.constant(np.array([[1.0, -2.0]]))
+    w = E.constant(np.array([[0.5], [0.25]]))
+    b = E.constant(np.array([0.1]))
+    h = E.dense(x, w, b)
+    out = E.reduce_sum(E.relu(h))
+    E.backward(out)
+    assert h.grad is None and out.grad is None
+    assert x.grad is not None and w.grad is not None and b.grad is not None
+
+
+# ---------------------------------------------------------------------------
+# flat-vector Adam against a per-parameter reference
+
+
+def reference_adam(values, grads, m, v, step, cfg):
+    """The per-parameter Adam update, one array at a time."""
+    scale = 1.0
+    if cfg.clip_norm is not None:
+        total = 0.0
+        for g in grads:
+            if g is not None:
+                total += float(np.sum(g * g))
+        norm = np.sqrt(total)
+        if norm > cfg.clip_norm:
+            scale = cfg.clip_norm / norm
+    bc1 = 1.0 - cfg.beta1 ** step
+    bc2 = 1.0 - cfg.beta2 ** step
+    out = []
+    for i, (p, g) in enumerate(zip(values, grads)):
+        g = np.zeros_like(p) if g is None else g
+        if scale != 1.0:
+            g = g * scale
+        m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g
+        v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * (g * g)
+        out.append(p - cfg.lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.eps))
+    return out
+
+
+@pytest.mark.parametrize("clip_norm", [None, 0.5])
+def test_optimizer_step_matches_per_parameter_adam(clip_norm):
+    rng = np.random.default_rng(5)
+    shapes = {"a.w": (3, 4), "a.b": (4,), "c": (2, 2), "s": ()}
+    ps = ParamStore()
+    for name, shape in shapes.items():
+        # values of the update's own size, so a 1-ulp change in it shows
+        ps.add(name, 1e-3 * rng.normal(size=shape), bias=name.endswith(".b"))
+    cfg = TrainConfig(lr=3e-3, clip_norm=clip_norm)
+    state = AdamState()
+    values = [t.value.copy() for t in ps.tensors()]
+    m = [np.zeros_like(p) for p in values]
+    v = [np.zeros_like(p) for p in values]
+    for step in range(1, 6):
+        grads = [rng.normal(size=p.shape) for p in values]
+        grads[2] = None  # "c" has no gradient this run
+        for t, g in zip(ps.tensors(), grads):
+            t.grad = None if g is None else g.copy()
+        optimizer_step(ps, cfg, state)
+        values = reference_adam(values, grads, m, v, step, cfg)
+        assert state.step == step
+        for t, ref in zip(ps.tensors(), values):
+            assert same_bytes(t.value, ref), t.name
+        assert same_bytes(state.m, np.concatenate([a.ravel() for a in m]))
+        assert same_bytes(state.v, np.concatenate([a.ravel() for a in v]))
+
+
+def test_optimizer_step_rebinds_values():
+    ps = ParamStore()
+    old = ps.add("w", np.array([1.0, -1.0])).value
+    kept = old.copy()
+    ps["w"].grad[...] = [0.5, 0.5]
+    optimizer_step(ps, TrainConfig(lr=0.1), AdamState())
+    assert ps["w"].value is not old
+    assert same_bytes(old, kept)
+
+
+def test_nan_in_second_parameter_is_named():
+    ps = ParamStore()
+    ps.add("first", np.ones(3))
+    ps.add("second", np.ones((2, 2)))
+    ps.add("third", np.ones(1))
+    ps["second"].grad[1, 0] = np.nan
+    ps["third"].grad[0] = np.inf
+    before = ps.clone_values()
+    state = AdamState()
+    with pytest.raises(NumericError, match="'second'"):
+        optimizer_step(ps, TrainConfig(), state)
+    assert state.step == 0
+    for name, value in before.items():
+        assert same_bytes(ps[name].value, value)
+
+
+def test_adam_state_of_another_store_is_rejected():
+    ps = ParamStore()
+    ps.add("w", np.ones(3))
+    state = AdamState()
+    optimizer_step(ps, TrainConfig(), state)
+    other = ParamStore()
+    other.add("w", np.ones(4))
+    with pytest.raises(StateError):
+        optimizer_step(other, TrainConfig(), state)
+
+
+# ---------------------------------------------------------------------------
+# end to end: training with the fused nodes equals training without them
+
+
+def _train(variant):
+    ds = generate_dataset(get_sensor("ABI"), 400, seed=21)
+    feats = Standardizer.fit(ds.feature_matrix()).transform(ds.feature_matrix())
+    spec = ArchitectureSpec(variant=variant, input_dim=feats.shape[1])
+    targets = LossTargets.from_dataset(ds, feats, spec.bins)
+    train, val = targets.take(np.arange(300)), targets.take(np.arange(300, 400))
+    model = build_model(spec, seed=3)
+    cfg = TrainConfig(lr=3e-3, epochs=2, batch_size=64, seed=4)
+    result = train_model(model, train, cfg, val)
+    return model.params.clone_values(), result.histories
+
+
+@pytest.mark.parametrize("variant", ["MT-HCCAR", "SEQ"])
+def test_training_matches_unfused_graph(variant, monkeypatch):
+    weights, histories = _train(variant)
+    calls = {"dense": 0, "l1_norm": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    with monkeypatch.context() as mp:
+        mp.setattr(E, "dense", counted("dense", unfused_dense))
+        mp.setattr(E, "l1_norm", counted("l1_norm", unfused_l1_norm))
+        ref_weights, ref_histories = _train(variant)
+    assert calls["dense"] > 0 and calls["l1_norm"] > 0
+    assert histories == ref_histories
+    assert list(weights) == list(ref_weights)
+    for name in weights:
+        assert same_bytes(weights[name], ref_weights[name]), name
