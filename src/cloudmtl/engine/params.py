@@ -49,6 +49,22 @@ class ParamStore:
         b = self.add(f"{name}.b", np.zeros(fan_out), bias=True)
         return w, b
 
+    def alias(self, prefix: str, store: "ParamStore") -> None:
+        """Register every tensor of ``store`` as ``prefix.<name>``.
+
+        The tensors are shared, not copied, and keep their bias flags. A
+        full name that is already registered raises before anything is
+        added.
+        """
+        full = {f"{prefix}.{name}": name for name in store._params}
+        taken = sorted(n for n in full if n in self._params)
+        if taken:
+            raise StateError(f"parameters {taken} already registered")
+        for n, name in full.items():
+            self._params[n] = store._params[name]
+            if name in store._bias_names:
+                self._bias_names.add(n)
+
     def __getitem__(self, name: str) -> Tensor:
         try:
             return self._params[name]

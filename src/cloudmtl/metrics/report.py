@@ -19,8 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
 from ..errors import MetricUndefinedError
 from ..data.dataset import PixelDataset, LABEL_ICE
 from ..models.inference import Predictions
@@ -62,14 +60,6 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls.from_dict(json.loads(text))
 
 
 def _maybe(fn, *args):

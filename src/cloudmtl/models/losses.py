@@ -25,6 +25,10 @@ with ``l_hc = l_cmask + l_cphase`` and ``l_car = l_reg + l_caux``:
 Components that a variant lacks (no decoder, no aux head) contribute an
 exact 0.0. Every probability entering a logarithm is clamped to
 ``[1e-7, 1 - 1e-7]`` first.
+
+The sequential baseline (SEQ) trains one subnet at a time; ``stage_loss``
+builds each stage's loss from the same parts: the binary cross entropy of
+the flat variants, the truly-cloudy absolute error and the lasso.
 """
 
 from __future__ import annotations
@@ -108,6 +112,20 @@ def _bce_pair(u: Tensor, labels: np.ndarray) -> Tensor:
     return E.neg(E.add(pos, neg))
 
 
+def cloudy_abs_error(y_hat: Tensor, targets: LossTargets,
+                     reg_norm: str) -> Tensor:
+    """Absolute thickness error summed over truly-cloudy pixels.
+
+    ``reg_norm="mean"`` divides the sum by the number of those pixels.
+    """
+    cloudy_f = targets.cloudy.astype(np.float64)
+    abs_err = E.absval(E.sub(y_hat, E.constant(targets.y_cot)))
+    err = E.reduce_sum(E.mul(abs_err, E.constant(cloudy_f)))
+    if reg_norm == "mean":
+        err = E.div(err, E.constant(max(float(cloudy_f.sum()), 1.0)))
+    return err
+
+
 def lasso_penalty(params: ParamStore | None, lam: float) -> Tensor:
     """``lam`` times the L1 norm of every weight (non-bias) parameter.
 
@@ -164,12 +182,7 @@ def compute_loss(outputs: ModelOutputs, targets: LossTargets,
         else:
             l_cphase = E.reduce_mean(phase_ce)
 
-    cloudy_f = targets.cloudy.astype(np.float64)
-    n_cloudy = float(cloudy_f.sum())
-    abs_err = E.absval(E.sub(outputs.y_cot_hat, E.constant(targets.y_cot)))
-    l_reg = E.reduce_sum(E.mul(abs_err, E.constant(cloudy_f)))
-    if spec.reg_norm == "mean":
-        l_reg = E.div(l_reg, E.constant(max(n_cloudy, 1.0)))
+    l_reg = cloudy_abs_error(outputs.y_cot_hat, targets, spec.reg_norm)
 
     if outputs.aux_probs is not None:
         logp = E.log(_clamp_prob(outputs.aux_probs))
@@ -202,4 +215,42 @@ def compute_loss(outputs: ModelOutputs, targets: LossTargets,
         l_caux=float(l_caux.value), l_car=float(l_car.value),
         l_rec=float(l_rec.value), l_lasso=float(l_lasso.value),
         total=float(total.value))
+    return total, breakdown
+
+
+# sequential stage -> (breakdown field of its term, LossTargets label
+# attributes of its two probability columns; None for the regression stage)
+_STAGES = {
+    "mask_net": ("l_cmask", ("l_cloud", "l_clear")),
+    "phase_net": ("l_cphase", ("l_liquid", "l_ice")),
+    "cot_net": ("l_reg", None),
+}
+
+
+def stage_loss(net: str, out: Tensor, targets: LossTargets,
+               spec: ArchitectureSpec,
+               params: ParamStore | None) -> tuple[Tensor, LossBreakdown]:
+    """Loss of one sequential (SEQ) stage on its subnet's output ``out``.
+
+    The mask and phase stages take the sum of two mean binary cross
+    entropies, one per probability column; the COT stage takes
+    :func:`cloudy_abs_error`. Each adds the lasso over its own ``params``.
+    The stage's term fills its own breakdown field (and the ``l_hc`` or
+    ``l_car`` sum it belongs to); every other component is exactly 0.0.
+    """
+    field, labels = _STAGES[net]
+    if labels is None:
+        term = cloudy_abs_error(out, targets, spec.reg_norm)
+    else:
+        term = E.add(*(E.reduce_mean(_bce_pair(E.col(out, j),
+                                               getattr(targets, attr)))
+                       for j, attr in enumerate(labels)))
+    l_lasso = lasso_penalty(params, spec.lasso_lambda)
+    total = E.add(term, l_lasso)
+    parts = dict(l_cmask=0.0, l_cphase=0.0, l_reg=0.0, l_caux=0.0, l_rec=0.0)
+    parts[field] = float(term.value)
+    breakdown = LossBreakdown(
+        **parts, l_hc=parts["l_cmask"] + parts["l_cphase"],
+        l_car=parts["l_reg"] + parts["l_caux"],
+        l_lasso=float(l_lasso.value), total=float(total.value))
     return total, breakdown

@@ -35,9 +35,7 @@ import numpy as np
 from .. import engine as E
 from ..engine import Tensor, ParamStore
 from ..errors import ConfigError, DimensionError
-from .config import (
-    ArchitectureSpec, VARIANT_SEQ, VARIANT_MLP, VARIANT_CR,
-)
+from .config import ArchitectureSpec, VARIANT_SEQ, VARIANT_MLP
 
 
 @dataclass
@@ -51,7 +49,6 @@ class ModelOutputs:
     y_cot_hat: Tensor
     aux_probs: Tensor | None = None
     x_recon: Tensor | None = None
-    latent: Tensor | None = None
 
 
 def cross_attention(theta1, theta2, w_q, w_k, w_v, w_z) -> Tensor:
@@ -143,23 +140,26 @@ class Model:
         if spec.attention_enabled:
             d = spec.attention_dim
             for w_name in ("attn.wq", "attn.wk", "attn.wv", "attn.wz"):
-                ps.add(w_name, _attn_init(rng, d))
+                ps.add(w_name, E.glorot_uniform(rng, d, d))
         return Model(spec, ps)
 
     # ----- forward ------------------------------------------------------
 
-    def forward(self, X: np.ndarray, train_mode: bool = False) -> ModelOutputs:
+    def _input(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.spec.input_dim:
             raise DimensionError(
                 f"input has shape {X.shape}, expected (n, {self.spec.input_dim})")
+        return X
+
+    def forward(self, X: np.ndarray, train_mode: bool = False) -> ModelOutputs:
         spec, ps = self.spec, self.params
-        x = E.constant(X)
+        x = E.constant(self._input(X))
 
         if spec.variant == VARIANT_MLP:
             h = E.relu(E.dense(x, ps["hidden.w"], ps["hidden.b"]))
             out5 = E.dense(h, ps["out.w"], ps["out.b"])
-            probs = E.clamp(E.sigmoid(out5), E.PROB_EPS, 1.0 - E.PROB_EPS)
+            probs = E.clamped_sigmoid(out5)
             return ModelOutputs(
                 u_cloud=E.col(probs, 0), u_clear=E.col(probs, 1),
                 u_liquid=E.col(probs, 2), u_ice=E.col(probs, 3),
@@ -195,7 +195,7 @@ class Model:
         else:
             cls_h = _chain(z, ps, "cls_head", len(spec.head_hidden), final_relu=True)
             cls_logits = E.dense(cls_h, ps["cls_head_out.w"], ps["cls_head_out.b"])
-            cls_u = E.clamp(E.sigmoid(cls_logits), E.PROB_EPS, 1.0 - E.PROB_EPS)
+            cls_u = E.clamped_sigmoid(cls_logits)
             u_cloud, u_clear = E.col(cls_u, 0), E.col(cls_u, 1)
             u_liquid, u_ice = E.col(cls_u, 2), E.col(cls_u, 3)
 
@@ -216,12 +216,7 @@ class Model:
 
         return ModelOutputs(
             u_cloud=u_cloud, u_clear=u_clear, u_liquid=u_liquid, u_ice=u_ice,
-            y_cot_hat=y_cot, aux_probs=aux_probs, x_recon=x_recon, latent=z)
-
-
-def _attn_init(rng: np.random.Generator, d: int) -> np.ndarray:
-    from ..engine.params import glorot_uniform
-    return glorot_uniform(rng, d, d)
+            y_cot_hat=y_cot, aux_probs=aux_probs, x_recon=x_recon)
 
 
 class SequentialModel(Model):
@@ -259,33 +254,31 @@ class SequentialModel(Model):
                 ps.add_dense(f"head.{i}", rng, hw[i], hw[i + 1])
             ps.add_dense("out", rng, hw[-1], SequentialModel._OUT_DIMS[net])
             subnets[net] = ps
-            for name, t in ps.items():
-                merged._params[f"{net}.{name}"] = t
-                if ps.is_bias(name):
-                    merged._bias_names.add(f"{net}.{name}")
+            merged.alias(net, ps)
         return SequentialModel(spec, merged, subnets)
 
-    def _subnet_forward(self, net: str, x: Tensor) -> Tensor:
+    def stage_output(self, net: str, X: np.ndarray) -> Tensor:
+        """One subnet's output on standardized features ``X``.
+
+        The mask and phase nets give an (n, 2) clamped-sigmoid pair, the COT
+        net the (n,) log10 thickness. Sequential training calls this per
+        stage, so it trains exactly the tensors ``forward`` reports.
+        """
         ps = self.subnet_params[net]
-        h = _chain(x, ps, "trunk", len(self.spec.encoder_widths), final_relu=True)
+        h = _chain(E.constant(X), ps, "trunk", len(self.spec.encoder_widths),
+                   final_relu=True)
         h = _chain(h, ps, "head", len(self.spec.head_hidden), final_relu=True)
-        return E.dense(h, ps["out.w"], ps["out.b"])
+        out = E.dense(h, ps["out.w"], ps["out.b"])
+        return E.col(out, 0) if net == "cot_net" else E.clamped_sigmoid(out)
 
     def forward(self, X: np.ndarray, train_mode: bool = False) -> ModelOutputs:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.spec.input_dim:
-            raise DimensionError(
-                f"input has shape {X.shape}, expected (n, {self.spec.input_dim})")
-        x = E.constant(X)
-        mask_u = E.clamp(E.sigmoid(self._subnet_forward("mask_net", x)),
-                         E.PROB_EPS, 1.0 - E.PROB_EPS)
-        phase_u = E.clamp(E.sigmoid(self._subnet_forward("phase_net", x)),
-                          E.PROB_EPS, 1.0 - E.PROB_EPS)
-        y_cot = E.col(self._subnet_forward("cot_net", x), 0)
+        X = self._input(X)
+        mask_u = self.stage_output("mask_net", X)
+        phase_u = self.stage_output("phase_net", X)
         return ModelOutputs(
             u_cloud=E.col(mask_u, 0), u_clear=E.col(mask_u, 1),
             u_liquid=E.col(phase_u, 0), u_ice=E.col(phase_u, 1),
-            y_cot_hat=y_cot)
+            y_cot_hat=self.stage_output("cot_net", X))
 
 
 def build_model(spec: ArchitectureSpec, seed: int) -> Model:

@@ -1,16 +1,18 @@
-"""Mini-batch training loops.
+"""The mini-batch training loop, shared by every variant.
 
-The joint loop (all MT-* variants and the MLP baseline) shuffles the
-training pixels each epoch with a generator seeded from the optimizer
-config, walks fixed-size batches (last batch may be short), and applies one
-adaptive-moment step per batch. Nothing stops early: the parameters after
-the final epoch are the result.
+``_fit`` is the one epoch loop. It shuffles the training pixels each epoch
+with a generator seeded from the optimizer config, walks fixed-size batches
+(the last batch may be short), and applies one adaptive-moment step per
+batch to one parameter store. Nothing stops early: the parameters after the
+final epoch are the result.
 
-The sequential pipeline (SEQ) trains its three subnets one after another:
-mask net on all pixels, then, with mask predictions frozen, phase and COT
-nets on the pixels the mask net calls cloudy (intersected with truly-cloudy,
-where their supervision exists). If that intersection is empty the stage
-falls back to the truly-cloudy pixels so training remains well-defined.
+The jointly-trained variants (MT-* and the MLP baseline) run it once on the
+composite loss. The sequential pipeline (SEQ) runs it once per subnet, with
+``losses.stage_loss`` as the loss: mask net on all pixels, then, with mask
+predictions frozen, phase and COT nets on the pixels the mask net calls
+cloudy (intersected with truly-cloudy, where their supervision exists). If
+that intersection is empty the stages fall back to the truly-cloudy pixels
+so training remains well-defined.
 
 History rows record the mean of each loss component over the epoch's batches
 plus the full-validation total (same loss definition, no updates) after the
@@ -20,14 +22,13 @@ epoch. The sequential pipeline yields one history per subnet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .. import engine as E
-from ..engine import TrainConfig, AdamState, backward, optimizer_step
+from ..engine import TrainConfig, AdamState, ParamStore, backward, optimizer_step
 from ..errors import ConfigError
-from .config import VARIANT_SEQ
-from .losses import LossTargets, compute_loss, lasso_penalty
+from .losses import LossTargets, compute_loss, stage_loss
 from .network import Model, SequentialModel
 
 HISTORY_COLUMNS = ("epoch", "l_cmask", "l_cphase", "l_reg", "l_caux",
@@ -87,50 +88,55 @@ def train_model(model: Model, train_targets: LossTargets, config: TrainConfig,
     config.validate()
     if len(train_targets) == 0:
         raise ConfigError("training set is empty")
-    if model.spec.variant == VARIANT_SEQ:
-        assert isinstance(model, SequentialModel)
+    if isinstance(model, SequentialModel):
         return _train_sequential(model, train_targets, config, val_targets)
-    return TrainResult(histories={
-        "model": _train_joint(model, train_targets, config, val_targets)})
+    return TrainResult(histories={"model": _fit(
+        model.params, partial(_joint_loss, model), train_targets, val_targets,
+        config)})
 
 
-def _train_joint(model: Model, train_targets: LossTargets, config: TrainConfig,
-                 val_targets: LossTargets | None) -> list[EpochRecord]:
+def _fit(params: ParamStore, loss_fn, train: LossTargets,
+         val: LossTargets | None, config: TrainConfig) -> list[EpochRecord]:
+    """Train ``params`` on ``loss_fn(batch) -> (total, LossBreakdown)``."""
     rng = np.random.default_rng(config.seed)
     state = AdamState()
     records: list[EpochRecord] = []
-    n = len(train_targets)
     for epoch in range(config.epochs):
         sums = np.zeros(7)
-        batches = _batches(n, config.batch_size, rng)
+        batches = _batches(len(train), config.batch_size, rng)
         for idx in batches:
-            bt = train_targets.take(idx)
-            outputs = model.forward(bt.x, train_mode=True)
-            total, parts = compute_loss(outputs, bt, model.spec, model.params)
-            model.params.zero_grads()
+            total, parts = loss_fn(train.take(idx))
+            params.zero_grads()
             backward(total)
-            optimizer_step(model.params, config, state)
+            optimizer_step(params, config, state)
             sums += (parts.l_cmask, parts.l_cphase, parts.l_reg, parts.l_caux,
                      parts.l_rec, parts.l_lasso, parts.total)
-        means = sums / len(batches)
         val_total = None
-        if val_targets is not None and len(val_targets) > 0:
-            v_out = model.forward(val_targets.x, train_mode=True)
-            _, v_parts = compute_loss(v_out, val_targets, model.spec, model.params)
+        if val is not None and len(val) > 0:
+            # v_total holds the validation graph until the next epoch
+            # replaces it: freeing it here at once measurably slowed later
+            # inference through its effect on heap state.
+            v_total, v_parts = loss_fn(val)
             val_total = v_parts.total
-        records.append(EpochRecord(epoch, *means, val_total=val_total))
+        records.append(EpochRecord(epoch, *(sums / len(batches)),
+                                   val_total=val_total))
     return records
 
 
-# ---------------------------------------------------------------------------
-# sequential pipeline
+def _joint_loss(model: Model, batch: LossTargets):
+    outputs = model.forward(batch.x, train_mode=True)
+    return compute_loss(outputs, batch, model.spec, model.params)
+
+
+def _stage_loss(model: SequentialModel, net: str, batch: LossTargets):
+    out = model.stage_output(net, batch.x)
+    return stage_loss(net, out, batch, model.spec, model.subnet_params[net])
 
 
 def _stage_subset(model: SequentialModel, targets: LossTargets) -> np.ndarray:
     """Pixels for the phase/COT stages: predicted-cloudy intersect cloudy."""
-    out = model.forward(targets.x, train_mode=False)
-    predicted = out.u_cloud.value >= model.spec.threshold
-    idx = np.flatnonzero(predicted & targets.cloudy)
+    u_cloud = model.stage_output("mask_net", targets.x).value[:, 0]
+    idx = np.flatnonzero((u_cloud >= model.spec.threshold) & targets.cloudy)
     if idx.size == 0:
         idx = np.flatnonzero(targets.cloudy)
     return idx
@@ -139,84 +145,16 @@ def _stage_subset(model: SequentialModel, targets: LossTargets) -> np.ndarray:
 def _train_sequential(model: SequentialModel, train_targets: LossTargets,
                       config: TrainConfig, val_targets: LossTargets | None
                       ) -> TrainResult:
-    spec = model.spec
-    lam = spec.lasso_lambda
-
-    def mask_loss(batch: LossTargets):
-        logits = model._subnet_forward("mask_net", E.constant(batch.x))
-        u = E.clamp(E.sigmoid(logits), E.PROB_EPS, 1.0 - E.PROB_EPS)
-        ce = E.constant(0.0)
-        for j, labels in ((0, batch.l_cloud), (1, batch.l_clear)):
-            col = E.col(u, j)
-            pos = E.mul(E.constant(labels), E.log(col))
-            neg = E.mul(E.constant(1.0 - labels), E.log(E.sub(1.0, col)))
-            ce = E.sub(ce, E.reduce_mean(E.add(pos, neg)))
-        lasso = lasso_penalty(model.subnet_params["mask_net"], lam)
-        total = E.add(ce, lasso)
-        return total, {"l_cmask": float(ce.value), "l_lasso": float(lasso.value),
-                       "total": float(total.value)}
-
-    def phase_loss(batch: LossTargets):
-        logits = model._subnet_forward("phase_net", E.constant(batch.x))
-        u = E.clamp(E.sigmoid(logits), E.PROB_EPS, 1.0 - E.PROB_EPS)
-        ce = E.constant(0.0)
-        for j, labels in ((0, batch.l_liquid), (1, batch.l_ice)):
-            col = E.col(u, j)
-            pos = E.mul(E.constant(labels), E.log(col))
-            neg = E.mul(E.constant(1.0 - labels), E.log(E.sub(1.0, col)))
-            ce = E.sub(ce, E.reduce_mean(E.add(pos, neg)))
-        lasso = lasso_penalty(model.subnet_params["phase_net"], lam)
-        total = E.add(ce, lasso)
-        return total, {"l_cphase": float(ce.value), "l_lasso": float(lasso.value),
-                       "total": float(total.value)}
-
-    def cot_loss(batch: LossTargets):
-        y = E.col(model._subnet_forward("cot_net", E.constant(batch.x)), 0)
-        err = E.reduce_sum(E.absval(E.sub(y, E.constant(batch.y_cot))))
-        if spec.reg_norm == "mean":
-            err = E.div(err, E.constant(max(float(len(batch)), 1.0)))
-        lasso = lasso_penalty(model.subnet_params["cot_net"], lam)
-        total = E.add(err, lasso)
-        return total, {"l_reg": float(err.value), "l_lasso": float(lasso.value),
-                       "total": float(total.value)}
-
     histories: dict[str, list[EpochRecord]] = {}
-    stages = [("mask_net", mask_loss, None), ("phase_net", phase_loss, "subset"),
-              ("cot_net", cot_loss, "subset")]
-    for net, loss_fn, subsetting in stages:
-        if subsetting == "subset":
-            stage_train = train_targets.take(_stage_subset(model, train_targets))
-            stage_val = (val_targets.take(_stage_subset(model, val_targets))
-                         if val_targets is not None and len(val_targets) else None)
-        else:
-            stage_train, stage_val = train_targets, val_targets
-        rng = np.random.default_rng(config.seed)
-        state = AdamState()
-        records: list[EpochRecord] = []
-        ps = model.subnet_params[net]
-        n = len(stage_train)
-        if n == 0:
+    train, val = train_targets, val_targets
+    for net in SequentialModel.SUBNETS:
+        if len(train) == 0:
             raise ConfigError(f"sequential stage {net} has no training pixels")
-        for epoch in range(config.epochs):
-            comp_sums: dict[str, float] = {}
-            batches = _batches(n, config.batch_size, rng)
-            for idx in batches:
-                total, parts = loss_fn(stage_train.take(idx))
-                ps.zero_grads()
-                backward(total)
-                optimizer_step(ps, config, state)
-                for k, v in parts.items():
-                    comp_sums[k] = comp_sums.get(k, 0.0) + v
-            means = {k: v / len(batches) for k, v in comp_sums.items()}
-            val_total = None
-            if stage_val is not None and len(stage_val) > 0:
-                _, v_parts = loss_fn(stage_val)
-                val_total = v_parts["total"]
-            records.append(EpochRecord(
-                epoch,
-                means.get("l_cmask", 0.0), means.get("l_cphase", 0.0),
-                means.get("l_reg", 0.0), 0.0, 0.0,
-                means.get("l_lasso", 0.0), means.get("total", 0.0),
-                val_total=val_total))
-        histories[net] = records
+        histories[net] = _fit(model.subnet_params[net],
+                              partial(_stage_loss, model, net), train, val,
+                              config)
+        if net == "mask_net":
+            train = train_targets.take(_stage_subset(model, train_targets))
+            if val_targets is not None and len(val_targets):
+                val = val_targets.take(_stage_subset(model, val_targets))
     return TrainResult(histories=histories)

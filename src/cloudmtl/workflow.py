@@ -243,9 +243,9 @@ def run_kfold(ds: PixelDataset, specs: list[ArchitectureSpec],
         train_ds = ds.subset(train_idx)
         test_ds = ds.subset(test_idx)
         standardizer = Standardizer.fit(train_ds.feature_matrix())
+        feats = standardizer.transform(train_ds.feature_matrix())
         fold_config = replace(config, seed=config.seed + i)
         for spec in specs:
-            feats = standardizer.transform(train_ds.feature_matrix())
             targets = LossTargets.from_dataset(train_ds, feats, spec.bins)
             model = build_model(spec, fold_config.seed)
             train_model(model, targets, fold_config)

@@ -270,3 +270,14 @@ def test_seq_subnets_are_independent():
     out = m.forward(X)
     # flat sigmoid pairs: mask columns are not forced complementary
     assert out.aux_probs is None and out.x_recon is None
+
+
+def test_seq_forward_is_stage_output():
+    m = build_model(small("SEQ"), seed=16)
+    X = np.random.default_rng(17).normal(size=(5, 16))
+    out = m.forward(X)
+    mask, phase = m.stage_output("mask_net", X), m.stage_output("phase_net", X)
+    for got, want in ((out.u_cloud, E.col(mask, 0)), (out.u_clear, E.col(mask, 1)),
+                      (out.u_liquid, E.col(phase, 0)), (out.u_ice, E.col(phase, 1)),
+                      (out.y_cot_hat, m.stage_output("cot_net", X))):
+        assert got.value.tobytes() == want.value.tobytes()

@@ -10,6 +10,7 @@ from cloudmtl.data import Standardizer, generate_dataset, get_sensor
 from cloudmtl.models import (
     ArchitectureSpec, LossTargets, build_model, compute_loss,
 )
+from cloudmtl.models.losses import stage_loss
 from cloudmtl.models.network import ModelOutputs
 
 EPS = 1e-7  # probability clamp width used by the loss
@@ -216,3 +217,50 @@ def test_gradient_reaches_all_components():
     for name, t in model.params.items():
         assert t.grad is not None, name
         assert np.any(t.grad != 0.0) or "attn" in name, name
+
+
+def _np_bce_mean(u, y):
+    u = np.clip(u, EPS, 1.0 - EPS)
+    return -np.mean(y * np.log(u) + (1.0 - y) * np.log(1.0 - u))
+
+
+@pytest.mark.parametrize("net", ["mask_net", "phase_net", "cot_net"])
+@pytest.mark.parametrize("reg_norm", ["sum", "mean"])
+def test_stage_loss_matches_numpy(net, reg_norm):
+    """Each SEQ stage's loss is its own term plus the lasso over its own
+    subnet; every other component is exactly 0.0."""
+    ds = generate_dataset(get_sensor("ABI"), 48, seed=13)
+    feats = Standardizer.fit(ds.feature_matrix()).transform(ds.feature_matrix())
+    spec = ArchitectureSpec(variant="SEQ", input_dim=feats.shape[1],
+                            encoder_widths=(8, 4), head_hidden=(4,),
+                            lasso_lambda=1e-3, reg_norm=reg_norm)
+    model = build_model(spec, seed=14)
+    tg = LossTargets.from_dataset(ds, feats, spec.bins)
+    if net == "cot_net":
+        tg = tg.take(np.flatnonzero(tg.cloudy))
+    ps = model.subnet_params[net]
+    out = model.stage_output(net, tg.x)
+    total, br = stage_loss(net, out, tg, spec, ps)
+
+    u = out.value
+    if net == "mask_net":
+        term = _np_bce_mean(u[:, 0], tg.l_cloud) + _np_bce_mean(u[:, 1], tg.l_clear)
+    elif net == "phase_net":
+        term = _np_bce_mean(u[:, 0], tg.l_liquid) + _np_bce_mean(u[:, 1], tg.l_ice)
+    else:
+        term = np.abs(u - tg.y_cot).sum()
+        if reg_norm == "mean":
+            term /= len(tg)
+    lasso = 1e-3 * sum(np.abs(w.value).sum() for w in ps.weight_tensors())
+    field = {"mask_net": "l_cmask", "phase_net": "l_cphase",
+             "cot_net": "l_reg"}[net]
+    parts = br.to_dict()
+    assert parts[field] == pytest.approx(term, rel=1e-12)
+    assert br.l_lasso == pytest.approx(lasso, rel=1e-12)
+    assert br.total == float(total.value)
+    assert br.total == pytest.approx(term + lasso, rel=1e-12)
+    for name in ("l_cmask", "l_cphase", "l_reg", "l_caux", "l_rec"):
+        if name != field:
+            assert parts[name] == 0.0, name
+    assert br.l_hc == br.l_cmask + br.l_cphase
+    assert br.l_car == br.l_reg + br.l_caux

@@ -95,3 +95,28 @@ def test_load_values_validates_names_and_shapes():
     with pytest.raises(StateError):
         ps.load_values(bad)
     ps.load_values(good)  # unchanged set loads fine
+
+
+def test_alias_shares_tensors_and_bias_flags():
+    rng = np.random.default_rng(4)
+    sub = ParamStore()
+    sub.add_dense("layer", rng, 3, 2)
+    merged = ParamStore()
+    merged.add("own", np.ones(2))
+    merged.alias("net", sub)
+    assert merged.names() == ["own", "net.layer.w", "net.layer.b"]
+    assert merged["net.layer.w"] is sub["layer.w"]
+    assert merged["net.layer.b"] is sub["layer.b"]
+    assert merged.is_bias("net.layer.b") and not merged.is_bias("net.layer.w")
+    assert [t.name for t in merged.weight_tensors()] == ["own", "layer.w"]
+
+
+def test_alias_rejects_a_duplicate_full_name():
+    sub = ParamStore()
+    sub.add("a", np.zeros(1))
+    sub.add("w", np.zeros(1))
+    merged = ParamStore()
+    merged.add("net.w", np.zeros(1))
+    with pytest.raises(StateError, match="net.w"):
+        merged.alias("net", sub)
+    assert merged.names() == ["net.w"]  # nothing half-registered

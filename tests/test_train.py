@@ -127,3 +127,24 @@ def test_sequential_pipeline_three_histories():
     # the merged store sees the trained subnet values (aliased tensors)
     sub = model.subnet_params["mask_net"]["trunk.0.w"]
     assert model.params["mask_net.trunk.0.w"] is sub
+
+
+def test_sequential_history_rows_hold_only_their_stage():
+    ds = generate_dataset(get_sensor("ABI"), 200, seed=23)
+    feats = Standardizer.fit(ds.feature_matrix()).transform(ds.feature_matrix())
+    spec = ArchitectureSpec(variant="SEQ", input_dim=feats.shape[1],
+                            encoder_widths=(8, 4), head_hidden=(4,))
+    tg = LossTargets.from_dataset(ds, feats, spec.bins)
+    res = train_model(build_model(spec, seed=9), tg.take(np.arange(150)),
+                      TrainConfig(lr=1e-3, epochs=2, batch_size=64, seed=9),
+                      val_targets=tg.take(np.arange(150, 200)))
+    stage_field = {"mask_net": "l_cmask", "phase_net": "l_cphase",
+                   "cot_net": "l_reg"}
+    for net, records in res.histories.items():
+        others = {"l_cmask", "l_cphase", "l_reg"} - {stage_field[net]}
+        for rec in records:
+            assert rec.l_caux == rec.l_rec == 0.0
+            assert all(getattr(rec, f) == 0.0 for f in others)
+            assert rec.total == pytest.approx(
+                getattr(rec, stage_field[net]) + rec.l_lasso, rel=1e-12)
+            assert rec.val_total is not None and np.isfinite(rec.val_total)
