@@ -27,6 +27,7 @@ from .tensor import (
     col,
     as_column,
     backward,
+    no_grad,
     PROB_EPS,
 )
 from .params import ParamStore, glorot_uniform
@@ -39,7 +40,7 @@ __all__ = [
     "transpose", "dense", "activation", "relu", "sigmoid", "clamped_sigmoid",
     "clamp", "log", "absval", "l1_norm", "reduce_sum", "reduce_mean",
     "softmax_rows", "outer_rows", "bmatvec", "col", "as_column", "backward",
-    "PROB_EPS",
+    "no_grad", "PROB_EPS",
     "ParamStore", "glorot_uniform",
     "TrainConfig", "AdamState", "optimizer_step", "global_grad_norm",
     "GradCheckReport", "finite_diff_check",

@@ -1,8 +1,12 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 Every operation is a pure function: it reads its operands, allocates a new
-``Tensor`` holding the result, and records a vector-Jacobian product (VJP)
-closure for the backward pass. Calling :func:`backward` on a scalar result
+``Tensor`` holding the result, and records its operands and a
+vector-Jacobian product (VJP) closure for the backward pass. Inside
+:func:`no_grad` nothing is recorded: results are leaves with no parents and
+no VJP, so an intermediate array is freed as soon as no variable refers to
+it, as with PyTorch's ``torch.no_grad()``; values are bitwise those of a
+recorded forward. Calling :func:`backward` on a scalar result
 walks the recorded graph once in reverse topological order and *adds* the
 resulting cotangents into the ``grad`` field of each leaf it reaches
 (parameters and constants, the nodes without a VJP); intermediate nodes pass
@@ -24,13 +28,31 @@ Design constraints honored throughout:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import DimensionError, StateError
 
 PROB_EPS = 1e-7
+
+#: whether ops record parents and VJPs; switched off by :func:`no_grad`
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run ops without recording a graph; restores the previous mode on exit.
+
+    The mode is one module flag, so it holds for every thread of the process.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _as_array(value) -> np.ndarray:
@@ -41,7 +63,8 @@ def _as_array(value) -> np.ndarray:
 class Tensor:
     """A node in the autodiff graph: a float64 value plus backward plumbing.
 
-    ``parents`` and ``vjp`` are empty for leaves (parameters, constants).
+    ``parents`` and ``vjp`` are empty for leaves (parameters, constants) and
+    for every result computed under :func:`no_grad`.
     Only leaves ever hold a ``grad``: :func:`backward` allocates it lazily on
     a leaf it reaches and leaves it ``None`` on every intermediate node.
     Parameter leaves get a zero-initialized ``grad`` from
@@ -55,8 +78,10 @@ class Tensor:
                  name: str | None = None):
         self.value = _as_array(value)
         self.grad: np.ndarray | None = None
-        self.parents = parents
-        self.vjp = vjp
+        if _recording:
+            self.parents, self.vjp = parents, vjp
+        else:
+            self.parents, self.vjp = (), None
         self.name = name
 
     @property
@@ -238,10 +263,9 @@ def dense(x, w, b) -> Tensor:
 def relu(x) -> Tensor:
     x = _wrap(x)
     out_val = np.maximum(x.value, 0.0)
-    mask = x.value > 0.0
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (x.value > 0.0),)
 
     return Tensor(out_val, (x,), vjp)
 
@@ -270,10 +294,9 @@ def clamp(x, lo: float, hi: float) -> Tensor:
     """Clip values to [lo, hi]; gradient passes through unclipped entries."""
     x = _wrap(x)
     out_val = np.clip(x.value, lo, hi)
-    mask = (x.value >= lo) & (x.value <= hi)
 
     def vjp(g):
-        return (g * mask,)
+        return (g * ((x.value >= lo) & (x.value <= hi)),)
 
     return Tensor(out_val, (x,), vjp)
 
@@ -305,10 +328,9 @@ def log(x) -> Tensor:
 def absval(x) -> Tensor:
     x = _wrap(x)
     out_val = np.abs(x.value)
-    sign = np.sign(x.value)
 
     def vjp(g):
-        return (g * sign,)
+        return (g * np.sign(x.value),)
 
     return Tensor(out_val, (x,), vjp)
 

@@ -94,6 +94,5 @@ def predictions_from_outputs(outputs: ModelOutputs, spec: ArchitectureSpec
 
 
 def predict(model: Model, X: np.ndarray) -> Predictions:
-    """Forward in inference mode (hard gating) and apply the decision rules."""
-    outputs = model.forward(X, train_mode=False)
-    return predictions_from_outputs(outputs, model.spec)
+    """Chunked inference (hard gating, no graph), then the decision rules."""
+    return predictions_from_outputs(model.infer(X), model.spec)

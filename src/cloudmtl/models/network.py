@@ -1,6 +1,8 @@
 """Network construction and forward passes for every variant.
 
-All variants produce a :class:`ModelOutputs` bundle of graph tensors:
+All variants produce a :class:`ModelOutputs` bundle of graph tensors
+(:meth:`Model.infer` gives the inference-mode bundle, computed in chunks
+without a graph):
 
 * mask uncertainties ``u_cloud`` / ``u_clear`` (sigmoid, clamped into
   (0, 1) for log safety);
@@ -38,6 +40,13 @@ from ..errors import ConfigError, DimensionError
 from .config import ArchitectureSpec, VARIANT_SEQ, VARIANT_MLP
 
 
+#: rows per forward in :meth:`Model.infer`
+INFER_CHUNK = 2048
+
+#: the outputs hard predictions read; :meth:`Model.infer` keeps only these
+_INFER_FIELDS = ("u_cloud", "u_clear", "u_liquid", "u_ice", "y_cot_hat")
+
+
 @dataclass
 class ModelOutputs:
     """Per-pixel outputs of one forward pass (graph tensors)."""
@@ -57,12 +66,9 @@ def cross_attention(theta1, theta2, w_q, w_k, w_v, w_z) -> Tensor:
     ``theta1``/``theta2`` are (n, d); the four matrices are (d, d). Accepts
     Tensors or plain arrays (arrays are wrapped as constants).
     """
-    theta1 = theta1 if isinstance(theta1, Tensor) else E.constant(theta1)
-    theta2 = theta2 if isinstance(theta2, Tensor) else E.constant(theta2)
-    w_q = w_q if isinstance(w_q, Tensor) else E.constant(w_q)
-    w_k = w_k if isinstance(w_k, Tensor) else E.constant(w_k)
-    w_v = w_v if isinstance(w_v, Tensor) else E.constant(w_v)
-    w_z = w_z if isinstance(w_z, Tensor) else E.constant(w_z)
+    theta1, theta2, w_q, w_k, w_v, w_z = (
+        t if isinstance(t, Tensor) else E.constant(t)
+        for t in (theta1, theta2, w_q, w_k, w_v, w_z))
     d = theta1.value.shape[1]
     for name, w in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v), ("w_z", w_z)):
         if w.value.shape != (d, d):
@@ -217,6 +223,31 @@ class Model:
         return ModelOutputs(
             u_cloud=u_cloud, u_clear=u_clear, u_liquid=u_liquid, u_ice=u_ice,
             y_cot_hat=y_cot, aux_probs=aux_probs, x_recon=x_recon)
+
+    def infer(self, X: np.ndarray) -> ModelOutputs:
+        """Inference-mode outputs, ``INFER_CHUNK`` rows per forward.
+
+        Each chunk runs ``forward(train_mode=False)`` under
+        :func:`engine.no_grad`, so beyond the returned arrays peak memory is
+        one chunk's forward however many rows ``X`` has. Only the five fields predictions read are kept,
+        concatenated as constants; ``aux_probs`` and ``x_recon`` are None.
+
+        Every forward op is row-independent, so up to ``INFER_CHUNK`` rows
+        this is bitwise ``forward(X)``. Beyond that it is bitwise the
+        concatenated per-chunk forwards. Those can differ from one forward
+        over all rows by an ulp, because BLAS picks other kernels for
+        products of about 32k rows and more; chunks of a few dozen rows
+        can differ too, so the chunk size stays in the thousands.
+        """
+        X = self._input(X)
+        chunks = []
+        with E.no_grad():
+            # an empty X still gets one (empty) forward and empty outputs
+            for start in range(0, max(len(X), 1), INFER_CHUNK):
+                out = self.forward(X[start:start + INFER_CHUNK])
+                chunks.append([getattr(out, f).value for f in _INFER_FIELDS])
+        return ModelOutputs(**{f: E.constant(np.concatenate(values))
+                               for f, values in zip(_INFER_FIELDS, zip(*chunks))})
 
 
 class SequentialModel(Model):

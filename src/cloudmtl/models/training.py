@@ -26,7 +26,9 @@ from functools import partial
 
 import numpy as np
 
-from ..engine import TrainConfig, AdamState, ParamStore, backward, optimizer_step
+from ..engine import (
+    TrainConfig, AdamState, ParamStore, backward, no_grad, optimizer_step,
+)
 from ..errors import ConfigError
 from .losses import LossTargets, compute_loss, stage_loss
 from .network import Model, SequentialModel
@@ -135,7 +137,8 @@ def _stage_loss(model: SequentialModel, net: str, batch: LossTargets):
 
 def _stage_subset(model: SequentialModel, targets: LossTargets) -> np.ndarray:
     """Pixels for the phase/COT stages: predicted-cloudy intersect cloudy."""
-    u_cloud = model.stage_output("mask_net", targets.x).value[:, 0]
+    with no_grad():
+        u_cloud = model.stage_output("mask_net", targets.x).value[:, 0]
     idx = np.flatnonzero((u_cloud >= model.spec.threshold) & targets.cloudy)
     if idx.size == 0:
         idx = np.flatnonzero(targets.cloudy)

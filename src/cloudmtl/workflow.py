@@ -71,8 +71,7 @@ def evaluate_model(model: Model, standardizer: Standardizer,
     """Standardize, run inference, and score against the labels."""
     _check_feature_dim(ds, model.spec)
     feats = standardizer.transform(ds.feature_matrix())
-    outputs = model.forward(feats, train_mode=False)
-    pred = predictions_from_outputs(outputs, model.spec)
+    pred = predictions_from_outputs(model.infer(feats), model.spec)
     return pred, evaluate_predictions(pred, ds)
 
 

@@ -23,7 +23,7 @@ dims = st.integers(min_value=1, max_value=4)
 
 #: names in ``cloudmtl.engine.__all__`` that do not build graph nodes
 NOT_OPS = {
-    "Tensor", "constant", "backward", "PROB_EPS", "ParamStore",
+    "Tensor", "constant", "backward", "no_grad", "PROB_EPS", "ParamStore",
     "glorot_uniform", "TrainConfig", "AdamState", "optimizer_step",
     "global_grad_norm", "GradCheckReport", "finite_diff_check",
     "dumps_deterministic", "save_checkpoint", "load_checkpoint",

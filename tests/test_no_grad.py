@@ -1,0 +1,149 @@
+"""Graph-free evaluation: ``engine.no_grad`` and the chunked ``Model.infer``."""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cloudmtl import engine as E
+from cloudmtl.data import Standardizer, generate_dataset, get_sensor
+from cloudmtl.models import (
+    VARIANTS, ArchitectureSpec, LossTargets, build_model, compute_loss,
+    predict, predictions_from_outputs,
+)
+from cloudmtl.models.network import INFER_CHUNK
+
+ABI_DIM, OCI_DIM = 16, 243
+FIELDS = ("u_cloud", "u_clear", "u_liquid", "u_ice", "y_cot_hat")
+
+
+def model_for(variant, input_dim=ABI_DIM, seed=3):
+    return build_model(ArchitectureSpec(variant=variant, input_dim=input_dim),
+                       seed=seed)
+
+
+def features(n, input_dim=ABI_DIM, seed=0):
+    return np.random.default_rng(seed).standard_normal((n, input_dim))
+
+
+def values(outputs, fields=FIELDS):
+    return {f: getattr(outputs, f).value for f in fields}
+
+
+def assert_bitwise(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for k in a:
+        assert a[k].shape == b[k].shape, k
+        assert a[k].tobytes() == b[k].tobytes(), k
+
+
+def recorded(t):
+    return t.parents != () or t.vjp is not None
+
+
+# ---------------------------------------------------------------- no_grad
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_no_grad_values_bitwise_equal_and_unrecorded(variant, train_mode):
+    model, X = model_for(variant), features(300)
+    ref = model.forward(X, train_mode=train_mode)
+    with E.no_grad():
+        out = model.forward(X, train_mode=train_mode)
+    names = [f.name for f in dataclasses.fields(ref) if getattr(ref, f.name) is not None]
+    assert_bitwise(values(ref, names), values(out, names))
+    assert all(recorded(getattr(ref, f)) for f in names)
+    assert not any(recorded(getattr(out, f)) for f in names)
+
+
+def test_no_grad_ops_build_leaves():
+    a = E.constant(np.array([[1.0, -2.0], [0.5, 3.0]]))
+    with E.no_grad():
+        outs = [E.add(a, 1.0), E.relu(a), E.clamp(a, 0.0, 1.0), E.absval(a),
+                E.matmul(a, a), E.softmax_rows(a), E.l1_norm([a, a])]
+    for t in outs:
+        assert t.parents == () and t.vjp is None and t.grad is None
+
+
+def test_no_grad_mode_restored_after_nesting_and_exception():
+    a = E.constant(np.ones(3))
+    with E.no_grad():
+        with E.no_grad():
+            assert not recorded(E.add(a, a))
+        assert not recorded(E.add(a, a))
+    assert recorded(E.add(a, a))
+    with pytest.raises(RuntimeError):
+        with E.no_grad():
+            raise RuntimeError("boom")
+    assert recorded(E.add(a, a))
+
+
+def test_training_after_infer_gets_the_same_gradients():
+    spec = ArchitectureSpec(variant="MT-HCCAR", input_dim=ABI_DIM)
+    ds = generate_dataset(get_sensor("ABI"), 64, seed=5)
+    feats = Standardizer.fit(ds.feature_matrix()).transform(ds.feature_matrix())
+    targets = LossTargets.from_dataset(ds, feats, spec.bins)
+    grads = []
+    for warm in (False, True):
+        model = build_model(spec, seed=3)
+        if warm:
+            model.infer(features(2 * INFER_CHUNK + 1))
+        model.params.zero_grads()
+        total, _ = compute_loss(model.forward(targets.x, train_mode=True),
+                                targets, spec, model.params)
+        E.backward(total)
+        grads.append({name: t.grad.copy() for name, t in model.params.items()})
+    assert any(np.any(g != 0) for g in grads[1].values())
+    assert_bitwise(*grads)
+
+
+# ---------------------------------------------------------------- infer
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("input_dim", [ABI_DIM, OCI_DIM])
+def test_infer_is_forward_within_one_chunk(variant, input_dim):
+    model = model_for(variant, input_dim)
+    for n in (0, 1, 37, INFER_CHUNK):
+        X = features(n, input_dim, seed=n)
+        out = model.infer(X)
+        assert out.aux_probs is None and out.x_recon is None
+        assert not any(recorded(getattr(out, f)) for f in FIELDS)
+        assert_bitwise(values(model.forward(X, train_mode=False)), values(out))
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_infer_is_concatenated_chunk_forwards(variant):
+    model, X = model_for(variant), features(3 * INFER_CHUNK + 5)
+    chunks = [values(model.forward(X[i:i + INFER_CHUNK], train_mode=False))
+              for i in range(0, len(X), INFER_CHUNK)]
+    want = {f: np.concatenate([c[f] for c in chunks]) for f in FIELDS}
+    assert_bitwise(want, values(model.infer(X)))
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_infer_matches_one_large_forward(variant):
+    # Past about 32k rows BLAS may pick other kernels for one tall product,
+    # so scores can move by an ulp; decisions must not.
+    model, X = model_for(variant), features(40_000)
+    with E.no_grad():
+        single = predictions_from_outputs(model.forward(X), model.spec)
+    chunked = predict(model, X)
+    np.testing.assert_array_equal(chunked.label, single.label)
+    np.testing.assert_array_equal(chunked.cloudy, single.cloudy)
+    for f in ("cot_raw", "score_cloud", "score_clear", "score_liquid",
+              "score_ice"):
+        np.testing.assert_allclose(getattr(chunked, f), getattr(single, f),
+                                   rtol=0, atol=1e-12, err_msg=f)
+
+
+def test_infer_peak_memory_is_bounded():
+    # One unchunked recording forward over these rows would need about 3 GB.
+    model, X = model_for("MT-HCCAR"), features(200_000)
+    tracemalloc.start()
+    try:
+        model.infer(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -2,10 +2,11 @@
 
 A bitwise before/after check for changes that must not alter what the
 program computes. It trains every variant on one fixed recipe and prints,
-per variant and ``clip_norm`` setting, the SHA-256 of the trained weights
-and of its ``history*.csv`` text; then it runs a 2-epoch ``cloudmtl
-ablate`` of all six variants and prints one SHA-256 over every file the
-run writes. Run it on two trees and diff the output:
+per variant and ``clip_norm`` setting, the SHA-256 of the trained weights,
+of its ``history*.csv`` text and of every ``Predictions`` field that
+``models.predict`` gives on the validation pixels; then it runs a 2-epoch
+``cloudmtl ablate`` of all six variants and prints one SHA-256 over every
+file the run writes. Run it on two trees and diff the output:
 
     PYTHONPATH=src python3 tools/digest.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/digest.py > before.txt
@@ -17,11 +18,13 @@ against any tree that keeps that API. It takes about ten seconds on a
 Recipe: ABI, 4,000 pixels, data seed 100. The standardizer is fit on the
 first 3,000 pixels, training uses those and validation the last 1,000;
 3 epochs, batch 64, lr 3e-3, seed 1, with ``clip_norm`` None and 0.5.
+The 1,000 predicted pixels fit in one inference chunk.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import os
 import sys
@@ -34,7 +37,7 @@ from cloudmtl.data import Standardizer, generate_dataset, get_sensor
 from cloudmtl.engine import TrainConfig
 from cloudmtl.models import (
     VARIANTS, ArchitectureSpec, LossTargets, build_model, history_csv,
-    train_model,
+    predict, train_model,
 )
 
 N_PIXELS, DATA_SEED, N_TRAIN = 4000, 100, 3000
@@ -56,6 +59,16 @@ def histories_sha256(histories) -> str:
     for key, records in histories.items():
         h.update(key.encode())
         h.update(history_csv(records).encode())
+    return h.hexdigest()
+
+
+def predictions_sha256(pred) -> str:
+    """SHA-256 over every ``Predictions`` field's name, dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(pred):
+        v = np.ascontiguousarray(getattr(pred, f.name))
+        h.update(f"{f.name} {v.dtype} {v.shape}".encode())
+        h.update(v.tobytes())
     return h.hexdigest()
 
 
@@ -91,7 +104,8 @@ def training_digests() -> list[str]:
             result = train_model(model, train_t, config, val_t)
             lines.append(f"{variant} clip_norm={clip} "
                          f"weights={weights_sha256(model.params)} "
-                         f"history={histories_sha256(result.histories)}")
+                         f"history={histories_sha256(result.histories)} "
+                         f"predictions={predictions_sha256(predict(model, val_t.x))}")
     return lines
 
 
