@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .data import SplitPlan, generate_dataset, get_sensor, load_csv, save_csv, sensor_names
+from .data import SplitPlan, generate_dataset, get_sensor, load_csv, save_csv
 from .engine import TrainConfig, dumps_deterministic
 from .errors import CloudMtlError, ConfigError, DataError
 from .models import VARIANTS, ArchitectureSpec
@@ -135,18 +135,13 @@ def _split_plan_from_args(args: argparse.Namespace, file_cfg: dict) -> SplitPlan
 
 
 def _load_dataset(args: argparse.Namespace):
+    """Load ``--data``, cross-checked against ``--sensor`` when given.
+
+    The dataset's ``sensor.name`` is the registered sensor whose band
+    centers the file's columns match exactly, or "FILE" when none does.
+    """
     sensor = get_sensor(args.sensor) if getattr(args, "sensor", None) else None
-    ds = load_csv(args.data, sensor=sensor)
-    label = args.sensor if getattr(args, "sensor", None) else \
-        _infer_sensor_label(ds.n_bands)
-    return ds, label
-
-
-def _infer_sensor_label(n_bands: int) -> str:
-    for name in sensor_names():
-        if len(get_sensor(name).band_centers_nm) == n_bands:
-            return name
-    return "FILE"
+    return load_csv(args.data, sensor=sensor)
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -175,13 +170,13 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
-    ds, label = _load_dataset(args)
+    ds = _load_dataset(args)
     spec = _spec_from_args(args, args.variant, ds.feature_dim, file_cfg)
     config = _train_config_from_args(args, file_cfg)
     plan = _split_plan_from_args(args, file_cfg)
     result = workflow.run_training(
         ds, spec, config, plan, outdir=args.outdir,
-        dump_scatter=args.dump_scatter, sensor_name=label,
+        dump_scatter=args.dump_scatter, sensor_name=ds.sensor.name,
         data_source={"path": args.data})
     for key, records in result.train_result.histories.items():
         if not records:
@@ -203,13 +198,13 @@ def _fmt_opt(v: float | None) -> str:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
-    ds, label = _load_dataset(args)
+    ds = _load_dataset(args)
     variants = _parse_name_list(args.variants, "variant")
     specs = [_spec_from_args(args, v, ds.feature_dim, file_cfg) for v in variants]
     config = _train_config_from_args(args, file_cfg)
     plan = _split_plan_from_args(args, file_cfg)
     results = workflow.run_ablation(ds, specs, config, plan,
-                                    outdir=args.outdir, sensor_name=label)
+                                    outdir=args.outdir, sensor_name=ds.sensor.name)
     for v in variants:
         r = results[v]
         print(f"{v}: params={r.model.param_count()} "
@@ -220,9 +215,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_kfold(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
-    ds, label = _load_dataset(args)
-    if args.dataset_label:
-        label = args.dataset_label
+    ds = _load_dataset(args)
+    label = args.dataset_label or ds.sensor.name
     variants = _parse_name_list(args.variants, "variant")
     specs = [_spec_from_args(args, v, ds.feature_dim, file_cfg) for v in variants]
     config = _train_config_from_args(args, file_cfg)

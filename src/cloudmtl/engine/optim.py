@@ -8,11 +8,16 @@ The update follows the standard bias-corrected first/second moment scheme
     p <- p - lr * m_hat / (sqrt(v_hat) + eps)
 
 so the very first step moves each parameter by -lr * sign(g) up to the eps
-correction. The step runs on one flat vector: every gradient is gathered in
-the store's parameter order, and the moments live in :class:`AdamState` as
-flat vectors of the same layout. The arithmetic is elementwise, so it is
-bitwise that of a per-parameter loop; the step is deterministic given
-(params, grads, state).
+correction. The step runs on one flat vector in the store's parameter
+order: the store's flat gradient vector itself while every ``grad`` is
+still its view (see :meth:`ParamStore.flat_grad`), otherwise the gradients
+gathered into a new one. The moments live in :class:`AdamState` as flat
+vectors of the same layout and are updated in place, each term computed by
+the formulas above in their order; the global norm for clipping is still
+summed parameter by parameter, since another summation order would change
+the clipped step. The arithmetic is elementwise, so it is bitwise that of
+a per-parameter loop; the step is deterministic given (params, grads,
+state).
 """
 
 from __future__ import annotations
@@ -73,8 +78,9 @@ class AdamState:
     """Adam's first/second moments plus the step counter.
 
     ``m`` and ``v`` are flat vectors with one entry per parameter element,
-    in the store's parameter order. They stay None until the first step
-    allocates them, so ``AdamState()`` is a fresh state for any store.
+    in the store's parameter order, updated in place by each step. They
+    stay None until the first step allocates them, so ``AdamState()`` is a
+    fresh state for any store.
     """
 
     m: np.ndarray | None = None
@@ -104,8 +110,10 @@ def optimizer_step(params: ParamStore, config: TrainConfig, state: AdamState) ->
     """
     config.validate()
     tensors = params.tensors()
-    g = np.concatenate([np.zeros(t.value.size) if t.grad is None
-                        else t.grad.ravel() for t in tensors])
+    g = params.flat_grad()
+    if g is None:
+        g = np.concatenate([np.zeros(t.value.size) if t.grad is None
+                            else t.grad.ravel() for t in tensors])
     if not np.isfinite(g).all():
         for name, t in params.items():
             if t.grad is not None and not np.all(np.isfinite(t.grad)):
@@ -127,11 +135,23 @@ def optimizer_step(params: ParamStore, config: TrainConfig, state: AdamState) ->
     t_step = state.step
     bc1 = 1.0 - config.beta1 ** t_step
     bc2 = 1.0 - config.beta2 ** t_step
-    state.m = config.beta1 * state.m + (1.0 - config.beta1) * g
-    state.v = config.beta2 * state.v + (1.0 - config.beta2) * (g * g)
-    m_hat = state.m / bc1
-    v_hat = state.v / bc2
-    update = config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+    # The update above, term by term in its own order, with the moments
+    # updated in place and one work vector; ``g`` may be the store's live
+    # gradient vector, so it is only read.
+    m, v = state.m, state.v
+    buf = (1.0 - config.beta1) * g
+    np.multiply(m, config.beta1, out=m)
+    np.add(m, buf, out=m)                  # m = b1*m + (1-b1)*g
+    np.multiply(g, g, out=buf)
+    np.multiply(buf, 1.0 - config.beta2, out=buf)
+    np.multiply(v, config.beta2, out=v)
+    np.add(v, buf, out=v)                  # v = b2*v + (1-b2)*g^2
+    update = np.divide(m, bc1)
+    np.multiply(update, config.lr, out=update)  # lr * m_hat
+    np.divide(v, bc2, out=buf)
+    np.sqrt(buf, out=buf)
+    np.add(buf, config.eps, out=buf)       # sqrt(v_hat) + eps
+    np.divide(update, buf, out=update)
     offset = 0
     for p in tensors:
         size = p.value.size

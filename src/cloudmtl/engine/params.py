@@ -31,6 +31,11 @@ class ParamStore:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._bias_names: set[str] = set()
+        # one gradient vector for all parameters, in order, and each
+        # parameter's view of it; built by zero_grads, dropped when a
+        # parameter is registered
+        self._grad_flat: np.ndarray | None = None
+        self._grad_views: list[np.ndarray] = []
 
     def add(self, name: str, value: np.ndarray, bias: bool = False) -> Tensor:
         if name in self._params:
@@ -38,6 +43,7 @@ class ParamStore:
         t = Tensor(np.asarray(value, dtype=np.float64), name=name)
         t.zero_grad()
         self._params[name] = t
+        self._grad_flat = None
         if bias:
             self._bias_names.add(name)
         return t
@@ -64,6 +70,7 @@ class ParamStore:
             self._params[n] = store._params[name]
             if name in store._bias_names:
                 self._bias_names.add(n)
+        self._grad_flat = None
 
     def __getitem__(self, name: str) -> Tensor:
         try:
@@ -97,8 +104,36 @@ class ParamStore:
         return sum(t.value.size for t in self._params.values())
 
     def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.zero_grad()
+        """Zero every gradient with one fill of the flat gradient vector.
+
+        Each parameter's ``grad`` is (re)bound to its view of that vector,
+        so ``backward`` accumulates into it in place.
+        """
+        if self._grad_flat is None:
+            self._grad_flat = np.zeros(self.param_count())
+            self._grad_views, offset = [], 0
+            for t in self._params.values():
+                size = t.value.size
+                self._grad_views.append(
+                    self._grad_flat[offset:offset + size].reshape(t.value.shape))
+                offset += size
+        else:
+            self._grad_flat.fill(0.0)
+        for t, view in zip(self._params.values(), self._grad_views):
+            t.grad = view
+
+    def flat_grad(self) -> np.ndarray | None:
+        """All gradients as one vector in parameter order, without a copy.
+
+        None unless every parameter's ``grad`` is still the view that
+        :meth:`zero_grads` bound (a grad set by hand, or bound by another
+        store sharing the tensor, is not).
+        """
+        if self._grad_flat is None or any(
+                t.grad is not view
+                for t, view in zip(self._params.values(), self._grad_views)):
+            return None
+        return self._grad_flat
 
     def clone_values(self) -> dict[str, np.ndarray]:
         return {n: t.value.copy() for n, t in self._params.items()}

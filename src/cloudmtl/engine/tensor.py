@@ -11,6 +11,10 @@ walks the recorded graph once in reverse topological order and *adds* the
 resulting cotangents into the ``grad`` field of each leaf it reaches
 (parameters and constants, the nodes without a VJP); intermediate nodes pass
 their cotangent on and keep ``grad = None``, as in PyTorch's autograd.
+The addition is in place (``np.add(grad, g, out=grad)``, the same values as
+``grad + g``), so a parameter's ``grad`` stays the view of its store's flat
+gradient vector that :meth:`ParamStore.zero_grads` bound; a caller that
+keeps a leaf's ``grad`` across a later backward must copy it.
 Because accumulation is additive, two backward passes without an intervening
 ``zero_grads`` produce exactly doubled gradients, and gradients of a sum of
 losses equal the sum of the individual gradients.
@@ -66,10 +70,11 @@ class Tensor:
     ``parents`` and ``vjp`` are empty for leaves (parameters, constants) and
     for every result computed under :func:`no_grad`.
     Only leaves ever hold a ``grad``: :func:`backward` allocates it lazily on
-    a leaf it reaches and leaves it ``None`` on every intermediate node.
-    Parameter leaves get a zero-initialized ``grad`` from
-    :class:`~cloudmtl.engine.params.ParamStore` so accumulation across
-    batches works without special cases.
+    a leaf it reaches, adds into it in place, and leaves it ``None`` on
+    every intermediate node. Parameter leaves get a zero-initialized
+    ``grad`` from :class:`~cloudmtl.engine.params.ParamStore` (a view of its
+    flat gradient vector) so accumulation across batches works without
+    special cases.
     """
 
     __slots__ = ("value", "grad", "parents", "vjp", "name")
@@ -513,8 +518,8 @@ def backward(root: Tensor, upstream=None) -> None:
     ``upstream`` seeds the cotangent of ``root`` (defaults to ones, i.e. the
     gradient of ``root`` itself; for the usual scalar loss that is 1.0).
     Cotangents are computed in a fresh table on every call and then *added*
-    into the ``grad`` of each leaf (a node whose ``vjp`` is None), so
-    repeated calls accumulate. Intermediate nodes keep ``grad = None``.
+    in place into the ``grad`` of each leaf (a node whose ``vjp`` is None),
+    so repeated calls accumulate. Intermediate nodes keep ``grad = None``.
     """
     if not isinstance(root, Tensor):
         raise StateError(
@@ -537,7 +542,7 @@ def backward(root: Tensor, upstream=None) -> None:
         if node.vjp is None:
             if node.grad is None:
                 node.grad = np.zeros_like(node.value)
-            node.grad = node.grad + g
+            np.add(node.grad, g, out=node.grad)
             continue
         parent_grads = node.vjp(g)
         for parent, pg in zip(node.parents, parent_grads):

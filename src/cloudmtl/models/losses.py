@@ -24,7 +24,14 @@ with ``l_hc = l_cmask + l_cphase`` and ``l_car = l_reg + l_caux``:
 
 Components that a variant lacks (no decoder, no aux head) contribute an
 exact 0.0. Every probability entering a logarithm is clamped to
-``[1e-7, 1 - 1e-7]`` first.
+``[1e-7, 1 - 1e-7]`` first. For the four mask and phase probabilities the
+clamp lives inside the fused cross-entropy nodes: ``_bce_pair`` (one node
+per probability column, for the flat variants and SEQ's stages) and
+``_hierarchical_ce`` (one node for ``l_hc``). Each clips its input's value
+and masks the cotangent of clipped entries, and runs the numpy expressions
+of the clamp/log/mul chain it replaces, so values and gradients are bitwise
+those of that chain. The thickness-bin probabilities keep an explicit
+``clamp`` node.
 
 The sequential baseline (SEQ) trains one subnet at a time; ``stage_loss``
 builds each stage's loss from the same parts: the binary cross entropy of
@@ -100,16 +107,67 @@ class LossBreakdown:
         return asdict(self)
 
 
-def _clamp_prob(t: Tensor) -> Tensor:
-    return E.clamp(t, E.PROB_EPS, 1.0 - E.PROB_EPS)
+def _clip_prob(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` clamped to the log-safe range, and the clamp's VJP mask."""
+    lo, hi = E.PROB_EPS, 1.0 - E.PROB_EPS
+    return np.clip(x, lo, hi), (x >= lo) & (x <= hi)
 
 
 def _bce_pair(u: Tensor, labels: np.ndarray) -> Tensor:
-    """Per-pixel binary cross entropy for one output column (vector form)."""
-    ones = np.ones_like(labels)
-    pos = E.mul(E.constant(labels), E.log(u))
-    neg = E.mul(E.constant(ones - labels), E.log(E.sub(1.0, u)))
-    return E.neg(E.add(pos, neg))
+    """Per-pixel binary cross entropy for one probability column.
+
+    One graph node: ``-(labels*log(p) + (1-labels)*log(1-p))`` with ``p``
+    the log-safe clamp of ``u``. Value and cotangent are bitwise those of
+    the chain ``neg(add(mul(labels, log(p)), mul(1-labels, log(sub(1, p)))))``
+    on ``p = clamp(u)``.
+    """
+    p, mask = _clip_prob(u.value)
+    neg_labels = 1.0 - labels
+    q = 1.0 - p
+    value = -(labels * np.log(p) + neg_labels * np.log(q))
+
+    def vjp(g):
+        g = -g
+        return (((g * labels) / p - (g * neg_labels) / q) * mask,)
+
+    return Tensor(value, (u,), vjp)
+
+
+def _hierarchical_ce(outputs: ModelOutputs, targets: LossTargets
+                     ) -> tuple[Tensor, float, float]:
+    """``l_hc = l_cmask + l_cphase`` of the hierarchical variants as one node.
+
+    Returns the node and the float values of ``l_cmask`` and ``l_cphase``.
+    The four probabilities are clamped to the log-safe range inside the
+    node. Value and cotangents are bitwise those of the chain of
+    ``clamp``/``log``/``mul``/``add``/``reduce_mean``/``neg`` nodes the
+    module docstring's formulas describe. The clamped ``u_cloud`` feeds
+    five products there; its cotangents are summed in the order that
+    chain's backward pass adds them: the mask term, then the liquid
+    label and joint terms, then the ice label and joint terms.
+    """
+    parents = (outputs.u_cloud, outputs.u_clear, outputs.u_liquid, outputs.u_ice)
+    (uc, m_c), (ucl, m_cl), (ul, m_l), (ui, m_i) = (
+        _clip_prob(t.value) for t in parents)
+    t = targets
+    l_cmask = -(t.l_cloud * np.log(uc) + t.l_clear * np.log(ucl)).mean()
+    # joint path probability inside the log, mask uncertainty outside
+    liq_w, liq_p = uc * t.l_liquid, uc * ul
+    ice_w, ice_p = uc * t.l_ice, uc * ui
+    log_liq, log_ice = np.log(liq_p), np.log(ice_p)
+    l_cphase = -(liq_w * log_liq + ice_w * log_ice).mean()
+    n = uc.size
+
+    def vjp(g):
+        g = -g / n
+        d_liq_p = (g * liq_w) / liq_p
+        d_ice_p = (g * ice_w) / ice_p
+        d_uc = ((((g * t.l_cloud) / uc + (g * log_liq) * t.l_liquid)
+                  + d_liq_p * ul) + (g * log_ice) * t.l_ice) + d_ice_p * ui
+        return (d_uc * m_c, ((g * t.l_clear) / ucl) * m_cl,
+                (d_liq_p * uc) * m_l, (d_ice_p * uc) * m_i)
+
+    return Tensor(l_cmask + l_cphase, parents, vjp), float(l_cmask), float(l_cphase)
 
 
 def cloudy_abs_error(y_hat: Tensor, targets: LossTargets,
@@ -151,27 +209,15 @@ def compute_loss(outputs: ModelOutputs, targets: LossTargets,
         raise DimensionError(
             f"outputs cover {outputs.u_cloud.value.shape} pixels, targets {n}")
     zero = E.constant(0.0)
-    u_cloud = _clamp_prob(outputs.u_cloud)
-    u_clear = _clamp_prob(outputs.u_clear)
-    u_liquid = _clamp_prob(outputs.u_liquid)
-    u_ice = _clamp_prob(outputs.u_ice)
 
     if spec.hierarchical:
-        term = E.add(E.mul(E.constant(targets.l_cloud), E.log(u_cloud)),
-                     E.mul(E.constant(targets.l_clear), E.log(u_clear)))
-        l_cmask = E.neg(E.reduce_mean(term))
-        # joint path probability inside the log, mask uncertainty outside
-        liq = E.mul(E.mul(u_cloud, E.constant(targets.l_liquid)),
-                    E.log(E.mul(u_cloud, u_liquid)))
-        ice = E.mul(E.mul(u_cloud, E.constant(targets.l_ice)),
-                    E.log(E.mul(u_cloud, u_ice)))
-        l_cphase = E.neg(E.reduce_mean(E.add(liq, ice)))
+        l_hc, cmask, cphase = _hierarchical_ce(outputs, targets)
     else:
-        mask_ce = E.add(_bce_pair(u_cloud, targets.l_cloud),
-                        _bce_pair(u_clear, targets.l_clear))
+        mask_ce = E.add(_bce_pair(outputs.u_cloud, targets.l_cloud),
+                        _bce_pair(outputs.u_clear, targets.l_clear))
         l_cmask = E.reduce_mean(mask_ce)
-        phase_ce = E.add(_bce_pair(u_liquid, targets.l_liquid),
-                         _bce_pair(u_ice, targets.l_ice))
+        phase_ce = E.add(_bce_pair(outputs.u_liquid, targets.l_liquid),
+                         _bce_pair(outputs.u_ice, targets.l_ice))
         if spec.conditional_phase:
             # A flat conditional phase head (the sequential pipeline's phase
             # net) only ever trains on cloudy pixels, so its composite loss
@@ -181,11 +227,13 @@ def compute_loss(outputs: ModelOutputs, targets: LossTargets,
                              E.constant(max(float(sel.sum()), 1.0)))
         else:
             l_cphase = E.reduce_mean(phase_ce)
+        l_hc = E.add(l_cmask, l_cphase)
+        cmask, cphase = float(l_cmask.value), float(l_cphase.value)
 
     l_reg = cloudy_abs_error(outputs.y_cot_hat, targets, spec.reg_norm)
 
     if outputs.aux_probs is not None:
-        logp = E.log(_clamp_prob(outputs.aux_probs))
+        logp = E.log(E.clamp(outputs.aux_probs, E.PROB_EPS, 1.0 - E.PROB_EPS))
         weighted = E.mul(E.constant(targets.aux_onehot), logp)
         # aux_onehot rows are zero for clear pixels, so the truly-cloudy
         # restriction is already encoded in the targets
@@ -205,12 +253,11 @@ def compute_loss(outputs: ModelOutputs, targets: LossTargets,
 
     l_lasso = lasso_penalty(params, spec.lasso_lambda)
 
-    l_hc = E.add(l_cmask, l_cphase)
     l_car = E.add(l_reg, l_caux)
     total = E.add(E.add(l_hc, l_car), E.add(l_rec, l_lasso))
 
     breakdown = LossBreakdown(
-        l_cmask=float(l_cmask.value), l_cphase=float(l_cphase.value),
+        l_cmask=cmask, l_cphase=cphase,
         l_hc=float(l_hc.value), l_reg=float(l_reg.value),
         l_caux=float(l_caux.value), l_car=float(l_car.value),
         l_rec=float(l_rec.value), l_lasso=float(l_lasso.value),

@@ -244,10 +244,12 @@ def run_kfold(ds: PixelDataset, specs: list[ArchitectureSpec],
         standardizer = Standardizer.fit(train_ds.feature_matrix())
         feats = standardizer.transform(train_ds.feature_matrix())
         fold_config = replace(config, seed=config.seed + i)
+        # one set of targets per distinct thickness binning, not per variant
+        targets = {bins: LossTargets.from_dataset(train_ds, feats, bins)
+                   for bins in {tuple(spec.bins) for spec in specs}}
         for spec in specs:
-            targets = LossTargets.from_dataset(train_ds, feats, spec.bins)
             model = build_model(spec, fold_config.seed)
-            train_model(model, targets, fold_config)
+            train_model(model, targets[tuple(spec.bins)], fold_config)
             _, report = evaluate_model(model, standardizer, test_ds)
             reports[(spec.variant, i)] = report
             context = f"fold {i} of {spec.variant}"

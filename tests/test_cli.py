@@ -8,7 +8,7 @@ import pytest
 
 from cloudmtl import workflow
 from cloudmtl.cli import main
-from cloudmtl.data import SplitPlan, generate_dataset, get_sensor, save_csv
+from cloudmtl.data import SensorConfig, SplitPlan, generate_dataset, get_sensor, save_csv
 from cloudmtl.engine import TrainConfig
 from cloudmtl.models import ArchitectureSpec
 from cloudmtl.selection import write_summary_csv
@@ -115,6 +115,19 @@ def test_train_sensor_cross_check_fails(tmp_path, data_csv, capsys):
     rc = main(["train", "--data", data_csv, "--sensor", "VIIRS",
                "--outdir", str(tmp_path / "x"), *FAST])
     assert rc == 2
+
+
+def test_train_records_file_sensor_for_unregistered_band_centers(
+        tmp_path, capsys):
+    # six bands, as ABI has, but at centers no registered sensor uses
+    sensor = SensorConfig("CUSTOM", (470.0, 640.0, 860.0, 1370.0, 1600.0, 2200.0))
+    data = str(tmp_path / "custom.csv")
+    save_csv(generate_dataset(sensor, 200, seed=31), data)
+    outdir = str(tmp_path / "run")
+    assert main(["train", "--data", data, "--variant", "MT-CR",
+                 "--outdir", outdir, *FAST]) == 0
+    cfg = json.loads(open(os.path.join(outdir, "config.json")).read())
+    assert cfg["sensor"] == "FILE"
 
 
 def test_train_invalid_lr_exits_2(tmp_path, data_csv, capsys):

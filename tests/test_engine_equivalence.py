@@ -1,9 +1,11 @@
 """Bitwise equivalence of the fused engine paths with their compositions.
 
-The fused ``dense`` and ``l1_norm`` nodes and the flat-vector Adam step
-must reproduce the unfused graph and the per-parameter update byte for
-byte, so trained weights do not change. Every comparison here is on raw
-bytes, never ``allclose``.
+The fused ``dense`` and ``l1_norm`` nodes, the fused loss nodes (binary
+cross entropy and the hierarchical ``l_hc``, each with the probability
+clamp inside) and the flat-vector Adam step must reproduce the unfused
+graph and the per-parameter update byte for byte, so trained weights do
+not change. Every equivalence here is on raw bytes, never ``allclose``;
+the fused loss nodes' VJPs are also checked against central differences.
 """
 
 import numpy as np
@@ -15,7 +17,9 @@ import cloudmtl.engine as E
 from cloudmtl.data import Standardizer, generate_dataset, get_sensor
 from cloudmtl.engine import AdamState, ParamStore, TrainConfig, optimizer_step
 from cloudmtl.errors import NumericError, StateError
-from cloudmtl.models import ArchitectureSpec, LossTargets, build_model, train_model
+from cloudmtl.models import (
+    ArchitectureSpec, LossTargets, ModelOutputs, build_model, losses, train_model,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=6)
@@ -209,6 +213,170 @@ def test_training_matches_unfused_graph(variant, monkeypatch):
         mp.setattr(E, "l1_norm", counted("l1_norm", unfused_l1_norm))
         ref_weights, ref_histories = _train(variant)
     assert calls["dense"] > 0 and calls["l1_norm"] > 0
+    assert histories == ref_histories
+    assert list(weights) == list(ref_weights)
+    for name in weights:
+        assert same_bytes(weights[name], ref_weights[name]), name
+
+
+# ---------------------------------------------------------------------------
+# fused loss nodes against the clamp/log/mul chains they replace
+
+def clamp_prob(t):
+    return E.clamp(t, E.PROB_EPS, 1.0 - E.PROB_EPS)
+
+
+def unfused_bce_pair(u, labels):
+    u = clamp_prob(u)
+    ones = np.ones_like(labels)
+    pos = E.mul(E.constant(labels), E.log(u))
+    neg = E.mul(E.constant(ones - labels), E.log(E.sub(1.0, u)))
+    return E.neg(E.add(pos, neg))
+
+
+def unfused_hierarchical_ce(outputs, targets):
+    u_cloud, u_clear, u_liquid, u_ice = (
+        clamp_prob(t) for t in (outputs.u_cloud, outputs.u_clear,
+                                outputs.u_liquid, outputs.u_ice))
+    term = E.add(E.mul(E.constant(targets.l_cloud), E.log(u_cloud)),
+                 E.mul(E.constant(targets.l_clear), E.log(u_clear)))
+    l_cmask = E.neg(E.reduce_mean(term))
+    liq = E.mul(E.mul(u_cloud, E.constant(targets.l_liquid)),
+                E.log(E.mul(u_cloud, u_liquid)))
+    ice = E.mul(E.mul(u_cloud, E.constant(targets.l_ice)),
+                E.log(E.mul(u_cloud, u_ice)))
+    l_cphase = E.neg(E.reduce_mean(E.add(liq, ice)))
+    return (E.add(l_cmask, l_cphase), float(l_cmask.value),
+            float(l_cphase.value))
+
+
+def random_probs(rng, n):
+    """Probabilities in (0, 1) with exact 0s and 1s mixed in (clamped)."""
+    u = rng.uniform(0.0, 1.0, size=n)
+    u[rng.random(n) < 0.2] = 0.0
+    u[rng.random(n) < 0.2] = 1.0
+    return u
+
+
+def random_labels(rng, n):
+    """Hierarchical label columns: cloud/clear, and liquid/ice where cloudy."""
+    cloud = (rng.random(n) < 0.6).astype(np.float64)
+    liquid = np.where(cloud > 0, (rng.random(n) < 0.5).astype(np.float64), 0.0)
+    return cloud, 1.0 - cloud, liquid, np.where(cloud > 0, 1.0 - liquid, 0.0)
+
+
+def hierarchical_graph(fn, probs, labels, upstream):
+    leaves = [E.constant(p.copy()) for p in probs]
+    n = len(probs[0])
+    outputs = ModelOutputs(*leaves, y_cot_hat=E.constant(np.zeros(n)))
+    targets = LossTargets(
+        x=np.zeros((n, 1)), l_cloud=labels[0], l_clear=labels[1],
+        l_liquid=labels[2], l_ice=labels[3], y_cot=np.zeros(n),
+        aux_onehot=np.zeros((n, 3)), cloudy=labels[0] > 0)
+    node, l_cmask, l_cphase = fn(outputs, targets)
+    E.backward(node, upstream=upstream)
+    return node.value, (l_cmask, l_cphase), [t.grad for t in leaves]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40), seed=seeds)
+def test_bce_pair_is_bitwise_the_clamped_chain(n, seed):
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(n) < 0.5).astype(np.float64)
+    u = random_probs(rng, n)
+    up = rng.normal(size=n)
+    value, grads = run_graph(lambda t: losses._bce_pair(t, labels), [u], up)
+    ref_value, ref_grads = run_graph(lambda t: unfused_bce_pair(t, labels),
+                                     [u], up)
+    assert same_bytes(value, ref_value)
+    assert same_bytes(grads[0], ref_grads[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40), seed=seeds)
+def test_hierarchical_ce_is_bitwise_the_clamped_chain(n, seed):
+    rng = np.random.default_rng(seed)
+    probs = [random_probs(rng, n) for _ in range(4)]
+    labels = random_labels(rng, n)
+    up = np.asarray(rng.normal())
+    value, parts, grads = hierarchical_graph(
+        losses._hierarchical_ce, probs, labels, up)
+    ref_value, ref_parts, ref_grads = hierarchical_graph(
+        unfused_hierarchical_ce, probs, labels, up)
+    assert same_bytes(value, ref_value)
+    assert same_bytes(parts, ref_parts)
+    for g, r in zip(grads, ref_grads):
+        assert same_bytes(g, r)
+
+
+def test_fused_loss_nodes_zero_the_gradient_of_clamped_entries():
+    u = np.array([0.0, 0.5, 1.0])
+    labels = np.array([1.0, 1.0, 0.0])
+    _, grads = run_graph(lambda t: losses._bce_pair(t, labels), [u],
+                         np.ones(3))
+    assert grads[0][0] == 0.0 and grads[0][2] == 0.0 and grads[0][1] != 0.0
+    ones = np.array([1.0])
+    _, _, grads = hierarchical_graph(
+        losses._hierarchical_ce, [ones, ones * 0.0, ones, ones * 0.0],
+        (ones, ones * 0.0, ones, ones * 0.0), np.asarray(1.0))
+    assert all(g[0] == 0.0 for g in grads)
+
+
+def central_difference(objective, arrays, i, step=1e-6):
+    numeric = np.zeros_like(arrays[i])
+    for idx in np.ndindex(arrays[i].shape):
+        plus = [a.copy() for a in arrays]
+        minus = [a.copy() for a in arrays]
+        plus[i][idx] += step
+        minus[i][idx] -= step
+        numeric[idx] = (objective(plus) - objective(minus)) / (2 * step)
+    return numeric
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=1, max_value=6), seed=seeds)
+def test_bce_pair_vjp_matches_central_differences(n, seed):
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(n) < 0.5).astype(np.float64)
+    u = rng.uniform(0.05, 0.95, size=n)   # away from the clamp's kinks
+    cot = rng.normal(size=n)
+    _, grads = run_graph(lambda t: losses._bce_pair(t, labels), [u], cot)
+
+    def objective(values):
+        return float(np.sum(losses._bce_pair(E.constant(values[0]),
+                                             labels).value * cot))
+
+    np.testing.assert_allclose(grads[0], central_difference(objective, [u], 0),
+                               rtol=1e-5, atol=1e-6)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=1, max_value=6), seed=seeds)
+def test_hierarchical_ce_vjp_matches_central_differences(n, seed):
+    rng = np.random.default_rng(seed)
+    probs = [rng.uniform(0.05, 0.95, size=n) for _ in range(4)]
+    labels = random_labels(rng, n)
+    cot = np.asarray(rng.normal())
+    _, _, grads = hierarchical_graph(losses._hierarchical_ce, probs, labels,
+                                     cot)
+
+    def objective(values):
+        return float(hierarchical_graph(losses._hierarchical_ce, values,
+                                        labels, cot)[0] * cot)
+
+    for i, g in enumerate(grads):
+        np.testing.assert_allclose(g, central_difference(objective, probs, i),
+                                   rtol=1e-5, atol=1e-6, err_msg=f"input {i}")
+
+
+@pytest.mark.parametrize("variant", ["MT-HCCAR", "MT-CR", "SEQ",
+                                     "MLP-BASELINE"])
+def test_training_matches_unfused_loss_nodes(variant, monkeypatch):
+    weights, histories = _train(variant)
+    with monkeypatch.context() as mp:
+        mp.setattr(losses, "_bce_pair", unfused_bce_pair)
+        mp.setattr(losses, "_hierarchical_ce", unfused_hierarchical_ce)
+        ref_weights, ref_histories = _train(variant)
     assert histories == ref_histories
     assert list(weights) == list(ref_weights)
     for name in weights:

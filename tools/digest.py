@@ -5,8 +5,9 @@ program computes. It trains every variant on one fixed recipe and prints,
 per variant and ``clip_norm`` setting, the SHA-256 of the trained weights,
 of its ``history*.csv`` text and of every ``Predictions`` field that
 ``models.predict`` gives on the validation pixels; then it runs a 2-epoch
-``cloudmtl ablate`` of all six variants and prints one SHA-256 over every
-file the run writes. Run it on two trees and diff the output:
+``cloudmtl ablate`` of all six variants and a 2-fold, 2-epoch
+``cloudmtl kfold`` of its default variants, and prints for each one SHA-256
+over every file the run writes. Run it on two trees and diff the output:
 
     PYTHONPATH=src python3 tools/digest.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/digest.py > before.txt
@@ -109,26 +110,41 @@ def training_digests() -> list[str]:
     return lines
 
 
-def ablate_digest() -> str:
+#: the CLI runs digested on the recipe's data: (subcommand, extra flags)
+CLI_RUNS = (
+    ("ablate", ["--epochs", "2", "--batch-size", "64", "--lr", "3e-3",
+                "--seed", "1"]),
+    ("kfold", ["--k", "2", "--epochs", "2", "--batch-size", "64",
+               "--lr", "3e-3", "--seed", "1"]),
+)
+
+
+def _run_cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"cloudmtl {argv[0]} exited with {code}")
+
+
+def cli_digests() -> list[str]:
+    """One SHA-256 over every file each of ``CLI_RUNS`` writes."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "abi.csv")
-        outdir = os.path.join(tmp, "ablation")
-        for argv in (["gen-data", "--sensor", "ABI", "--n", str(N_PIXELS),
-                      "--seed", str(DATA_SEED), "--out", data],
-                     ["ablate", "--data", data, "--outdir", outdir,
-                      "--epochs", "2", "--batch-size", "64", "--lr", "3e-3",
-                      "--seed", "1"]):
-            with contextlib.redirect_stdout(sys.stderr):
-                code = cli.main(argv)
-            if code != 0:
-                raise SystemExit(f"cloudmtl {argv[0]} exited with {code}")
-        return f"ablate artifacts={tree_sha256(outdir)}"
+        _run_cli(["gen-data", "--sensor", "ABI", "--n", str(N_PIXELS),
+                  "--seed", str(DATA_SEED), "--out", data])
+        for command, flags in CLI_RUNS:
+            outdir = os.path.join(tmp, command)
+            _run_cli([command, "--data", data, "--outdir", outdir, *flags])
+            lines.append(f"{command} artifacts={tree_sha256(outdir)}")
+    return lines
 
 
 def main() -> None:
     for line in training_digests():
         print(line, flush=True)
-    print(ablate_digest())
+    for line in cli_digests():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
