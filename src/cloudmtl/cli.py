@@ -18,6 +18,7 @@ import json
 import os
 import sys
 
+from .atomic import atomic_write
 from .data import SplitPlan, generate_dataset, get_sensor, load_csv, save_csv
 from .engine import TrainConfig, dumps_deterministic
 from .errors import CloudMtlError, ConfigError, DataError
@@ -159,7 +160,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         "bands": len(sensor.band_centers_nm),
         "feature_dim": ds.feature_dim,
     }
-    with open(args.out + ".config.json", "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(args.out + ".config.json") as f:
         f.write(dumps_deterministic(sidecar) + "\n")
     counts = ds.class_counts()
     print(f"wrote {args.out}: n={len(ds)} bands={ds.n_bands} "
@@ -247,11 +248,9 @@ def cmd_select(args: argparse.Namespace) -> int:
     scores = compute_selection(grid, order, weights=weights)
     table = render_table(scores, grid)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "scores.json"), "w",
-              encoding="utf-8", newline="\n") as f:
+    with atomic_write(os.path.join(args.out, "scores.json")) as f:
         f.write(dumps_deterministic(scores.to_dict()) + "\n")
-    with open(os.path.join(args.out, "table.txt"), "w",
-              encoding="utf-8", newline="\n") as f:
+    with atomic_write(os.path.join(args.out, "table.txt")) as f:
         f.write(table)
     print(table, end="")
     return 0

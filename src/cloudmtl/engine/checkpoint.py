@@ -16,6 +16,7 @@ from typing import Any
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..errors import DataError, NumericError
 from .params import ParamStore
 
@@ -110,7 +111,7 @@ def save_checkpoint(path: str, params: ParamStore,
         "parameters": entries,
     }
     text = dumps_deterministic(doc)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         f.write(text)
 
 

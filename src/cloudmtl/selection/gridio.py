@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 
+from ..atomic import atomic_write
 from ..errors import DataError
 from .stats import FoldStats, fold_stats
 from .scores import SelectionScores
@@ -115,7 +116,7 @@ def write_fold_values_csv(path: str, rows: list[tuple[str, str, str, bool, list[
     if any(len(r[4]) != k for r in rows):
         raise DataError("fold counts differ across rows")
     header = _LEAD + [f"fold_{i + 1}" for i in range(k)]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         f.write(",".join(header) + "\n")
         for model, dataset, metric, lower, values in rows:
             cells = [model, dataset, metric, "lower" if lower else "higher"]
@@ -139,7 +140,7 @@ def _format_mu(mu: float, quantum: float) -> str:
 
 
 def write_summary_csv(path: str, grid: list[FoldStats]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         f.write(",".join(_LEAD + ["mu", "se"]) + "\n")
         for s in grid:
             f.write(",".join([

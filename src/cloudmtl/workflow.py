@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .atomic import atomic_write
 from .data import (
     PixelDataset,
     SplitPlan,
@@ -109,7 +110,7 @@ def resolved_config(spec: ArchitectureSpec, config: TrainConfig,
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         f.write(text)
 
 

@@ -130,6 +130,17 @@ def test_train_records_file_sensor_for_unregistered_band_centers(
     assert cfg["sensor"] == "FILE"
 
 
+def test_train_non_utf8_data_exits_2(tmp_path, capsys):
+    data = tmp_path / "bin.csv"
+    data.write_bytes(b"\xff\xfe")
+    rc = main(["train", "--data", str(data), "--outdir", str(tmp_path / "x"),
+               *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(data) in err
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_train_invalid_lr_exits_2(tmp_path, data_csv, capsys):
     rc = main(["train", "--data", data_csv, "--outdir", str(tmp_path / "x"),
                "--lr", "-1", "--epochs", "1"])

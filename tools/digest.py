@@ -7,7 +7,10 @@ of its ``history*.csv`` text and of every ``Predictions`` field that
 ``models.predict`` gives on the validation pixels; then it runs a 2-epoch
 ``cloudmtl ablate`` of all six variants and a 2-fold, 2-epoch
 ``cloudmtl kfold`` of its default variants, and prints for each one SHA-256
-over every file the run writes. Run it on two trees and diff the output:
+over every file the run writes. Last, for each of ABI, OCI and VIIRS it
+prints the SHA-256 of the bytes ``cloudmtl gen-data`` writes and of every
+column ``load_csv`` reads back from them. Run it on two trees and diff the
+output:
 
     PYTHONPATH=src python3 tools/digest.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/digest.py > before.txt
@@ -34,7 +37,7 @@ import tempfile
 import numpy as np
 
 from cloudmtl import cli
-from cloudmtl.data import Standardizer, generate_dataset, get_sensor
+from cloudmtl.data import Standardizer, generate_dataset, get_sensor, load_csv
 from cloudmtl.engine import TrainConfig
 from cloudmtl.models import (
     VARIANTS, ArchitectureSpec, LossTargets, build_model, history_csv,
@@ -63,11 +66,18 @@ def histories_sha256(histories) -> str:
     return h.hexdigest()
 
 
-def predictions_sha256(pred) -> str:
-    """SHA-256 over every ``Predictions`` field's name, dtype, shape and bytes."""
+def fields_sha256(obj) -> str:
+    """SHA-256 over every dataclass field's name, dtype, shape and bytes.
+
+    A field that is not an array (a dataset's ``sensor``) enters by repr.
+    """
     h = hashlib.sha256()
-    for f in dataclasses.fields(pred):
-        v = np.ascontiguousarray(getattr(pred, f.name))
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if not isinstance(v, np.ndarray):
+            h.update(f"{f.name} {v!r}".encode())
+            continue
+        v = np.ascontiguousarray(v)
         h.update(f"{f.name} {v.dtype} {v.shape}".encode())
         h.update(v.tobytes())
     return h.hexdigest()
@@ -106,7 +116,7 @@ def training_digests() -> list[str]:
             lines.append(f"{variant} clip_norm={clip} "
                          f"weights={weights_sha256(model.params)} "
                          f"history={histories_sha256(result.histories)} "
-                         f"predictions={predictions_sha256(predict(model, val_t.x))}")
+                         f"predictions={fields_sha256(predict(model, val_t.x))}")
     return lines
 
 
@@ -140,10 +150,33 @@ def cli_digests() -> list[str]:
     return lines
 
 
+#: the CSVs digested: (sensor, pixels, data seed)
+CSV_RUNS = (("ABI", N_PIXELS, DATA_SEED), ("OCI", 500, DATA_SEED),
+            ("VIIRS", 1000, DATA_SEED))
+
+
+def csv_digests() -> list[str]:
+    """SHA-256 of each ``CSV_RUNS`` file ``gen-data`` writes and of every
+    column ``load_csv`` reads back."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for sensor, n, seed in CSV_RUNS:
+            path = os.path.join(tmp, f"{sensor}.csv")
+            _run_cli(["gen-data", "--sensor", sensor, "--n", str(n),
+                      "--seed", str(seed), "--out", path])
+            with open(path, "rb") as f:
+                csv_sha = hashlib.sha256(f.read()).hexdigest()
+            lines.append(f"gen-data {sensor} n={n} csv={csv_sha} "
+                         f"load_csv={fields_sha256(load_csv(path))}")
+    return lines
+
+
 def main() -> None:
     for line in training_digests():
         print(line, flush=True)
     for line in cli_digests():
+        print(line, flush=True)
+    for line in csv_digests():
         print(line, flush=True)
 
 
