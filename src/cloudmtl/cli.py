@@ -22,11 +22,11 @@ from .atomic import atomic_write
 from .data import SplitPlan, generate_dataset, get_sensor, load_csv, save_csv
 from .engine import TrainConfig, dumps_deterministic
 from .errors import CloudMtlError, ConfigError, DataError
-from .models import VARIANTS, ArchitectureSpec
+from .models import COMPLEXITY_ORDER, VARIANTS, ArchitectureSpec
 from .selection import compute_selection, read_stats_grid, render_table, write_fold_values_csv
 from . import workflow
 
-DEFAULT_COMPLEXITY = "MT-CR,MT-HCR,MT-HCCR,MT-HCCAR"
+DEFAULT_COMPLEXITY = ",".join(COMPLEXITY_ORDER)
 
 
 def _parse_name_list(text: str, what: str) -> list[str]:
@@ -53,6 +53,8 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train several variants under one split")
     p.add_argument("--data", required=True)
     p.add_argument("--sensor", default=None)
-    p.add_argument("--variants", default="SEQ,MT-CR,MT-HCR,MT-HCCR,MT-HCCAR,MLP-BASELINE")
+    p.add_argument("--variants", default=",".join(VARIANTS))
     p.add_argument("--outdir", required=True)
     p.add_argument("--config", default=None)
     _add_train_flags(p)

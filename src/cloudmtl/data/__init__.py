@@ -11,7 +11,7 @@ from .dataset import (
 )
 from .synth import generate_dataset, cloud_growth, DEFAULT_PRIORS
 from .csvio import save_csv, load_csv
-from .splits import SplitPlan, split_indices, split_dataset, kfold_indices
+from .splits import SplitPlan, split_indices, kfold_indices
 
 __all__ = [
     "SensorConfig", "get_sensor", "sensor_names", "validate_sensor",
@@ -21,5 +21,5 @@ __all__ = [
     "COT_LOG10_MIN", "COT_LOG10_MAX",
     "generate_dataset", "cloud_growth", "DEFAULT_PRIORS",
     "save_csv", "load_csv",
-    "SplitPlan", "split_indices", "split_dataset", "kfold_indices",
+    "SplitPlan", "split_indices", "kfold_indices",
 ]

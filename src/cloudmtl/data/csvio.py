@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from typing import Callable
 
 import numpy as np
 
@@ -197,17 +198,27 @@ def _load_fast(path: str, sensor: SensorConfig | None) -> PixelDataset | None:
     return ds
 
 
-def _load_rows(path: str, sensor: SensorConfig | None) -> PixelDataset:
-    """Row-by-row loader: the reference parse and the source of every error."""
+def read_csv_file(path: str, parse: Callable):
+    """``parse(reader, path)`` on a ``csv.reader`` over ``path``; a missing
+    file, non-UTF-8 bytes or a ``csv`` module error (a field over its size
+    limit) raises :class:`DataError` naming the file, and the line if known."""
     try:
         f = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     try:
         with f:
-            return _parse_rows(csv.reader(f), path, sensor)
+            reader = csv.reader(f)
+            return parse(reader, path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _load_rows(path: str, sensor: SensorConfig | None) -> PixelDataset:
+    """Row-by-row loader: the reference parse and the source of every error."""
+    return read_csv_file(path, lambda reader, path: _parse_rows(reader, path, sensor))
 
 
 def _parse_rows(reader, path: str, sensor: SensorConfig | None) -> PixelDataset:
@@ -231,10 +242,14 @@ def _parse_rows(reader, path: str, sensor: SensorConfig | None) -> PixelDataset:
             raise DataError(
                 f"line {line_no}: expected {ncols} fields, got {len(row)}")
         try:
-            rows["pixel_id"].append(int(row[0]))
+            pixel_id = int(row[0])
         except ValueError:
             raise DataError(
                 f"line {line_no}: pixel_id is not an integer: {row[0]!r}") from None
+        if not -2**63 <= pixel_id < 2**63:
+            raise DataError(
+                f"{path}: line {line_no}: pixel_id does not fit in int64: {row[0]!r}")
+        rows["pixel_id"].append(pixel_id)
         rows["pressure"].append(_parse_float(row[1], line_no, header[1]))
         rows["water_vapor"].append(_parse_float(row[2], line_no, header[2]))
         rows["ozone"].append(_parse_float(row[3], line_no, header[3]))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataError
-from .sensors import SensorConfig, SURFACE_TYPES
+from .sensors import BASE_FEATURE_COUNT, SensorConfig, SURFACE_TYPES
 
 LABEL_CLEAR = 0
 LABEL_LIQUID = 1
@@ -62,7 +62,7 @@ class PixelDataset:
 
     @property
     def feature_dim(self) -> int:
-        return 10 + self.n_bands
+        return BASE_FEATURE_COUNT + self.n_bands
 
     def validate(self) -> None:
         n = len(self)
@@ -80,22 +80,30 @@ class PixelDataset:
             raise DataError(
                 f"reflectance has shape {self.reflectance.shape}, expected "
                 f"({n}, {self.sensor.band_count}) for sensor {self.sensor.name}")
-        if not np.all(np.isin(self.label, (LABEL_CLEAR, LABEL_LIQUID, LABEL_ICE))):
-            bad = int(np.flatnonzero(~np.isin(self.label, (0, 1, 2)))[0])
-            raise DataError(f"pixel {bad}: label {self.label[bad]} not in {{0,1,2}}")
-        if not np.all((self.surface >= 0) & (self.surface < len(SURFACE_TYPES))):
-            bad = int(np.flatnonzero((self.surface < 0) | (self.surface >= 4))[0])
-            raise DataError(f"pixel {bad}: surface code {self.surface[bad]} out of range")
+        # n-byte masks, no fancy-index copies (an error names the first
+        # offending pixel), freed before the n x B reflectance check below
+        bad = (self.label < LABEL_CLEAR) | (self.label > LABEL_ICE)
+        if bad.any():
+            i = int(bad.argmax())
+            raise DataError(f"pixel {i}: label {self.label[i]} not in {{0,1,2}}")
+        bad = (self.surface < 0) | (self.surface >= len(SURFACE_TYPES))
+        if bad.any():
+            i = int(bad.argmax())
+            raise DataError(f"pixel {i}: surface code {self.surface[i]} out of range")
         cloudy = self.label != LABEL_CLEAR
-        if np.any(np.isnan(self.cot_log10[cloudy])):
-            bad = int(np.flatnonzero(cloudy & np.isnan(self.cot_log10))[0])
-            raise DataError(f"pixel {bad}: cloudy but cot_log10 is missing")
-        if np.any(~np.isnan(self.cot_log10[~cloudy])):
-            bad = int(np.flatnonzero(~cloudy & ~np.isnan(self.cot_log10))[0])
-            raise DataError(f"pixel {bad}: clear but cot_log10 is present")
-        finite_cot = self.cot_log10[cloudy]
-        if finite_cot.size and (np.any(finite_cot < COT_LOG10_MIN - 1e-12)
-                                or np.any(finite_cot > COT_LOG10_MAX + 1e-12)):
+        missing = np.isnan(self.cot_log10)
+        bad = cloudy & missing
+        if bad.any():
+            i = int(bad.argmax())
+            raise DataError(f"pixel {i}: cloudy but cot_log10 is missing")
+        bad = ~(cloudy | missing)
+        if bad.any():
+            i = int(bad.argmax())
+            raise DataError(f"pixel {i}: clear but cot_log10 is present")
+        del bad, cloudy, missing
+        # cot_log10 is NaN exactly on clear pixels now, and NaN compares False
+        if (np.any(self.cot_log10 < COT_LOG10_MIN - 1e-12)
+                or np.any(self.cot_log10 > COT_LOG10_MAX + 1e-12)):
             raise DataError(
                 f"cot_log10 outside [{COT_LOG10_MIN}, {COT_LOG10_MAX}]")
         for name in ("pressure", "water_vapor", "ozone", "view_zenith",

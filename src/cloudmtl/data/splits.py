@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from .dataset import PixelDataset
 
 
 @dataclass(frozen=True)
@@ -48,12 +47,6 @@ def split_indices(n: int, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray, np.n
     n_test = int(math.floor(plan.test * n))
     a, b, c = n_train, n_train + n_val, n_train + n_val + n_test
     return perm[:a], perm[a:b], perm[b:c]
-
-
-def split_dataset(ds: PixelDataset, plan: SplitPlan
-                  ) -> tuple[PixelDataset, PixelDataset, PixelDataset]:
-    tr, va, te = split_indices(len(ds), plan)
-    return ds.subset(tr), ds.subset(va), ds.subset(te)
 
 
 def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:

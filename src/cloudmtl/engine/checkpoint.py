@@ -119,7 +119,7 @@ def load_checkpoint(path: str) -> dict:
     """Read a checkpoint; returns the document with values as float64 arrays.
 
     The returned dict has keys ``format_version``, ``architecture``,
-    ``config``, ``extras``, ``values`` (name -> ndarray) and ``bias_names``.
+    ``config``, ``extras`` and ``values`` (name -> ndarray).
     """
     if not os.path.exists(path):
         raise DataError(f"checkpoint file not found: {path}")
@@ -133,7 +133,6 @@ def load_checkpoint(path: str) -> dict:
             f"checkpoint {path}: unsupported or missing format_version "
             f"{doc.get('format_version') if isinstance(doc, dict) else doc!r}")
     values: dict[str, np.ndarray] = {}
-    bias_names: set[str] = set()
     for entry in doc.get("parameters", []):
         for key in ("name", "rows", "cols", "values"):
             if key not in entry:
@@ -150,13 +149,10 @@ def load_checkpoint(path: str) -> dict:
             values[name] = vals.reshape(cols)
         else:
             values[name] = vals.reshape(rows, cols)
-        if entry.get("bias", False):
-            bias_names.add(name)
     return {
         "format_version": 1,
         "architecture": doc.get("architecture"),
         "config": doc.get("config"),
         "extras": doc.get("extras"),
         "values": values,
-        "bias_names": bias_names,
     }

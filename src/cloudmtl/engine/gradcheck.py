@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import DeterminismError, NumericError
 from .params import ParamStore
-from .tensor import Tensor
+from .tensor import Tensor, backward
 
 
 @dataclass
@@ -80,7 +80,7 @@ def finite_diff_check(loss_fn: Callable[[ParamStore], Tensor],
         raise NumericError(f"loss is non-finite at the evaluation point: {base!r}")
 
     params.zero_grads()
-    loss_fn(params).backward()
+    backward(loss_fn(params))
     analytic = {name: t.grad.copy() for name, t in params.items()}
 
     rng = np.random.default_rng(seed)

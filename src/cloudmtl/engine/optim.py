@@ -8,16 +8,14 @@ The update follows the standard bias-corrected first/second moment scheme
     p <- p - lr * m_hat / (sqrt(v_hat) + eps)
 
 so the very first step moves each parameter by -lr * sign(g) up to the eps
-correction. The step runs on one flat vector in the store's parameter
-order: the store's flat gradient vector itself while every ``grad`` is
-still its view (see :meth:`ParamStore.flat_grad`), otherwise the gradients
-gathered into a new one. The moments live in :class:`AdamState` as flat
-vectors of the same layout and are updated in place, each term computed by
-the formulas above in their order; the global norm for clipping is still
-summed parameter by parameter, since another summation order would change
-the clipped step. The arithmetic is elementwise, so it is bitwise that of
-a per-parameter loop; the step is deterministic given (params, grads,
-state).
+correction. The step reads one gradient vector: the store's flat gradient
+vector (see :meth:`ParamStore.flat_grad`), in parameter order. The moments
+live in :class:`AdamState` as flat vectors of the same layout and are
+updated in place, each term computed by the formulas above in their order;
+the global norm for clipping is still summed parameter by parameter, since
+another summation order would change the clipped step. The arithmetic is
+elementwise, so it is bitwise that of a per-parameter loop; the step is
+deterministic given (params, grads, state).
 """
 
 from __future__ import annotations
@@ -109,14 +107,10 @@ def optimizer_step(params: ParamStore, config: TrainConfig, state: AdamState) ->
     unchanged (aside from the step counter advancing).
     """
     config.validate()
-    tensors = params.tensors()
     g = params.flat_grad()
-    if g is None:
-        g = np.concatenate([np.zeros(t.value.size) if t.grad is None
-                            else t.grad.ravel() for t in tensors])
     if not np.isfinite(g).all():
         for name, t in params.items():
-            if t.grad is not None and not np.all(np.isfinite(t.grad)):
+            if not np.all(np.isfinite(t.grad)):
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
     if state.m is None:
         state.m = np.zeros_like(g)
@@ -136,7 +130,7 @@ def optimizer_step(params: ParamStore, config: TrainConfig, state: AdamState) ->
     bc1 = 1.0 - config.beta1 ** t_step
     bc2 = 1.0 - config.beta2 ** t_step
     # The update above, term by term in its own order, with the moments
-    # updated in place and one work vector; ``g`` may be the store's live
+    # updated in place and one work vector; ``g`` is the store's live
     # gradient vector, so it is only read.
     m, v = state.m, state.v
     buf = (1.0 - config.beta1) * g
@@ -152,8 +146,5 @@ def optimizer_step(params: ParamStore, config: TrainConfig, state: AdamState) ->
     np.sqrt(buf, out=buf)
     np.add(buf, config.eps, out=buf)       # sqrt(v_hat) + eps
     np.divide(update, buf, out=update)
-    offset = 0
-    for p in tensors:
-        size = p.value.size
-        p.value = p.value - update[offset:offset + size].reshape(p.value.shape)
-        offset += size
+    for p, step in zip(params.tensors(), params.views(update)):
+        p.value = p.value - step

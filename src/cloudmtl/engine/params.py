@@ -4,6 +4,9 @@ A :class:`ParamStore` owns the leaf tensors of a model. Names are unique,
 insertion-ordered, and flat (dotted paths by convention, e.g.
 ``encoder.0.w``). Bias parameters are flagged at registration so weight-only
 penalties (lasso) can skip them without parsing names.
+
+Every ``grad`` is a view of the store's one flat gradient vector (see
+:meth:`ParamStore.flat_grad`), the only gradient the optimizer reads.
 """
 
 from __future__ import annotations
@@ -31,9 +34,7 @@ class ParamStore:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._bias_names: set[str] = set()
-        # one gradient vector for all parameters, in order, and each
-        # parameter's view of it; built by zero_grads, dropped when a
-        # parameter is registered
+        # built by flat_grad, dropped when a parameter is registered
         self._grad_flat: np.ndarray | None = None
         self._grad_views: list[np.ndarray] = []
 
@@ -41,7 +42,7 @@ class ParamStore:
         if name in self._params:
             raise StateError(f"parameter {name!r} already registered")
         t = Tensor(np.asarray(value, dtype=np.float64), name=name)
-        t.zero_grad()
+        t.grad = np.zeros_like(t.value)
         self._params[name] = t
         self._grad_flat = None
         if bias:
@@ -103,37 +104,34 @@ class ParamStore:
     def param_count(self) -> int:
         return sum(t.value.size for t in self._params.values())
 
-    def zero_grads(self) -> None:
-        """Zero every gradient with one fill of the flat gradient vector.
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's view of ``flat``, a vector in parameter order."""
+        views, offset = [], 0
+        for t in self._params.values():
+            size = t.value.size
+            views.append(flat[offset:offset + size].reshape(t.value.shape))
+            offset += size
+        return views
 
-        Each parameter's ``grad`` is (re)bound to its view of that vector,
-        so ``backward`` accumulates into it in place.
+    def flat_grad(self) -> np.ndarray:
+        """All gradients as one vector in parameter order, built on first use.
+
+        A ``grad`` that is not its view of the vector (set by hand, None, or
+        bound by another store sharing the tensor) is copied into the view,
+        None as zeros, and the view is bound in its place.
         """
         if self._grad_flat is None:
             self._grad_flat = np.zeros(self.param_count())
-            self._grad_views, offset = [], 0
-            for t in self._params.values():
-                size = t.value.size
-                self._grad_views.append(
-                    self._grad_flat[offset:offset + size].reshape(t.value.shape))
-                offset += size
-        else:
-            self._grad_flat.fill(0.0)
+            self._grad_views = self.views(self._grad_flat)
         for t, view in zip(self._params.values(), self._grad_views):
-            t.grad = view
-
-    def flat_grad(self) -> np.ndarray | None:
-        """All gradients as one vector in parameter order, without a copy.
-
-        None unless every parameter's ``grad`` is still the view that
-        :meth:`zero_grads` bound (a grad set by hand, or bound by another
-        store sharing the tensor, is not).
-        """
-        if self._grad_flat is None or any(
-                t.grad is not view
-                for t, view in zip(self._params.values(), self._grad_views)):
-            return None
+            if t.grad is not view:
+                view[...] = 0.0 if t.grad is None else t.grad
+                t.grad = view
         return self._grad_flat
+
+    def zero_grads(self) -> None:
+        """Zero every gradient with one fill of the flat gradient vector."""
+        self.flat_grad().fill(0.0)
 
     def clone_values(self) -> dict[str, np.ndarray]:
         return {n: t.value.copy() for n, t in self._params.items()}

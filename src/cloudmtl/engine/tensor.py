@@ -13,8 +13,9 @@ resulting cotangents into the ``grad`` field of each leaf it reaches
 their cotangent on and keep ``grad = None``, as in PyTorch's autograd.
 The addition is in place (``np.add(grad, g, out=grad)``, the same values as
 ``grad + g``), so a parameter's ``grad`` stays the view of its store's flat
-gradient vector that :meth:`ParamStore.zero_grads` bound; a caller that
-keeps a leaf's ``grad`` across a later backward must copy it.
+gradient vector that :meth:`ParamStore.flat_grad` bound, the one vector the
+optimizer reads; a caller that keeps a leaf's ``grad`` across a later
+backward must copy it.
 Because accumulation is additive, two backward passes without an intervening
 ``zero_grads`` produce exactly doubled gradients, and gradients of a sum of
 losses equal the sum of the individual gradients.
@@ -59,11 +60,6 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """A node in the autodiff graph: a float64 value plus backward plumbing.
 
@@ -71,64 +67,23 @@ class Tensor:
     for every result computed under :func:`no_grad`.
     Only leaves ever hold a ``grad``: :func:`backward` allocates it lazily on
     a leaf it reaches, adds into it in place, and leaves it ``None`` on
-    every intermediate node. Parameter leaves get a zero-initialized
-    ``grad`` from :class:`~cloudmtl.engine.params.ParamStore` (a view of its
-    flat gradient vector) so accumulation across batches works without
-    special cases.
+    every intermediate node. Parameter leaves get their ``grad`` from
+    :class:`~cloudmtl.engine.params.ParamStore`: zeros at registration, then
+    a view of the store's flat gradient vector, so accumulation across
+    batches works without special cases.
     """
 
     __slots__ = ("value", "grad", "parents", "vjp", "name")
 
     def __init__(self, value, parents: tuple = (), vjp: Callable | None = None,
                  name: str | None = None):
-        self.value = _as_array(value)
+        self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
         if _recording:
             self.parents, self.vjp = parents, vjp
         else:
             self.parents, self.vjp = (), None
         self.name = name
-
-    @property
-    def shape(self) -> tuple:
-        return self.value.shape
-
-    def item(self) -> float:
-        return float(self.value)
-
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.value)
-
-    def backward(self, upstream=None) -> None:
-        backward(self, upstream)
-
-    # Operator sugar; all dispatch to the module-level pure functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -527,7 +482,7 @@ def backward(root: Tensor, upstream=None) -> None:
     if upstream is None:
         seed = np.ones_like(root.value)
     else:
-        seed = _as_array(upstream)
+        seed = np.asarray(upstream, dtype=np.float64)
         if seed.shape != root.value.shape:
             raise DimensionError(
                 f"upstream gradient shape {seed.shape} does not match "

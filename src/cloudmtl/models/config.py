@@ -20,7 +20,7 @@ phase) derive from the variant name; they are not free knobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from ..errors import ConfigError
 

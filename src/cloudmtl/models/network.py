@@ -36,7 +36,7 @@ import numpy as np
 
 from .. import engine as E
 from ..engine import Tensor, ParamStore
-from ..errors import ConfigError, DimensionError
+from ..errors import DimensionError
 from .config import ArchitectureSpec, VARIANT_SEQ, VARIANT_MLP
 
 
@@ -107,47 +107,6 @@ class Model:
 
     def param_count(self) -> int:
         return self.params.param_count()
-
-    # ----- construction -------------------------------------------------
-
-    @staticmethod
-    def build(spec: ArchitectureSpec, seed: int) -> "Model":
-        if spec.variant == VARIANT_SEQ:
-            return SequentialModel._build(spec, seed)
-        rng = np.random.default_rng(seed)
-        ps = ParamStore()
-        if spec.variant == VARIANT_MLP:
-            ps.add_dense("hidden", rng, spec.input_dim, spec.mlp_hidden)
-            ps.add_dense("out", rng, spec.mlp_hidden, 5)
-            return Model(spec, ps)
-
-        widths = [spec.input_dim, *spec.encoder_widths]
-        for i in range(len(spec.encoder_widths)):
-            ps.add_dense(f"encoder.{i}", rng, widths[i], widths[i + 1])
-        if spec.has_decoder:
-            rev = list(reversed(widths))
-            for i in range(len(spec.encoder_widths)):
-                ps.add_dense(f"decoder.{i}", rng, rev[i], rev[i + 1])
-
-        def add_head(name: str, out_dim: int):
-            hw = [spec.latent_dim, *spec.head_hidden]
-            for i in range(len(spec.head_hidden)):
-                ps.add_dense(f"{name}.{i}", rng, hw[i], hw[i + 1])
-            ps.add_dense(f"{name}_out", rng, hw[-1], out_dim)
-
-        if spec.hierarchical:
-            add_head("mask_head", 2)
-            add_head("phase_head", 2)
-        else:
-            add_head("cls_head", 4)
-        if spec.aux_enabled:
-            add_head("aux_head", 3)
-        add_head("reg_head", 1)
-        if spec.attention_enabled:
-            d = spec.attention_dim
-            for w_name in ("attn.wq", "attn.wk", "attn.wv", "attn.wz"):
-                ps.add(w_name, E.glorot_uniform(rng, d, d))
-        return Model(spec, ps)
 
     # ----- forward ------------------------------------------------------
 
@@ -270,8 +229,6 @@ class SequentialModel(Model):
 
     @staticmethod
     def _build(spec: ArchitectureSpec, seed: int) -> "SequentialModel":
-        if spec.variant != VARIANT_SEQ:
-            raise ConfigError(f"SequentialModel cannot build variant {spec.variant!r}")
         rng = np.random.default_rng(seed)
         merged = ParamStore()
         subnets: dict[str, ParamStore] = {}
@@ -314,4 +271,39 @@ class SequentialModel(Model):
 
 def build_model(spec: ArchitectureSpec, seed: int) -> Model:
     """Deterministically initialize a model (same spec + seed -> same values)."""
-    return Model.build(spec, seed)
+    if spec.variant == VARIANT_SEQ:
+        return SequentialModel._build(spec, seed)
+    rng = np.random.default_rng(seed)
+    ps = ParamStore()
+    if spec.variant == VARIANT_MLP:
+        ps.add_dense("hidden", rng, spec.input_dim, spec.mlp_hidden)
+        ps.add_dense("out", rng, spec.mlp_hidden, 5)
+        return Model(spec, ps)
+
+    widths = [spec.input_dim, *spec.encoder_widths]
+    for i in range(len(spec.encoder_widths)):
+        ps.add_dense(f"encoder.{i}", rng, widths[i], widths[i + 1])
+    if spec.has_decoder:
+        rev = list(reversed(widths))
+        for i in range(len(spec.encoder_widths)):
+            ps.add_dense(f"decoder.{i}", rng, rev[i], rev[i + 1])
+
+    def add_head(name: str, out_dim: int):
+        hw = [spec.latent_dim, *spec.head_hidden]
+        for i in range(len(spec.head_hidden)):
+            ps.add_dense(f"{name}.{i}", rng, hw[i], hw[i + 1])
+        ps.add_dense(f"{name}_out", rng, hw[-1], out_dim)
+
+    if spec.hierarchical:
+        add_head("mask_head", 2)
+        add_head("phase_head", 2)
+    else:
+        add_head("cls_head", 4)
+    if spec.aux_enabled:
+        add_head("aux_head", 3)
+    add_head("reg_head", 1)
+    if spec.attention_enabled:
+        d = spec.attention_dim
+        for w_name in ("attn.wq", "attn.wk", "attn.wv", "attn.wz"):
+            ps.add(w_name, E.glorot_uniform(rng, d, d))
+    return Model(spec, ps)

@@ -14,10 +14,10 @@ or smaller).
 
 from __future__ import annotations
 
-import csv
 import math
 
 from ..atomic import atomic_write
+from ..data.csvio import read_csv_file
 from ..errors import DataError
 from .stats import FoldStats, fold_stats
 from .scores import SelectionScores
@@ -52,56 +52,54 @@ def _parse_direction(text: str, line: int) -> bool:
 
 def read_stats_grid(path: str) -> list[FoldStats]:
     """Read either grid layout into fold statistics."""
+    return read_csv_file(path, _parse_grid)
+
+
+def _parse_grid(reader, path: str) -> list[FoldStats]:
     try:
-        f = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if header[:4] != _LEAD:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    if header[:4] != _LEAD:
+        raise DataError(
+            f"{path}: header must start with {','.join(_LEAD)}, got {header[:4]}")
+    tail = header[4:]
+    if tail == ["mu", "se"]:
+        layout = "summary"
+    elif tail and all(c.startswith("fold_") for c in tail):
+        layout = "folds"
+    else:
+        raise DataError(
+            f"{path}: header tail must be mu,se or fold_1..fold_K, got {tail}")
+    out: list[FoldStats] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
             raise DataError(
-                f"{path}: header must start with {','.join(_LEAD)}, got {header[:4]}")
-        tail = header[4:]
-        if tail == ["mu", "se"]:
-            layout = "summary"
-        elif tail and all(c.startswith("fold_") for c in tail):
-            layout = "folds"
-        else:
-            raise DataError(
-                f"{path}: header tail must be mu,se or fold_1..fold_K, got {tail}")
-        out: list[FoldStats] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+                f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+        model, dataset, metric = row[0], row[1], row[2]
+        lower = _parse_direction(row[3], line_no)
+        if layout == "summary":
+            try:
+                mu, se = float(row[4]), float(row[5])
+            except ValueError:
                 raise DataError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            model, dataset, metric = row[0], row[1], row[2]
-            lower = _parse_direction(row[3], line_no)
-            if layout == "summary":
-                try:
-                    mu, se = float(row[4]), float(row[5])
-                except ValueError:
-                    raise DataError(
-                        f"line {line_no}: mu/se not numeric: {row[4]!r}, {row[5]!r}"
-                    ) from None
-                if not (math.isfinite(mu) and math.isfinite(se)):
-                    raise DataError(f"line {line_no}: non-finite statistics")
-                fs = FoldStats(model=model, dataset=dataset, metric=metric,
-                               lower_better=lower, mu=mu, se=se,
-                               mu_quantum=display_quantum(row[4]))
-                fs.validate()
-                out.append(fs)
-            else:
-                try:
-                    values = [float(v) for v in row[4:]]
-                except ValueError:
-                    raise DataError(f"line {line_no}: fold value not numeric") from None
-                out.append(fold_stats(model, dataset, metric, lower, values))
+                    f"line {line_no}: mu/se not numeric: {row[4]!r}, {row[5]!r}"
+                ) from None
+            if not (math.isfinite(mu) and math.isfinite(se)):
+                raise DataError(f"line {line_no}: non-finite statistics")
+            fs = FoldStats(model=model, dataset=dataset, metric=metric,
+                           lower_better=lower, mu=mu, se=se,
+                           mu_quantum=display_quantum(row[4]))
+            fs.validate()
+            out.append(fs)
+        else:
+            try:
+                values = [float(v) for v in row[4:]]
+            except ValueError:
+                raise DataError(f"line {line_no}: fold value not numeric") from None
+            out.append(fold_stats(model, dataset, metric, lower, values))
     if not out:
         raise DataError(f"{path}: no data rows")
     return out

@@ -141,6 +141,53 @@ def test_train_non_utf8_data_exits_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "x")
 
 
+def _edited_copy(src, dst, line_no, col, text):
+    """Copy CSV ``src`` to ``dst`` with cell ``col`` of 1-based ``line_no``
+    replaced by ``text``."""
+    with open(src, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    cells = lines[line_no - 1].split(",")
+    cells[col] = text
+    lines[line_no - 1] = ",".join(cells)
+    dst.write_text("\n".join(lines), encoding="utf-8")
+    return str(dst)
+
+
+def assert_input_error(capsys, argv, path, line=None):
+    """``argv`` exits 2 with one error line naming ``path`` (and ``line``)."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert path in err
+    if line is not None:
+        assert f"line {line}:" in err
+
+
+# A field over the csv module's 131,072-character limit
+HUGE_CELL = "0." + "0" * 140_000 + "5"
+
+
+def test_train_oversized_field_exits_2(tmp_path, data_csv, capsys):
+    data = _edited_copy(data_csv, tmp_path / "huge.csv", 4, 9, HUGE_CELL)
+    assert_input_error(capsys, ["train", "--data", data, "--outdir",
+                                str(tmp_path / "x"), *FAST], data, line=4)
+
+
+def test_train_pixel_id_beyond_int64_exits_2(tmp_path, data_csv, capsys):
+    data = _edited_copy(data_csv, tmp_path / "big_id.csv", 3, 0,
+                        "99999999999999999999")
+    assert_input_error(capsys, ["train", "--data", data, "--outdir",
+                                str(tmp_path / "x"), *FAST], data, line=3)
+
+
+def test_train_non_utf8_config_exits_2(tmp_path, data_csv, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(b'{"train": {"lr": "\xff"}}')
+    assert_input_error(capsys, ["train", "--data", data_csv, "--outdir",
+                                str(tmp_path / "x"), "--config", str(config),
+                                *FAST], str(config))
+
+
 def test_train_invalid_lr_exits_2(tmp_path, data_csv, capsys):
     rc = main(["train", "--data", data_csv, "--outdir", str(tmp_path / "x"),
                "--lr", "-1", "--epochs", "1"])
@@ -258,6 +305,22 @@ def test_select_bad_weights_exit_2(tmp_path, capsys):
     rc = main(["select", "--grid", grid_path, "--out", str(tmp_path / "o"),
                "--weights", "ACC_bi=fast"])
     assert rc == 2
+
+
+def test_select_non_utf8_grid_exits_2(tmp_path, capsys):
+    grid_path = tmp_path / "grid.csv"
+    write_summary_csv(str(grid_path), reference_grid())
+    grid_path.write_bytes(grid_path.read_bytes().replace(b"MT-CR", b"MT-\xffCR", 1))
+    assert_input_error(capsys, ["select", "--grid", str(grid_path),
+                                "--out", str(tmp_path / "o")], str(grid_path))
+
+
+def test_select_oversized_grid_field_exits_2(tmp_path, capsys):
+    grid_path = str(tmp_path / "grid.csv")
+    write_summary_csv(grid_path, reference_grid())
+    edited = _edited_copy(grid_path, tmp_path / "huge.csv", 3, 5, HUGE_CELL)
+    assert_input_error(capsys, ["select", "--grid", edited,
+                                "--out", str(tmp_path / "o")], edited, line=3)
 
 
 def test_select_missing_grid_exits_2(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Dataset CSV round trips and malformed-file diagnostics; the fast load
 path against the row-by-row validator; save bytes and memory."""
 
-import csv
 import dataclasses
 import math
 import os
@@ -139,12 +138,11 @@ def test_non_utf8_file_names_path(tmp_path):
 def _outcome(load, path):
     """('ok', sensor, columns), or the error's class name and message.
 
-    Besides ``DataError``, both paths raise ``OverflowError`` for a
-    ``pixel_id`` beyond int64 and ``csv.Error`` for a field over the csv
-    module's size limit."""
+    Every malformed file raises ``DataError``, a ``pixel_id`` beyond int64
+    and a field over the csv module's size limit included."""
     try:
         ds = load(path)
-    except (DataError, OverflowError, csv.Error) as exc:
+    except DataError as exc:
         return (type(exc).__name__, str(exc))
     cols = tuple((f.name, str(v.dtype), v.shape, v.tobytes())
                  for f in dataclasses.fields(ds) if f.name != "sensor"
@@ -270,13 +268,13 @@ LINE_CASES = [
     (_cell_case(9, " 0.5 "), "ok"),
     (_cell_case(0, "+5"), "ok"),
     (_cell_case(0, "5.0"), "DataError"),
-    (_cell_case(0, "99999999999999999999"), "OverflowError"),
+    (_cell_case(0, "99999999999999999999"), "DataError"),
     (_cell_case(3, ""), "DataError"),
     (_cell_case(3, "1,5"), "DataError"),
     (_cell_case(-1, "nan", labels=("liquid", "ice")), "DataError"),
     (_cell_case(-1, "1e500", labels=("liquid", "ice")), "DataError"),
     (_cell_case(-1, " 1.5", labels=("liquid", "ice")), "ok"),
-    (_cell_case(9, "0." + "0" * 140_000 + "5"), "Error"),
+    (_cell_case(9, "0." + "0" * 140_000 + "5"), "DataError"),
 ]
 
 

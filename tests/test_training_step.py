@@ -1,11 +1,11 @@
 """What one training step allocates: the flat gradient buffer and graph size.
 
-``ParamStore.zero_grads`` binds every parameter's ``grad`` to a view of one
-flat vector, ``backward`` adds into those views in place, and
-``optimizer_step`` reads the vector without gathering it; a grad that is
-not its view (set by hand, or bound by another store sharing the tensor)
-sends the step down the gathering path, with the same result. The graph
-size of one training step is pinned per variant.
+``ParamStore.flat_grad`` binds every parameter's ``grad`` to a view of one
+flat vector, copying in a grad that is not its view (set by hand, None, or
+bound by another store sharing the tensor); ``zero_grads`` fills that
+vector, ``backward`` adds into the views in place, and ``optimizer_step``
+reads the vector and nothing else. The graph size of one training step is
+pinned per variant.
 """
 
 import numpy as np
@@ -34,15 +34,23 @@ def small_store() -> ParamStore:
     return ps
 
 
+def assert_grads_are_views(ps: ParamStore, flat: np.ndarray) -> None:
+    """Every grad of ``ps`` is its view of ``flat``, in parameter order."""
+    for (name, t), view in zip(ps.items(), ps.views(flat)):
+        assert t.grad.base is flat, name
+        assert t.grad.shape == view.shape, name
+        assert (t.grad.__array_interface__["data"][0]
+                == view.__array_interface__["data"][0]), name
+
+
 def test_every_grad_is_a_view_of_one_vector():
     ps = small_store()
     ps.zero_grads()
     flat = ps.flat_grad()
-    assert flat is not None and flat.shape == (ps.param_count(),)
+    assert flat.shape == (ps.param_count(),)
+    assert_grads_are_views(ps, flat)
     offset = 0
     for _, t in ps.items():
-        assert t.grad.shape == t.value.shape
-        assert np.shares_memory(t.grad, flat)
         t.grad[...] = offset + 1.0
         assert np.all(flat[offset:offset + t.value.size] == offset + 1.0)
         offset += t.value.size
@@ -52,15 +60,27 @@ def test_zero_grads_zeroes_the_vector_in_place_and_rebinds_the_views():
     ps = small_store()
     ps.zero_grads()
     flat = ps.flat_grad()
-    loss = E.l1_norm(ps.tensors())
-    E.backward(loss)
+    E.backward(E.l1_norm(ps.tensors()))
     assert np.any(flat != 0.0)
-    ps["c"].grad = np.ones((2, 2))       # hand-set: no longer a view
-    assert ps.flat_grad() is None
+    ps["c"].grad = np.ones((2, 2))       # hand-set: not a view
+    ps["s"].grad = None
     ps.zero_grads()
     assert ps.flat_grad() is flat
     assert np.all(flat == 0.0)
-    assert np.shares_memory(ps["c"].grad, flat)
+    assert_grads_are_views(ps, flat)
+
+
+def test_flat_grad_copies_in_grads_that_are_not_its_views():
+    ps = small_store()
+    flat = ps.flat_grad()
+    hand = {"a.w": np.full((3, 4), 2.0), "c": np.arange(4.0).reshape(2, 2)}
+    for name, g in hand.items():
+        ps[name].grad = g.copy()
+    ps["s"].grad = None
+    assert ps.flat_grad() is flat
+    assert_grads_are_views(ps, flat)
+    for name, t in ps.items():
+        assert same_bytes(t.grad, hand.get(name, np.zeros_like(t.value))), name
 
 
 def test_backward_accumulates_into_the_views_in_place():
@@ -77,30 +97,39 @@ def test_backward_accumulates_into_the_views_in_place():
 def test_registering_a_parameter_rebuilds_the_vector():
     ps = small_store()
     ps.zero_grads()
-    ps.add("late", np.ones(3))
-    assert ps.flat_grad() is None
-    ps.zero_grads()
-    assert ps.flat_grad().shape == (ps.param_count(),)
+    old = ps.flat_grad()
+    E.backward(E.l1_norm(ps.tensors()))
+    kept = {name: t.grad.copy() for name, t in ps.items()}
+    late = ps.add("late", np.ones(3))
+    flat = ps.flat_grad()
+    assert flat is not old and flat.shape == (ps.param_count(),)
+    assert_grads_are_views(ps, flat)
+    for name, g in kept.items():
+        assert same_bytes(ps[name].grad, g), name
+    assert same_bytes(late.grad, np.zeros(3))
 
 
 @pytest.mark.parametrize("clip_norm", [None, 0.5])
-def test_hand_set_grads_take_the_gathering_path_with_the_same_step(clip_norm):
+def test_hand_set_grads_step_as_in_place_grads(clip_norm):
     rng = np.random.default_rng(1)
     flat_ps, hand_ps = small_store(), small_store()
     flat_state, hand_state = AdamState(), AdamState()
     cfg = TrainConfig(lr=3e-3, clip_norm=clip_norm)
     for _ in range(4):
-        grads = [rng.normal(size=t.value.shape) for t in flat_ps.tensors()]
+        grads = {name: rng.normal(size=t.value.shape)
+                 for name, t in flat_ps.items()}
+        grads["s"] = np.zeros(())        # stands for hand_ps's None grad
         flat_ps.zero_grads()
-        for t, g in zip(flat_ps.tensors(), grads):
-            t.grad[...] = g
-        for t, g in zip(hand_ps.tensors(), grads):
-            t.grad = g.copy()
-        assert flat_ps.flat_grad() is not None and hand_ps.flat_grad() is None
+        for name, t in flat_ps.items():
+            t.grad[...] = grads[name]
+        for name, t in hand_ps.items():
+            t.grad = None if name == "s" else grads[name].copy()
         kept = flat_ps.flat_grad().copy()
         optimizer_step(flat_ps, cfg, flat_state)
         optimizer_step(hand_ps, cfg, hand_state)
         assert same_bytes(flat_ps.flat_grad(), kept)   # the step only reads it
+        assert_grads_are_views(hand_ps, hand_ps.flat_grad())
+        assert same_bytes(hand_ps.flat_grad(), kept)
         for (name, a), (_, b) in zip(flat_ps.items(), hand_ps.items()):
             assert same_bytes(a.value, b.value), name
         assert same_bytes(flat_state.m, hand_state.m)
@@ -119,6 +148,8 @@ def test_seq_aliased_stores_step_the_same_through_either_buffer():
     spec, targets = _batch("SEQ")
     model = build_model(spec, seed=2)
     mask = model.subnet_params["mask_net"]
+    for name, t in mask.items():
+        assert model.params[f"mask_net.{name}"] is t
     cfg = TrainConfig(lr=3e-3)
     init = model.params.clone_values()
 
@@ -129,18 +160,17 @@ def test_seq_aliased_stores_step_the_same_through_either_buffer():
         total, _ = stage_loss("mask_net", out, targets, spec, mask)
         E.backward(total)
         optimizer_step(mask, cfg, AdamState())
+        assert_grads_are_views(mask, mask.flat_grad())
         return mask.clone_values()
 
-    # the mask net's own buffer: the flat path
+    # Zeroing through either store, in turn: each store's zero_grads must
+    # first take back the grads the other store bound, which hold the last
+    # step's (nonzero) gradients.
     own = mask_step(mask)
-    assert mask.flat_grad() is not None and model.params.flat_grad() is None
-    for name, t in mask.items():
-        assert model.params[f"mask_net.{name}"] is t
-    # the merged store's buffer holds the grads: the gathering path
-    merged = mask_step(model.params)
-    assert mask.flat_grad() is None and model.params.flat_grad() is not None
-    for name in own:
-        assert same_bytes(own[name], merged[name]), name
+    for zero_store in (model.params, mask, model.params):
+        stepped = mask_step(zero_store)
+        for name in own:
+            assert same_bytes(own[name], stepped[name]), name
 
 
 def _graph_size(root) -> tuple[int, int]:
