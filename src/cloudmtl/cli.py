@@ -51,6 +51,8 @@ def _load_config_file(path: str | None) -> dict:
             doc = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
     except UnicodeDecodeError as e:

@@ -93,13 +93,14 @@ def _format_rows(ds: PixelDataset, rows: slice) -> str:
     return "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
-def _parse_float(text: str, line: int, column: str) -> float:
+def _parse_float(text: str, at: str, column: str) -> float:
+    """``float(text)``; ``at`` (``"<path>: line N"``) starts any error."""
     try:
         v = float(text)
     except ValueError:
-        raise DataError(f"line {line}: column {column!r} is not numeric: {text!r}") from None
+        raise DataError(f"{at}: column {column!r} is not numeric: {text!r}") from None
     if not math.isfinite(v):
-        raise DataError(f"line {line}: column {column!r} is not finite: {text!r}")
+        raise DataError(f"{at}: column {column!r} is not finite: {text!r}")
     return v
 
 
@@ -235,38 +236,40 @@ def _parse_rows(reader, path: str, sensor: SensorConfig | None) -> PixelDataset:
                                   "solar_zenith", "rel_azimuth", "label",
                                   "cot_log10")}
     refl_rows: list[list[float]] = []
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        # the record's last physical line: a quoted cell may span lines
+        at = f"{path}: line {reader.line_num}"
         if len(row) != ncols:
             raise DataError(
-                f"line {line_no}: expected {ncols} fields, got {len(row)}")
+                f"{at}: expected {ncols} fields, got {len(row)}")
         try:
             pixel_id = int(row[0])
         except ValueError:
             raise DataError(
-                f"line {line_no}: pixel_id is not an integer: {row[0]!r}") from None
+                f"{at}: pixel_id is not an integer: {row[0]!r}") from None
         if not -2**63 <= pixel_id < 2**63:
             raise DataError(
-                f"{path}: line {line_no}: pixel_id does not fit in int64: {row[0]!r}")
+                f"{at}: pixel_id does not fit in int64: {row[0]!r}")
         rows["pixel_id"].append(pixel_id)
-        rows["pressure"].append(_parse_float(row[1], line_no, header[1]))
-        rows["water_vapor"].append(_parse_float(row[2], line_no, header[2]))
-        rows["ozone"].append(_parse_float(row[3], line_no, header[3]))
+        rows["pressure"].append(_parse_float(row[1], at, header[1]))
+        rows["water_vapor"].append(_parse_float(row[2], at, header[2]))
+        rows["ozone"].append(_parse_float(row[3], at, header[3]))
         if row[4] not in _SURFACE_TO_CODE:
             raise DataError(
-                f"line {line_no}: surface_type {row[4]!r} not one of "
+                f"{at}: surface_type {row[4]!r} not one of "
                 f"{list(SURFACE_TYPES)}")
         rows["surface"].append(_SURFACE_TO_CODE[row[4]])
-        rows["view_zenith"].append(_parse_float(row[5], line_no, header[5]))
-        rows["solar_zenith"].append(_parse_float(row[6], line_no, header[6]))
-        rows["rel_azimuth"].append(_parse_float(row[7], line_no, header[7]))
-        refl_rows.append([_parse_float(row[8 + j], line_no, band_cols[j])
+        rows["view_zenith"].append(_parse_float(row[5], at, header[5]))
+        rows["solar_zenith"].append(_parse_float(row[6], at, header[6]))
+        rows["rel_azimuth"].append(_parse_float(row[7], at, header[7]))
+        refl_rows.append([_parse_float(row[8 + j], at, band_cols[j])
                           for j in range(len(band_cols))])
         label_text = row[-2]
         if label_text not in _NAME_TO_LABEL:
             raise DataError(
-                f"line {line_no}: label {label_text!r} not one of "
+                f"{at}: label {label_text!r} not one of "
                 f"{sorted(_NAME_TO_LABEL)}")
         label = _NAME_TO_LABEL[label_text]
         rows["label"].append(label)
@@ -274,14 +277,14 @@ def _parse_rows(reader, path: str, sensor: SensorConfig | None) -> PixelDataset:
         if label_text == "clear":
             if cot_text != "":
                 raise DataError(
-                    f"line {line_no}: clear pixel must have empty cot_log10, "
+                    f"{at}: clear pixel must have empty cot_log10, "
                     f"got {cot_text!r}")
             rows["cot_log10"].append(math.nan)
         else:
             if cot_text == "":
                 raise DataError(
-                    f"line {line_no}: cloudy pixel is missing cot_log10")
-            rows["cot_log10"].append(_parse_float(cot_text, line_no, "cot_log10"))
+                    f"{at}: cloudy pixel is missing cot_log10")
+            rows["cot_log10"].append(_parse_float(cot_text, at, "cot_log10"))
 
     if not refl_rows:
         raise DataError(f"{path}: no data rows")

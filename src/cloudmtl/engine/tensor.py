@@ -23,8 +23,11 @@ losses equal the sum of the individual gradients.
 Design constraints honored throughout:
 
 * all values are ``numpy.float64`` arrays (scalars are 0-d arrays);
-* forward never mutates an operand (purity: repeated forward on the same
-  inputs is bitwise identical);
+* forward and VJP never mutate an operand or a cotangent they are handed
+  (purity: repeated forward on the same inputs is bitwise identical); an
+  op may build its own fresh result in place (``dense`` adds its bias into
+  the product, ``softmax_rows`` shifts, exponentiates and normalizes in one
+  buffer);
 * softmax subtracts the row max before exponentiation so any finite input
   row produces a row summing to 1;
 * probabilities destined for logarithms are clamped to
@@ -201,14 +204,16 @@ def dense(x, w, b) -> Tensor:
     """Affine layer: ``x @ w + b`` with ``b`` broadcast across rows.
 
     One graph node; value and cotangents are bitwise those of
-    ``add(matmul(x, w), b)``.
+    ``add(matmul(x, w), b)``. The bias is added in place into the fresh
+    product: the values of ``x @ w + b`` with one array fewer.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if b.value.ndim != 1 or b.value.shape[0] != w.value.shape[1]:
         raise DimensionError(
             f"dense bias shape {b.value.shape} incompatible with weight {w.value.shape}")
     _check_matmul(x, w)
-    out_val = x.value @ w.value + b.value
+    out_val = x.value @ w.value
+    out_val += b.value
 
     def vjp(g):
         return g @ w.value.T, x.value.T @ g, g.sum(axis=0)
@@ -347,21 +352,46 @@ def reduce_mean(x, axis=None) -> Tensor:
     return Tensor(out_val, (x,), vjp)
 
 
+def _row_max(v: np.ndarray) -> np.ndarray:
+    """``v.max(axis=-1, keepdims=True)`` by pairwise halving of the columns.
+
+    Faster than numpy's per-row reduction on short rows. A max is exact in
+    any order; only the sign of a zero max can differ, and ``exp`` of the
+    shifted values is the same either way. An odd tail column folds into
+    column 0.
+    """
+    m, k = v, v.shape[-1]
+    while k > 1:
+        half = k // 2
+        head = np.maximum(m[..., :half], m[..., half:2 * half],
+                          out=None if m is v else m[..., :half])
+        if k % 2:
+            np.maximum(head[..., :1], m[..., 2 * half:k], out=head[..., :1])
+        m, k = head, half
+    return m[..., :1].copy()  # frees the halving buffer
+
+
 def softmax_rows(x) -> Tensor:
     """Softmax along the last axis with max-subtraction for stability.
 
     For any all-finite input each output row sums to 1 (within 1e-12) and
     entries lie in [0, 1]. Works on 2-D (n, k) and 3-D (n, d, d) inputs; the
     latter is the row-wise normalization of per-pixel attention scores.
+    Shift, ``exp`` and division share the result buffer, and the VJP
+    builds its cotangent in one buffer without writing ``g`` (``add``'s VJP
+    hands one array to both parents); both are bitwise the plain numpy.
     """
     x = _wrap(x)
-    shifted = x.value - x.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.value - _row_max(x.value)
+    np.exp(y, out=y)
+    np.divide(y, y.sum(axis=-1, keepdims=True), out=y)
 
     def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - dot) * y,)
+        gy = g * y
+        dot = gy.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gy)
+        np.multiply(gy, y, out=gy)
+        return (gy,)
 
     return Tensor(y, (x,), vjp)
 

@@ -118,6 +118,12 @@ class Model:
         return X
 
     def forward(self, X: np.ndarray, train_mode: bool = False) -> ModelOutputs:
+        return self._forward(X, train_mode, full=True)
+
+    def _forward(self, X: np.ndarray, train_mode: bool, full: bool) -> ModelOutputs:
+        """``forward``; ``full=False`` skips what only the losses read (the
+        decoder, the aux output layer and softmax): ``x_recon`` and
+        ``aux_probs`` are None, the other fields unchanged."""
         spec, ps = self.spec, self.params
         x = E.constant(self._input(X))
 
@@ -133,7 +139,7 @@ class Model:
         n_enc = len(spec.encoder_widths)
         z = _chain(x, ps, "encoder", n_enc, final_relu=True)
         x_recon = None
-        if spec.has_decoder:
+        if spec.has_decoder and full:
             x_recon = _chain(z, ps, "decoder", n_enc, final_relu=False)
 
         if spec.hierarchical:
@@ -164,12 +170,13 @@ class Model:
             u_cloud, u_clear = E.col(cls_u, 0), E.col(cls_u, 1)
             u_liquid, u_ice = E.col(cls_u, 2), E.col(cls_u, 3)
 
-        aux_probs = None
-        theta2 = None
-        if spec.aux_enabled:
+        aux_probs = theta2 = None
+        if spec.aux_enabled and (full or spec.attention_enabled):
+            # attention reads the aux hidden vector even when aux_probs is skipped
             theta2 = _chain(z, ps, "aux_head", len(spec.head_hidden), final_relu=True)
-            aux_logits = E.dense(theta2, ps["aux_head_out.w"], ps["aux_head_out.b"])
-            aux_probs = E.softmax_rows(aux_logits)
+            if full:
+                aux_logits = E.dense(theta2, ps["aux_head_out.w"], ps["aux_head_out.b"])
+                aux_probs = E.softmax_rows(aux_logits)
 
         theta1 = _chain(z, ps, "reg_head", len(spec.head_hidden), final_relu=True)
         if spec.attention_enabled:
@@ -186,10 +193,12 @@ class Model:
     def infer(self, X: np.ndarray) -> ModelOutputs:
         """Inference-mode outputs, ``INFER_CHUNK`` rows per forward.
 
-        Each chunk runs ``forward(train_mode=False)`` under
+        Each chunk runs the inference-mode forward under
         :func:`engine.no_grad`, so beyond the returned arrays peak memory is
-        one chunk's forward however many rows ``X`` has. Only the five fields predictions read are kept,
-        concatenated as constants; ``aux_probs`` and ``x_recon`` are None.
+        one chunk's forward however many rows ``X`` has. It stops at the
+        five fields predictions read (no decoder, aux output layer or aux
+        softmax); those are concatenated as constants, and ``aux_probs``
+        and ``x_recon`` are None.
 
         Every forward op is row-independent, so up to ``INFER_CHUNK`` rows
         this is bitwise ``forward(X)``. Beyond that it is bitwise the
@@ -203,7 +212,8 @@ class Model:
         with E.no_grad():
             # an empty X still gets one (empty) forward and empty outputs
             for start in range(0, max(len(X), 1), INFER_CHUNK):
-                out = self.forward(X[start:start + INFER_CHUNK])
+                out = self._forward(X[start:start + INFER_CHUNK], False,
+                                    full=False)
                 chunks.append([getattr(out, f).value for f in _INFER_FIELDS])
         return ModelOutputs(**{f: E.constant(np.concatenate(values))
                                for f, values in zip(_INFER_FIELDS, zip(*chunks))})
@@ -259,7 +269,8 @@ class SequentialModel(Model):
         out = E.dense(h, ps["out.w"], ps["out.b"])
         return E.col(out, 0) if net == "cot_net" else E.clamped_sigmoid(out)
 
-    def forward(self, X: np.ndarray, train_mode: bool = False) -> ModelOutputs:
+    def _forward(self, X: np.ndarray, train_mode: bool, full: bool) -> ModelOutputs:
+        # the three stage outputs are all predictions read, so ``full`` is moot
         X = self._input(X)
         mask_u = self.stage_output("mask_net", X)
         phase_u = self.stage_output("phase_net", X)

@@ -115,11 +115,8 @@ def _fit(params: ParamStore, loss_fn, train: LossTargets,
                      parts.l_rec, parts.l_lasso, parts.total)
         val_total = None
         if val is not None and len(val) > 0:
-            # v_total holds the validation graph until the next epoch
-            # replaces it: freeing it here at once measurably slowed later
-            # inference through its effect on heap state.
-            v_total, v_parts = loss_fn(val)
-            val_total = v_parts.total
+            with no_grad():
+                val_total = loss_fn(val)[1].total
         records.append(EpochRecord(epoch, *(sums / len(batches)),
                                    val_total=val_total))
     return records

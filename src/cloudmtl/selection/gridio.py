@@ -41,13 +41,13 @@ def display_quantum(text: str) -> float:
     return 0.5 * 10.0 ** (exp - decimals)
 
 
-def _parse_direction(text: str, line: int) -> bool:
+def _parse_direction(text: str, at: str) -> bool:
     if text == "lower":
         return True
     if text == "higher":
         return False
     raise DataError(
-        f"line {line}: direction must be 'higher' or 'lower', got {text!r}")
+        f"{at}: direction must be 'higher' or 'lower', got {text!r}")
 
 
 def read_stats_grid(path: str) -> list[FoldStats]:
@@ -72,23 +72,25 @@ def _parse_grid(reader, path: str) -> list[FoldStats]:
         raise DataError(
             f"{path}: header tail must be mu,se or fold_1..fold_K, got {tail}")
     out: list[FoldStats] = []
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        # the record's last physical line: a quoted cell may span lines
+        at = f"{path}: line {reader.line_num}"
         if len(row) != len(header):
             raise DataError(
-                f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+                f"{at}: expected {len(header)} fields, got {len(row)}")
         model, dataset, metric = row[0], row[1], row[2]
-        lower = _parse_direction(row[3], line_no)
+        lower = _parse_direction(row[3], at)
         if layout == "summary":
             try:
                 mu, se = float(row[4]), float(row[5])
             except ValueError:
                 raise DataError(
-                    f"line {line_no}: mu/se not numeric: {row[4]!r}, {row[5]!r}"
+                    f"{at}: mu/se not numeric: {row[4]!r}, {row[5]!r}"
                 ) from None
             if not (math.isfinite(mu) and math.isfinite(se)):
-                raise DataError(f"line {line_no}: non-finite statistics")
+                raise DataError(f"{at}: non-finite statistics")
             fs = FoldStats(model=model, dataset=dataset, metric=metric,
                            lower_better=lower, mu=mu, se=se,
                            mu_quantum=display_quantum(row[4]))
@@ -98,7 +100,7 @@ def _parse_grid(reader, path: str) -> list[FoldStats]:
             try:
                 values = [float(v) for v in row[4:]]
             except ValueError:
-                raise DataError(f"line {line_no}: fold value not numeric") from None
+                raise DataError(f"{at}: fold value not numeric") from None
             out.append(fold_stats(model, dataset, metric, lower, values))
     if not out:
         raise DataError(f"{path}: no data rows")

@@ -188,6 +188,15 @@ def test_train_non_utf8_config_exits_2(tmp_path, data_csv, capsys):
                                 *FAST], str(config))
 
 
+def test_train_config_directory_exits_2(tmp_path, data_csv, capsys):
+    config = tmp_path / "cfg_dir"
+    config.mkdir()
+    assert_input_error(capsys, ["train", "--data", data_csv, "--outdir",
+                                str(tmp_path / "x"), "--config", str(config),
+                                *FAST], str(config))
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_train_invalid_lr_exits_2(tmp_path, data_csv, capsys):
     rc = main(["train", "--data", data_csv, "--outdir", str(tmp_path / "x"),
                "--lr", "-1", "--epochs", "1"])

@@ -4,6 +4,7 @@ path against the row-by-row validator; save bytes and memory."""
 import dataclasses
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -292,7 +293,18 @@ def test_error_names_line_after_blank_lines_and_crlf(tmp_path):
     _case_bad_label(lines)
     # header, blank, row 1, blank, row 2: the bad second row is line 5
     path = _write(tmp_path, "\r\n\r\n".join(lines) + "\r\n")
-    with pytest.raises(DataError, match=r"^line 5: label 'fog'"):
+    with pytest.raises(DataError, match=rf"^{re.escape(path)}: line 5: label 'fog'"):
+        load_csv(path)
+    assert_same_outcome(path)
+
+
+def test_error_names_physical_line_after_a_quoted_cell_spanning_two(tmp_path):
+    lines = _lines()
+    # float() accepts a trailing newline, so row 1 is valid but takes two lines
+    _set_cell(lines, 1, 9, '"' + lines[1].split(",")[9] + '\n"')
+    _case_bad_label(lines)
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=rf"^{re.escape(path)}: line 4: label 'fog'"):
         load_csv(path)
     assert_same_outcome(path)
 

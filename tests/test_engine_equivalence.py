@@ -4,14 +4,20 @@ The fused ``dense`` and ``l1_norm`` nodes, the fused loss nodes (binary
 cross entropy and the hierarchical ``l_hc``, each with the probability
 clamp inside) and the flat-vector Adam step must reproduce the unfused
 graph and the per-parameter update byte for byte, so trained weights do
-not change. Every equivalence here is on raw bytes, never ``allclose``;
-the fused loss nodes' VJPs are also checked against central differences.
+not change. The in-place ``dense`` bias and the one-buffer
+``softmax_rows`` must give the bytes of the numpy expressions they
+replace, and softmax must write neither its operand nor its cotangent.
+Every equivalence here is on raw bytes, never ``allclose``; the fused
+loss nodes' VJPs are also checked against central differences.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cloudmtl.engine as E
 from cloudmtl.data import Standardizer, generate_dataset, get_sensor
@@ -58,6 +64,7 @@ def test_dense_is_bitwise_add_of_matmul(n, k, m, seed):
     value, grads = run_graph(E.dense, arrays, up)
     ref_value, ref_grads = run_graph(unfused_dense, arrays, up)
     assert same_bytes(value, ref_value)
+    assert same_bytes(value, arrays[0] @ arrays[1] + arrays[2])
     for g, r in zip(grads, ref_grads):
         assert same_bytes(g, r)
 
@@ -76,6 +83,74 @@ def test_l1_norm_lasso_is_bitwise_the_absval_chain(shapes, seed, lam):
     assert same_bytes(value, ref_value)
     for g, r in zip(grads, ref_grads):
         assert same_bytes(g, r)
+
+
+def reference_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_softmax_vjp(g, y):
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return (g - dot) * y
+
+
+def same_bytes_or_nan(a, b) -> bool:
+    """Byte equality, except that NaN matches NaN of any payload."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and same_bytes(a[~nan], b[~nan]))
+
+
+# ties, signed zeros, exp's overflow and underflow edges, infinities, NaN
+SOFTMAX_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 709.0, 710.0, -745.0,
+                     1e308, -1e308, np.inf, -np.inf, np.nan]),
+    st.floats(min_value=-50.0, max_value=50.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       shape=st.one_of(
+           st.tuples(st.integers(0, 5), st.integers(1, 17)),
+           st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 17))),
+       shift=st.sampled_from([0.0, 1e3, -1e6, 1e15]))
+def test_softmax_rows_is_bitwise_the_numpy_expressions(data, shape, shift):
+    x = data.draw(hnp.arrays(np.float64, shape, elements=SOFTMAX_CELLS)) + shift
+    g = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-10, 10)))
+    x_copy, g_copy = x.copy(), g.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = E.softmax_rows(x)
+        (gx,) = out.vjp(g)
+        want = reference_softmax(x_copy)
+        want_gx = reference_softmax_vjp(g_copy, want)
+    assert same_bytes_or_nan(out.value, want)
+    assert same_bytes_or_nan(gx, want_gx)
+    # neither the operand nor the cotangent it was handed is written
+    assert same_bytes_or_nan(x, x_copy) and same_bytes_or_nan(g, g_copy)
+
+
+def test_softmax_rows_vjp_leaves_a_shared_cotangent_alone():
+    # add's VJP hands one cotangent array to both softmax nodes
+    rng = np.random.default_rng(0)
+    arrays = [rng.normal(size=(5, 3, 4)) for _ in range(2)]
+    up = rng.normal(size=(5, 3, 4))
+    _, grads = run_graph(lambda a, b: E.add(E.softmax_rows(a), E.softmax_rows(b)),
+                         arrays, up)
+    for a, g in zip(arrays, grads):
+        assert same_bytes(g, reference_softmax_vjp(up, reference_softmax(a)))
+
+
+def test_softmax_rows_peak_memory_is_about_its_output():
+    x = np.random.default_rng(0).normal(size=(2048, 16, 16))
+    tracemalloc.start()
+    try:
+        out = E.softmax_rows(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.value.nbytes, f"peak {peak / out.value.nbytes:.2f}x"
 
 
 def test_backward_keeps_grad_on_leaves_only():

@@ -113,6 +113,29 @@ def test_infer_is_forward_within_one_chunk(variant, input_dim):
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_infer_runs_only_the_layers_predictions_read(variant, monkeypatch):
+    # the decoder and the aux output layer feed only the losses; the aux
+    # hidden layers stay where attention reads them
+    model = model_for(variant)
+    layer_of = {id(t): name.rsplit(".", 1)[0] for name, t in model.params.items()}
+    read, dense = set(), E.dense
+
+    def spy(x, w, b):
+        read.add(layer_of[id(w)])
+        return dense(x, w, b)
+
+    monkeypatch.setattr(E, "dense", spy)
+    model.infer(features(10))
+    layers = {name.rsplit(".", 1)[0] for name in model.params.names()
+              if name.endswith(".b")}
+    skipped = {layer for layer in layers
+               if layer.startswith("decoder.") or layer == "aux_head_out"
+               or (layer.startswith("aux_head.")
+                   and not model.spec.attention_enabled)}
+    assert read == layers - skipped
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_infer_is_concatenated_chunk_forwards(variant):
     model, X = model_for(variant), features(3 * INFER_CHUNK + 5)
     chunks = [values(model.forward(X[i:i + INFER_CHUNK], train_mode=False))

@@ -208,6 +208,21 @@ def test_read_grid_malformed(tmp_path):
         read_stats_grid(str(p))
 
 
+@pytest.mark.parametrize("text", [
+    "model,dataset,metric,direction,mu,se\nm,d,ACC,upward,0.9,0.01\n",
+    "model,dataset,metric,direction,mu,se\nm,d,ACC,higher,0.9\n",
+    "model,dataset,metric,direction,mu,se\nm,d,ACC,higher,high,0.01\n",
+    "model,dataset,metric,direction,mu,se\nm,d,ACC,higher,nan,0.01\n",
+    "model,dataset,metric,direction,fold_1,fold_2\nm,d,ACC,higher,0.9,x\n",
+], ids=["direction", "field_count", "mu_text", "non_finite", "fold_text"])
+def test_read_grid_row_errors_name_the_file(tmp_path, text):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(DataError) as info:
+        read_stats_grid(str(p))
+    assert str(info.value).startswith(f"{p}: line 2: ")
+
+
 def test_render_table_contains_all_cells():
     grid = reference_grid()
     scores = compute_selection(grid, ORDER)

@@ -9,8 +9,10 @@ of its ``history*.csv`` text and of every ``Predictions`` field that
 ``cloudmtl kfold`` of its default variants, and prints for each one SHA-256
 over every file the run writes. Last, for each of ABI, OCI and VIIRS it
 prints the SHA-256 of the bytes ``cloudmtl gen-data`` writes and of every
-column ``load_csv`` reads back from them. Run it on two trees and diff the
-output:
+column ``load_csv`` reads back from them, and for each variant, built
+untrained at OCI input width, the SHA-256 of every ``Predictions`` field
+``models.predict`` gives on 5,000 random rows (three inference chunks).
+Run it on two trees and diff the output:
 
     PYTHONPATH=src python3 tools/digest.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/digest.py > before.txt
@@ -171,12 +173,31 @@ def csv_digests() -> list[str]:
     return lines
 
 
+#: rows of the OCI-width predict digest: two full inference chunks and a part
+N_INFER_ROWS = 5000
+
+
+def infer_digests() -> list[str]:
+    """SHA-256 of ``predict`` per variant on random OCI-width rows."""
+    dim = get_sensor("OCI").feature_dim
+    X = np.random.default_rng(DATA_SEED).standard_normal((N_INFER_ROWS, dim))
+    lines = []
+    for variant in sorted(VARIANTS):
+        model = build_model(ArchitectureSpec(variant=variant, input_dim=dim),
+                            seed=1)
+        lines.append(f"predict OCI {variant} n={N_INFER_ROWS} "
+                     f"predictions={fields_sha256(predict(model, X))}")
+    return lines
+
+
 def main() -> None:
     for line in training_digests():
         print(line, flush=True)
     for line in cli_digests():
         print(line, flush=True)
     for line in csv_digests():
+        print(line, flush=True)
+    for line in infer_digests():
         print(line, flush=True)
 
 
