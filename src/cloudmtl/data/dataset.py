@@ -123,7 +123,7 @@ class PixelDataset:
             onehot,
             self.view_zenith, self.solar_zenith, self.rel_azimuth,
             self.reflectance,
-        ]).astype(np.float64)
+        ]).astype(np.float64, copy=False)
 
     # label helpers (float vectors, ready for loss arithmetic)
     def l_cloud(self) -> np.ndarray:
@@ -182,11 +182,12 @@ class Standardizer:
             raise DataError(
                 f"feature dimension {features.shape[1]} does not match "
                 f"standardizer dimension {self.mean.shape[0]}")
-        return (features - self.mean) / self.scale
+        out = features - self.mean
+        out /= self.scale
+        return out
 
     def to_dict(self) -> dict:
-        return {"mean": [float(x) for x in self.mean],
-                "scale": [float(x) for x in self.scale]}
+        return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardizer":

@@ -24,6 +24,7 @@ from .tensor import (
     softmax_rows,
     outer_rows,
     bmatvec,
+    attention_mix,
     col,
     as_column,
     backward,
@@ -39,8 +40,8 @@ __all__ = [
     "Tensor", "constant", "add", "sub", "mul", "div", "neg", "matmul",
     "transpose", "dense", "activation", "relu", "sigmoid", "clamped_sigmoid",
     "clamp", "log", "absval", "l1_norm", "reduce_sum", "reduce_mean",
-    "softmax_rows", "outer_rows", "bmatvec", "col", "as_column", "backward",
-    "no_grad", "PROB_EPS",
+    "softmax_rows", "outer_rows", "bmatvec", "attention_mix", "col",
+    "as_column", "backward", "no_grad", "PROB_EPS",
     "ParamStore", "glorot_uniform",
     "TrainConfig", "AdamState", "optimizer_step", "global_grad_norm",
     "GradCheckReport", "finite_diff_check",

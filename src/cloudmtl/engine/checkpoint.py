@@ -101,7 +101,7 @@ def save_checkpoint(path: str, params: ParamStore,
             "rows": rows,
             "cols": cols,
             "bias": params.is_bias(name),
-            "values": [float(x) for x in v.reshape(-1)],
+            "values": v.reshape(-1).tolist(),
         })
     doc = {
         "format_version": 1,

@@ -27,7 +27,9 @@ Design constraints honored throughout:
   (purity: repeated forward on the same inputs is bitwise identical); an
   op may build its own fresh result in place (``dense`` adds its bias into
   the product, ``softmax_rows`` shifts, exponentiates and normalizes in one
-  buffer);
+  buffer, and ``attention_mix`` does the same in its score buffer);
+* a fused node (``dense``, ``l1_norm``, ``attention_mix``) gives bitwise
+  the value and cotangents of the chain of ops it replaces;
 * softmax subtracts the row max before exponentiation so any finite input
   row produces a row summing to 1;
 * probabilities destined for logarithms are clamped to
@@ -438,6 +440,57 @@ def bmatvec(m, v) -> Tensor:
         return dm, dv
 
     return Tensor(out_val, (m, v), vjp)
+
+
+def attention_mix(q, k, v) -> Tensor:
+    """Per-row attention: (n, d), (n, e), (n, e) -> (n, d).
+
+    One graph node whose value and cotangents are bitwise those of
+    ``bmatvec(softmax_rows(outer_rows(q, k)), v)``: the scores come from
+    ``outer_rows``' einsum and are shifted, exponentiated and normalized in
+    that one buffer, and the VJP replays the VJP expressions of
+    ``bmatvec``, ``softmax_rows`` and ``outer_rows`` in that order.
+
+    When ``q`` and ``k`` are finite, the max of score row ``(i, p)`` is
+    ``q[i, p] * max_q k[i, q]`` where ``q[i, p] >= 0`` and
+    ``q[i, p] * min_q k[i, q]`` elsewhere, with no scan of the scores.
+    Rounding a product with a fixed factor is monotone, so the extreme key
+    gives the largest rounded product; a max of either zero sign gives the
+    same ``exp``. Non-finite operands (``inf * 0`` is NaN) fall back to
+    :func:`_row_max` over the scores, so floating-point warnings are the
+    chain's too.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    qv, kv, vv = q.value, k.value, v.value
+    if qv.ndim != 2 or kv.ndim != 2 or kv.shape != vv.shape \
+            or qv.shape[0] != kv.shape[0]:
+        raise DimensionError(
+            f"attention_mix expects (n,d),(n,e),(n,e), got {qv.shape}, "
+            f"{kv.shape} and {vv.shape}")
+    y = np.einsum("ip,iq->ipq", qv, kv)
+    if kv.shape[1] and np.isfinite(qv).all() and np.isfinite(kv).all():
+        with np.errstate(over="ignore", under="ignore"):  # as silent as einsum
+            row_max = qv * np.where(qv >= 0.0, _row_max(kv), -_row_max(-kv))
+        row_max = row_max[:, :, None]
+    else:
+        row_max = _row_max(y)
+    np.subtract(y, row_max, out=y)
+    np.exp(y, out=y)
+    np.divide(y, y.sum(axis=-1, keepdims=True), out=y)
+    out_val = np.einsum("ipq,iq->ip", y, vv)
+
+    def vjp(g):
+        dm = np.einsum("ip,iq->ipq", g, vv)
+        dv = np.einsum("ipq,ip->iq", y, g)
+        gy = dm * y
+        dot = gy.sum(axis=-1, keepdims=True)
+        np.subtract(dm, dot, out=gy)
+        np.multiply(gy, y, out=gy)
+        dq = np.einsum("ipq,iq->ip", gy, kv)
+        dk = np.einsum("ipq,ip->iq", gy, qv)
+        return dq, dk, dv
+
+    return Tensor(out_val, (q, k, v), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,14 @@ def acc_binary(true_positive: np.ndarray, pred_positive: np.ndarray) -> float:
 
 def _pr_points(scores: np.ndarray, labels: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Recall and precision at each distinct descending score threshold."""
-    order = np.argsort(-scores, kind="stable")
+    """Recall and precision at each distinct descending score threshold.
+
+    The sort need not be stable: each tie group is cut at its last index,
+    where the cumulative sums count the whole group whatever its inner
+    order. Scores are finite (checked by ``_validate_binary``), and ±0
+    compare equal, so they share a group.
+    """
+    order = np.argsort(-scores)
     s = scores[order]
     y = labels[order]
     tp_cum = np.cumsum(y)

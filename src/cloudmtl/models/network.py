@@ -64,7 +64,11 @@ def cross_attention(theta1, theta2, w_q, w_k, w_v, w_z) -> Tensor:
     """Attention-refined regression features; see the module docstring.
 
     ``theta1``/``theta2`` are (n, d); the four matrices are (d, d). Accepts
-    Tensors or plain arrays (arrays are wrapped as constants).
+    Tensors or plain arrays (arrays are wrapped as constants). Scores,
+    softmax and mixing are the one node :func:`engine.attention_mix`; the
+    projections and the residual stay separate ``E.<op>`` calls, so a
+    tracer that wraps engine ops by name still sees the ``attn`` layer.
+    Training and inference run this same path.
     """
     theta1, theta2, w_q, w_k, w_v, w_z = (
         t if isinstance(t, Tensor) else E.constant(t)
@@ -81,9 +85,7 @@ def cross_attention(theta1, theta2, w_q, w_k, w_v, w_z) -> Tensor:
     q = E.matmul(theta2, E.transpose(w_q))
     k = E.matmul(theta1, E.transpose(w_k))
     v = E.matmul(theta1, E.transpose(w_v))
-    scores = E.outer_rows(q, k)          # (n, d, d), no scaling
-    attn = E.softmax_rows(scores)        # row-normalized per pixel
-    mixed = E.bmatvec(attn, v)           # (n, d)
+    mixed = E.attention_mix(q, k, v)     # (n, d); (n, d, d) scores, no scaling
     return E.add(E.matmul(mixed, E.transpose(w_z)), theta1)
 
 

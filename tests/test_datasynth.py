@@ -1,9 +1,11 @@
 """Synthetic pixel generator: determinism, ranges, and learnable structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cloudmtl.data import generate_dataset, get_sensor
+from cloudmtl.data import SURFACE_TYPES, Standardizer, generate_dataset, get_sensor
 from cloudmtl.errors import ConfigError
 
 
@@ -86,3 +88,44 @@ def test_feature_matrix_shape_and_order(abi):
     assert np.array_equal(onehot.sum(axis=1), np.ones(50))
     assert np.array_equal(X[:, 7], ds.view_zenith)
     assert np.array_equal(X[:, 10:], ds.reflectance)
+
+
+def copying_feature_matrix(ds):
+    """The column stack as first written, with a final float64 copy."""
+    n = len(ds)
+    onehot = np.zeros((n, len(SURFACE_TYPES)), dtype=np.float64)
+    onehot[np.arange(n), ds.surface] = 1.0
+    return np.column_stack([
+        ds.pressure, ds.water_vapor, ds.ozone, onehot,
+        ds.view_zenith, ds.solar_zenith, ds.rel_azimuth, ds.reflectance,
+    ]).astype(np.float64)
+
+
+def test_feature_matrix_and_standardize_bytes_are_the_copying_expressions(abi):
+    ds = generate_dataset(abi, 3000, seed=12)
+    X = ds.feature_matrix()
+    ref = copying_feature_matrix(ds)
+    assert X.dtype == ref.dtype and X.tobytes() == ref.tobytes()
+    std = Standardizer.fit(X[:2000])
+    assert std.transform(X).tobytes() == ((X - std.mean) / std.scale).tobytes()
+
+
+def _peak_above_start(fn, *args):
+    """(result, peak bytes tracemalloc saw above the start of one call)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_feature_matrix_and_standardize_peak_is_about_the_result(abi):
+    ds = generate_dataset(abi, 50_000, seed=12)
+    X, peak = _peak_above_start(ds.feature_matrix)
+    # the one-hot block is a quarter of the ABI matrix
+    assert peak < 1.35 * X.nbytes, f"feature_matrix {peak / X.nbytes:.2f}x"
+    std = Standardizer.fit(X)
+    out, peak = _peak_above_start(std.transform, X)
+    assert peak < 1.1 * out.nbytes, f"transform {peak / out.nbytes:.2f}x"

@@ -1,10 +1,10 @@
 """Bitwise equivalence of the fused engine paths with their compositions.
 
-The fused ``dense`` and ``l1_norm`` nodes, the fused loss nodes (binary
-cross entropy and the hierarchical ``l_hc``, each with the probability
-clamp inside) and the flat-vector Adam step must reproduce the unfused
-graph and the per-parameter update byte for byte, so trained weights do
-not change. The in-place ``dense`` bias and the one-buffer
+The fused ``dense``, ``l1_norm`` and ``attention_mix`` nodes, the fused
+loss nodes (binary cross entropy and the hierarchical ``l_hc``, each with
+the probability clamp inside) and the flat-vector Adam step must reproduce
+the unfused graph and the per-parameter update byte for byte, so trained
+weights do not change. The in-place ``dense`` bias and the one-buffer
 ``softmax_rows`` must give the bytes of the numpy expressions they
 replace, and softmax must write neither its operand nor its cotangent.
 Every equivalence here is on raw bytes, never ``allclose``; the fused
@@ -12,6 +12,7 @@ loss nodes' VJPs are also checked against central differences.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,10 @@ def unfused_l1_norm(tensors):
         s = E.reduce_sum(E.absval(t))
         acc = s if acc is None else E.add(acc, s)
     return acc
+
+
+def unfused_attention_mix(q, k, v):
+    return E.bmatvec(E.softmax_rows(E.outer_rows(q, k)), v)
 
 
 def run_graph(fn, arrays, upstream):
@@ -151,6 +156,62 @@ def test_softmax_rows_peak_memory_is_about_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * out.value.nbytes, f"peak {peak / out.value.nbytes:.2f}x"
+
+
+# zeros of both signs, ties, subnormals and products that overflow to ±inf
+ATTENTION_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 5e-324, -3e-310, 1e-160,
+                     -1e-160, 1e160, -1e160, 1e300, -1e300]),
+    st.floats(min_value=-30.0, max_value=30.0))
+NON_FINITE_CELLS = st.one_of(ATTENTION_CELLS,
+                             st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+def attention_graph(fn, q, k, v, g):
+    """Value, operand cotangents and the floating-point warnings, in order,
+    of one forward and backward of ``fn``."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        value, grads = run_graph(fn, [q, k, v], g)
+    return value, grads, [str(w.message) for w in caught]
+
+
+def assert_attention_mix_is_the_chain(q, k, v, g):
+    value, grads, warned = attention_graph(E.attention_mix, q, k, v, g)
+    want, want_grads, want_warned = attention_graph(unfused_attention_mix,
+                                                    q, k, v, g)
+    assert same_bytes_or_nan(value, want)
+    for got, ref in zip(grads, want_grads):
+        assert same_bytes_or_nan(got, ref)
+    assert warned == want_warned
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 4), d=st.integers(1, 5),
+       e=st.integers(1, 6), finite=st.booleans(), tied=st.booleans())
+def test_attention_mix_is_bitwise_the_unfused_chain(data, n, d, e, finite, tied):
+    cells = ATTENTION_CELLS if finite else NON_FINITE_CELLS
+    q = data.draw(hnp.arrays(np.float64, (n, d), elements=cells))
+    k = data.draw(hnp.arrays(np.float64, (n, e), elements=cells))
+    if tied:
+        k[:, e // 2:] = k[:, :1]
+    v = data.draw(hnp.arrays(np.float64, (n, e), elements=st.floats(-10, 10)))
+    g = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-10, 10)))
+    assert_attention_mix_is_the_chain(q, k, v, g)
+    # no operand and no cotangent is written
+    copies = [a.copy() for a in (q, k, v, g)]
+    with np.errstate(all="ignore"):
+        E.attention_mix(q, k, v).vjp(g)
+    for a, c in zip((q, k, v, g), copies):
+        assert same_bytes_or_nan(a, c)
+
+
+def test_attention_mix_non_finite_operands_warn_as_the_chain():
+    # 0 * inf: a max from the extreme keys would warn where the chain does not
+    q = np.array([[0.0, -1.5], [np.inf, 2.0], [np.nan, 0.5]])
+    k = np.array([[np.inf, 1.0, -2.0], [0.0, 3.0, 3.0], [1.0, -1.0, 0.0]])
+    v = np.arange(9.0).reshape(3, 3)
+    assert_attention_mix_is_the_chain(q, k, v, np.ones((3, 2)))
 
 
 def test_backward_keeps_grad_on_leaves_only():
@@ -275,7 +336,7 @@ def _train(variant):
 @pytest.mark.parametrize("variant", ["MT-HCCAR", "SEQ"])
 def test_training_matches_unfused_graph(variant, monkeypatch):
     weights, histories = _train(variant)
-    calls = {"dense": 0, "l1_norm": 0}
+    calls = {"dense": 0, "l1_norm": 0, "attention_mix": 0}
 
     def counted(name, fn):
         def wrapped(*args):
@@ -286,8 +347,12 @@ def test_training_matches_unfused_graph(variant, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(E, "dense", counted("dense", unfused_dense))
         mp.setattr(E, "l1_norm", counted("l1_norm", unfused_l1_norm))
+        mp.setattr(E, "attention_mix",
+                   counted("attention_mix", unfused_attention_mix))
         ref_weights, ref_histories = _train(variant)
     assert calls["dense"] > 0 and calls["l1_norm"] > 0
+    # theta1 feeds k, v and the residual: its cotangents sum in chain order
+    assert (calls["attention_mix"] > 0) == (variant == "MT-HCCAR")
     assert histories == ref_histories
     assert list(weights) == list(ref_weights)
     for name in weights:

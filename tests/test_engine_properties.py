@@ -208,6 +208,15 @@ def test_batched_products(n, d, e, seed):
               seed=seed)
 
 
+@covers("attention_mix")
+@EXAMPLES
+@given(n=dims, d=dims, e=dims, seed=seeds)
+def test_attention_mix(n, d, e, seed):
+    rng = np.random.default_rng(seed)
+    check_vjp(E.attention_mix, rng.normal(size=(n, d)), rng.normal(size=(n, e)),
+              rng.normal(size=(n, e)), seed=seed)
+
+
 @covers("col", "as_column")
 @EXAMPLES
 @given(n=dims, k=dims, seed=seeds, data=st.data())

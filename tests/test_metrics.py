@@ -129,6 +129,39 @@ def test_weighted_auprc_equals_pooled_brute_force():
         assert got == pytest.approx(want, abs=1e-10), f"trial {trial}"
 
 
+def stable_sort_auprc(scores, labels):
+    """The PR-curve area as computed with a stable sort of the scores."""
+    order = np.argsort(-scores, kind="stable")
+    s, y = scores[order], labels[order]
+    tp_cum = np.cumsum(y)
+    n_cum = np.arange(1, s.size + 1, dtype=np.float64)
+    group_end = np.append(np.flatnonzero(np.diff(s) != 0), s.size - 1)
+    recall = tp_cum[group_end] / tp_cum[-1]
+    precision = tp_cum[group_end] / n_cum[group_end]
+    prev_r = np.concatenate(([0.0], recall[:-1]))
+    return float(np.sum((recall - prev_r) * precision))
+
+
+def test_auprc_is_bitwise_the_stable_sort_curve():
+    """Tie groups of hundreds, both zero signs among them; single and pooled."""
+    rng = np.random.default_rng(12)
+    values = np.array([-0.0, 0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0])
+    for trial in range(30):
+        problems = []
+        for _ in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(20, 2000))
+            labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(float)
+            labels[0] = 1.0
+            problems.append((rng.choice(values, size=n), labels))
+        scores, labels = problems[0]
+        assert auprc_class(scores, labels).hex() == \
+            stable_sort_auprc(scores, labels).hex(), f"trial {trial}"
+        pooled_s = np.concatenate([s for s, _ in problems])
+        pooled_l = np.concatenate([l for _, l in problems])
+        assert auprc_weighted(problems).hex() == \
+            stable_sort_auprc(pooled_s, pooled_l).hex(), f"trial {trial}"
+
+
 # ------------------------------------------------------------------ regression
 
 def test_mse_hand_case():

@@ -193,7 +193,7 @@ STEP_GRAPH = {
     "MT-CR": (72, 26),
     "MT-HCR": (76, 30),
     "MT-HCCR": (89, 34),
-    "MT-HCCAR": (105, 38),
+    "MT-HCCAR": (103, 38),
     "SEQ": ((33, 12), (33, 12), (31, 14)),
 }
 

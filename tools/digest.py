@@ -11,7 +11,10 @@ over every file the run writes. Last, for each of ABI, OCI and VIIRS it
 prints the SHA-256 of the bytes ``cloudmtl gen-data`` writes and of every
 column ``load_csv`` reads back from them, and for each variant, built
 untrained at OCI input width, the SHA-256 of every ``Predictions`` field
-``models.predict`` gives on 5,000 random rows (three inference chunks).
+``models.predict`` gives on 5,000 random rows (three inference chunks), and
+the SHA-256 of the ``EvalReport`` JSON ``workflow.evaluate_model`` gives on
+5,000 generated OCI pixels, whose near-tied untrained scores put the
+attention of every chunk and the pooled PR curve inside the check.
 Run it on two trees and diff the output:
 
     PYTHONPATH=src python3 tools/digest.py > after.txt
@@ -38,7 +41,7 @@ import tempfile
 
 import numpy as np
 
-from cloudmtl import cli
+from cloudmtl import cli, workflow
 from cloudmtl.data import Standardizer, generate_dataset, get_sensor, load_csv
 from cloudmtl.engine import TrainConfig
 from cloudmtl.models import (
@@ -190,6 +193,22 @@ def infer_digests() -> list[str]:
     return lines
 
 
+def report_digests() -> list[str]:
+    """SHA-256 of ``evaluate_model``'s report per untrained variant on
+    ``N_INFER_ROWS`` generated OCI pixels."""
+    ds = generate_dataset(get_sensor("OCI"), N_INFER_ROWS, seed=DATA_SEED)
+    std = Standardizer.fit(ds.feature_matrix())
+    lines = []
+    for variant in sorted(VARIANTS):
+        model = build_model(
+            ArchitectureSpec(variant=variant, input_dim=ds.feature_dim), seed=1)
+        _, report = workflow.evaluate_model(model, std, ds)
+        report_sha = hashlib.sha256(report.to_json().encode()).hexdigest()
+        lines.append(f"evaluate OCI {variant} n={N_INFER_ROWS} "
+                     f"report={report_sha}")
+    return lines
+
+
 def main() -> None:
     for line in training_digests():
         print(line, flush=True)
@@ -198,6 +217,8 @@ def main() -> None:
     for line in csv_digests():
         print(line, flush=True)
     for line in infer_digests():
+        print(line, flush=True)
+    for line in report_digests():
         print(line, flush=True)
 
 
