@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .atomic import atomic_write
 from .data import SplitPlan, generate_dataset, get_sensor, load_csv, save_csv
@@ -62,6 +63,26 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
+def _section(file_cfg: dict, key: str) -> dict:
+    """A copy of one ``--config`` section, which must be a JSON object."""
+    doc = file_cfg.get(key, {})
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{key} must be an object, got {doc!r}")
+    return dict(doc)
+
+
+@contextmanager
+def _naming_config(path: str | None):
+    """Prefix a ConfigError raised while merging ``--config`` with the flags
+    with the file's path."""
+    try:
+        yield
+    except ConfigError as e:
+        if path is None:
+            raise
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def _add_arch_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--encoder-widths", default=None,
                    help="comma-separated encoder widths (default 128,64,32)")
@@ -94,7 +115,7 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
 
 def _spec_from_args(args: argparse.Namespace, variant: str, input_dim: int,
                     file_cfg: dict) -> ArchitectureSpec:
-    doc = dict(file_cfg.get("architecture", {}))
+    doc = _section(file_cfg, "architecture")
     doc["variant"] = variant
     doc["input_dim"] = input_dim
     if args.encoder_widths is not None:
@@ -115,7 +136,7 @@ def _spec_from_args(args: argparse.Namespace, variant: str, input_dim: int,
 
 
 def _train_config_from_args(args: argparse.Namespace, file_cfg: dict) -> TrainConfig:
-    doc = dict(file_cfg.get("train", {}))
+    doc = _section(file_cfg, "train")
     for key, val in (("lr", args.lr), ("epochs", args.epochs),
                      ("batch_size", args.batch_size),
                      ("clip_norm", args.clip_norm), ("seed", args.seed)):
@@ -125,7 +146,7 @@ def _train_config_from_args(args: argparse.Namespace, file_cfg: dict) -> TrainCo
 
 
 def _split_plan_from_args(args: argparse.Namespace, file_cfg: dict) -> SplitPlan:
-    doc = dict(file_cfg.get("split", {}))
+    doc = _section(file_cfg, "split")
     for key, val in (("train", args.train_frac), ("val", args.val_frac),
                      ("test", args.test_frac), ("seed", args.split_seed)):
         if val is not None:
@@ -176,9 +197,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     ds = _load_dataset(args)
-    spec = _spec_from_args(args, args.variant, ds.feature_dim, file_cfg)
-    config = _train_config_from_args(args, file_cfg)
-    plan = _split_plan_from_args(args, file_cfg)
+    with _naming_config(args.config):
+        spec = _spec_from_args(args, args.variant, ds.feature_dim, file_cfg)
+        config = _train_config_from_args(args, file_cfg)
+        plan = _split_plan_from_args(args, file_cfg)
     result = workflow.run_training(
         ds, spec, config, plan, outdir=args.outdir,
         dump_scatter=args.dump_scatter, sensor_name=ds.sensor.name,
@@ -205,9 +227,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     ds = _load_dataset(args)
     variants = _parse_name_list(args.variants, "variant")
-    specs = [_spec_from_args(args, v, ds.feature_dim, file_cfg) for v in variants]
-    config = _train_config_from_args(args, file_cfg)
-    plan = _split_plan_from_args(args, file_cfg)
+    with _naming_config(args.config):
+        specs = [_spec_from_args(args, v, ds.feature_dim, file_cfg) for v in variants]
+        config = _train_config_from_args(args, file_cfg)
+        plan = _split_plan_from_args(args, file_cfg)
     results = workflow.run_ablation(ds, specs, config, plan,
                                     outdir=args.outdir, sensor_name=ds.sensor.name)
     for v in variants:
@@ -223,8 +246,9 @@ def cmd_kfold(args: argparse.Namespace) -> int:
     ds = _load_dataset(args)
     label = args.dataset_label or ds.sensor.name
     variants = _parse_name_list(args.variants, "variant")
-    specs = [_spec_from_args(args, v, ds.feature_dim, file_cfg) for v in variants]
-    config = _train_config_from_args(args, file_cfg)
+    with _naming_config(args.config):
+        specs = [_spec_from_args(args, v, ds.feature_dim, file_cfg) for v in variants]
+        config = _train_config_from_args(args, file_cfg)
     result = workflow.run_kfold(ds, specs, config, args.k,
                                 outdir=args.outdir, dataset_label=label)
     grid_path = os.path.join(args.outdir, "fold_values.csv")

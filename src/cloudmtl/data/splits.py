@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_number
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,10 @@ class SplitPlan:
     seed: int = 0
 
     def validate(self) -> None:
+        check_number("seed", self.seed, integer=True)
         for name, frac in (("train", self.train), ("val", self.val),
                            ("test", self.test)):
+            check_number(f"{name} fraction", frac)
             if not (0.0 <= frac <= 1.0) or not math.isfinite(frac):
                 raise ConfigError(f"{name} fraction must be in [0, 1], got {frac}")
         if self.train + self.val + self.test > 1.0 + 1e-12:

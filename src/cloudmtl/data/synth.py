@@ -64,7 +64,9 @@ def generate_dataset(sensor: SensorConfig, n: int, seed: int,
 
     ``priors`` are the (clear, liquid, ice) class probabilities; they must be
     non-negative and sum to 1. ``noise_sd`` is the per-band reflectance noise
-    standard deviation (0 gives the noiseless closed form).
+    standard deviation (0 gives the noiseless closed form). The (n, B)
+    reflectance is built in place in two buffers, with the closed form's
+    expressions in their order, so peak memory is about twice the result.
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
@@ -92,22 +94,29 @@ def generate_dataset(sensor: SensorConfig, n: int, seed: int,
     cot_log10 = np.where(label == LABEL_CLEAR, np.nan, cot)
 
     lam = np.asarray(sensor.band_centers_nm, dtype=np.float64)
-    albedo = _surface_albedo_table(lam)[surface]            # (n, B)
     g = np.where(label == LABEL_CLEAR, 0.0, cloud_growth(np.nan_to_num(cot_log10)))
     swir = _sig((lam - 1450.0) / 100.0)                     # (B,)
     absorb = np.zeros(n)
     absorb[label == LABEL_LIQUID] = 0.35
     absorb[label == LABEL_ICE] = 0.75
-    phase_factor = 1.0 - absorb[:, None] * swir[None, :]    # (n, B)
-
-    cloud_term = 0.75 * g[:, None] * phase_factor
-    surface_term = albedo * (1.0 - 0.85 * g[:, None])
     illum = 0.75 + 0.25 * np.cos(np.radians(solar_zenith))
     view_factor = 1.0 - 0.08 * (1.0 - np.cos(np.radians(view_zenith)))
-    clean = (surface_term + cloud_term) * (illum * view_factor)[:, None]
 
-    noise = rng.normal(0.0, 1.0, size=(n, lam.size)) * noise_sd
-    reflectance = np.clip(clean + noise, 0.0, 1.5)
+    # Two (n, B) buffers, each product written in place:
+    # cloud = 0.75 g (1 - absorb swir),  refl = albedo (1 - 0.85 g) + cloud
+    cloud = absorb[:, None] * swir[None, :]
+    np.subtract(1.0, cloud, out=cloud)
+    cloud *= 0.75 * g[:, None]
+    refl = _surface_albedo_table(lam)[surface]
+    refl *= 1.0 - 0.85 * g[:, None]
+    refl += cloud
+    refl *= (illum * view_factor)[:, None]
+    del cloud
+    noise = rng.normal(0.0, 1.0, size=(n, lam.size))
+    noise *= noise_sd
+    refl += noise
+    del noise
+    reflectance = np.clip(refl, 0.0, 1.5, out=refl)
 
     ds = PixelDataset(
         sensor=sensor, pressure=pressure, water_vapor=water_vapor, ozone=ozone,

@@ -119,7 +119,10 @@ def load_checkpoint(path: str) -> dict:
     """Read a checkpoint; returns the document with values as float64 arrays.
 
     The returned dict has keys ``format_version``, ``architecture``,
-    ``config``, ``extras`` and ``values`` (name -> ndarray).
+    ``config``, ``extras`` and ``values`` (name -> ndarray). A file that is
+    not UTF-8 JSON, or a parameter entry that is not an object with integer
+    ``rows``/``cols`` and as many finite values, raises :class:`DataError`
+    naming the path (and the parameter).
     """
     if not os.path.exists(path):
         raise DataError(f"checkpoint file not found: {path}")
@@ -128,23 +131,37 @@ def load_checkpoint(path: str) -> dict:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise DataError(f"checkpoint {path} is not valid JSON: {e}") from e
+        except UnicodeDecodeError as e:
+            raise DataError(f"checkpoint {path} is not UTF-8 text ({e.reason})") from None
     if not isinstance(doc, dict) or doc.get("format_version") != 1:
         raise DataError(
             f"checkpoint {path}: unsupported or missing format_version "
             f"{doc.get('format_version') if isinstance(doc, dict) else doc!r}")
+    entries = doc.get("parameters", [])
+    if not isinstance(entries, list):
+        raise DataError(f"checkpoint {path}: parameters must be a list")
     values: dict[str, np.ndarray] = {}
-    for entry in doc.get("parameters", []):
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DataError(f"checkpoint {path}: parameter entry {i} is not an object")
         for key in ("name", "rows", "cols", "values"):
             if key not in entry:
                 raise DataError(f"checkpoint {path}: parameter entry missing {key!r}")
         name = entry["name"]
-        rows, cols = int(entry["rows"]), int(entry["cols"])
-        vals = np.asarray(entry["values"], dtype=np.float64)
-        if vals.size != rows * cols:
+        where = f"checkpoint {path}: parameter {name!r}"
+        if not isinstance(name, str):
+            raise DataError(f"{where}: name must be a string")
+        try:
+            rows, cols = int(entry["rows"]), int(entry["cols"])
+            ndim = int(entry.get("ndim", 2))
+            vals = np.asarray(entry["values"], dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise DataError(f"{where}: {e}") from None
+        if min(rows, cols) < 0 or vals.size != rows * cols:
             raise DataError(
-                f"checkpoint {path}: parameter {name!r} declares {rows}x{cols} "
-                f"but carries {vals.size} values")
-        ndim = int(entry.get("ndim", 2))
+                f"{where} declares {rows}x{cols} but carries {vals.size} values")
+        if not np.isfinite(vals).all():
+            raise DataError(f"{where} has null or non-finite values")
         if ndim == 1:
             values[name] = vals.reshape(cols)
         else:

@@ -25,8 +25,11 @@ from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError, StateError
+from ..errors import ConfigError, NumericError, StateError, check_number
 from .params import ParamStore
+
+
+_INT_FIELDS = ("batch_size", "epochs", "seed")
 
 
 @dataclass
@@ -62,10 +65,16 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"train must be an object, got {d!r}")
         known = {f.name for f in fields(cls)}
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown training fields: {sorted(extra)}")
+        # types checked here, not in validate, which runs on every step
+        for name, value in d.items():
+            if value is not None or name != "clip_norm":
+                check_number(name, value, integer=name in _INT_FIELDS)
         cfg = cls(**d)
         cfg.validate()
         return cfg

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: configuration/data/usage problems exit
 with 2, runtime numeric failures with 1 (see cli.main).
 """
 
+import numbers
+
 
 class CloudMtlError(Exception):
     """Base class for package-specific errors."""
@@ -35,3 +37,12 @@ class DeterminismError(CloudMtlError, RuntimeError):
 
 class MetricUndefinedError(CloudMtlError, ValueError):
     """A metric has no defined value for the given inputs (e.g. no positives)."""
+
+
+def check_number(field: str, value, integer: bool = False) -> None:
+    """Raise :class:`ConfigError` naming ``field`` unless ``value`` is a real
+    number (an integer if ``integer``); a bool is neither."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{field} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")

@@ -25,6 +25,7 @@ from ..errors import DimensionError, MetricUndefinedError, NumericError
 
 
 def _validate_binary(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scores as float64 and the labels as bool, both checked."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 1 or labels.ndim != 1 or scores.shape != labels.shape:
@@ -34,10 +35,12 @@ def _validate_binary(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray
         raise MetricUndefinedError("PR curve undefined on empty input")
     if not np.all(np.isfinite(scores)):
         raise NumericError("scores contain non-finite values")
-    labels_f = labels.astype(np.float64)
-    if not np.all((labels_f == 0.0) | (labels_f == 1.0)):
-        raise DimensionError("labels must be binary (0/1)")
-    return scores, labels_f
+    if labels.dtype != bool:
+        labels_f = labels.astype(np.float64)
+        if not np.all((labels_f == 0.0) | (labels_f == 1.0)):
+            raise DimensionError("labels must be binary (0/1)")
+        labels = labels_f == 1.0
+    return scores, labels
 
 
 def acc_binary(true_positive: np.ndarray, pred_positive: np.ndarray) -> float:
@@ -56,25 +59,34 @@ def _pr_points(scores: np.ndarray, labels: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Recall and precision at each distinct descending score threshold.
 
+    ``scores`` are finite float64 and ``labels`` bool (``_validate_binary``).
     The sort need not be stable: each tie group is cut at its last index,
-    where the cumulative sums count the whole group whatever its inner
-    order. Scores are finite (checked by ``_validate_binary``), and ±0
-    compare equal, so they share a group.
+    where the cumulative counts cover the whole group whatever its inner
+    order, and ±0 compare equal, so they share a group. Beyond the curve it
+    holds one float and one integer array of the input's length; the counts
+    are integers, so recall and precision are exact quotients.
     """
-    order = np.argsort(-scores)
-    s = scores[order]
-    y = labels[order]
-    tp_cum = np.cumsum(y)
-    n_cum = np.arange(1, s.size + 1, dtype=np.float64)
-    # last index of each tie group
-    group_end = np.flatnonzero(np.diff(s) != 0)
-    group_end = np.append(group_end, s.size - 1)
-    total_pos = tp_cum[-1]
-    tp = tp_cum[group_end]
-    predicted = n_cum[group_end]
-    recall = tp / total_pos
-    precision = tp / predicted
-    return recall, precision
+    key = np.negative(scores)
+    order = np.argsort(key)
+    np.take(scores, order, out=key, mode="clip")  # descending; clip: unbuffered
+    tp_cum = order                                # the counts reuse the buffer
+    tp_cum[...] = labels[order]
+    np.cumsum(tp_cum, out=tp_cum)
+    is_end = np.append(key[1:] != key[:-1], True)  # last index of a tie group
+    del key
+    group_end = np.flatnonzero(is_end)
+    tp, total_pos = tp_cum[group_end], tp_cum[-1]
+    del tp_cum
+    group_end += 1                                # now the count called positive
+    return tp / total_pos, np.divide(tp, group_end)
+
+
+def _step_area(scores: np.ndarray, labels: np.ndarray) -> float:
+    """The step-rule area under ``_pr_points``' curve."""
+    recall, precision = _pr_points(scores, labels)
+    step = np.diff(recall, prepend=0.0)
+    step *= precision
+    return float(np.sum(step))
 
 
 def auprc_class(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -82,9 +94,7 @@ def auprc_class(scores: np.ndarray, labels: np.ndarray) -> float:
     scores, labels = _validate_binary(scores, labels)
     if labels.sum() == 0:
         raise MetricUndefinedError("AUPRC undefined without positive labels")
-    recall, precision = _pr_points(scores, labels)
-    prev_r = np.concatenate(([0.0], recall[:-1]))
-    return float(np.sum((recall - prev_r) * precision))
+    return _step_area(scores, labels)
 
 
 def auprc_weighted(class_problems: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
@@ -105,6 +115,4 @@ def auprc_weighted(class_problems: Sequence[tuple[np.ndarray, np.ndarray]]) -> f
     labels = np.concatenate(pooled_labels)
     if labels.sum() == 0:
         raise MetricUndefinedError("weighted AUPRC undefined without positive labels")
-    recall, precision = _pr_points(scores, labels)
-    prev_r = np.concatenate(([0.0], recall[:-1]))
-    return float(np.sum((recall - prev_r) * precision))
+    return _step_area(scores, labels)

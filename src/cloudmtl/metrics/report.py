@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, asdict
 
 from ..errors import MetricUndefinedError
-from ..data.dataset import PixelDataset, LABEL_ICE
+from ..data.dataset import PixelDataset, LABEL_ICE, LABEL_LIQUID
 from ..models.inference import Predictions
 from .classification import acc_binary, auprc_class, auprc_weighted
 from .regression import mse, r2
@@ -75,10 +75,10 @@ def evaluate_predictions(pred: Predictions, ds: PixelDataset) -> EvalReport:
     acc = acc_binary(true_cloudy, pred.cloudy)
 
     problems = {
-        "cloudy": (pred.score_cloud, ds.l_cloud()),
-        "clear": (pred.score_clear, ds.l_clear()),
-        "liquid": (pred.score_liquid, ds.l_liquid()),
-        "ice": (pred.score_ice, ds.l_ice()),
+        "cloudy": (pred.score_cloud, true_cloudy),
+        "clear": (pred.score_clear, ~true_cloudy),
+        "liquid": (pred.score_liquid, ds.label == LABEL_LIQUID),
+        "ice": (pred.score_ice, ds.label == LABEL_ICE),
     }
     au = {name: _maybe(auprc_class, s, l) for name, (s, l) in problems.items()}
     au_w = _maybe(auprc_weighted, list(problems.values()))

@@ -30,7 +30,7 @@ There is no 1/sqrt(d) scaling: S is the plain outer product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,11 +40,8 @@ from ..errors import DimensionError
 from .config import ArchitectureSpec, VARIANT_SEQ, VARIANT_MLP
 
 
-#: rows per forward in :meth:`Model.infer`
+#: rows per forward in :func:`forward_chunks`
 INFER_CHUNK = 2048
-
-#: the outputs hard predictions read; :meth:`Model.infer` keeps only these
-_INFER_FIELDS = ("u_cloud", "u_clear", "u_liquid", "u_ice", "y_cot_hat")
 
 
 @dataclass
@@ -58,6 +55,33 @@ class ModelOutputs:
     y_cot_hat: Tensor
     aux_probs: Tensor | None = None
     x_recon: Tensor | None = None
+
+
+def forward_chunks(forward, n: int):
+    """``forward(rows)`` on each ``INFER_CHUNK``-row slice of ``range(n)``
+    under :func:`engine.no_grad`, concatenated: every graph-free forward.
+
+    ``forward`` returns a Tensor or :class:`ModelOutputs`; the result is the
+    same kind, each array concatenated into a constant (None stays None).
+    Beyond the result, peak memory is one chunk's forward; an empty range
+    gets one empty call. Forward ops are row-independent, so this is
+    bitwise one forward over all rows until BLAS picks other kernels for
+    products of about 32k rows (an ulp); chunks of a few dozen rows could
+    differ too, so chunks stay in the thousands.
+    """
+    with E.no_grad():
+        parts = [forward(slice(start, start + INFER_CHUNK))
+                 for start in range(0, max(n, 1), INFER_CHUNK)]
+    return _concat(parts)
+
+
+def _concat(parts):
+    if isinstance(parts[0], Tensor):
+        return E.constant(np.concatenate([p.value for p in parts]))
+    return ModelOutputs(**{
+        f.name: None if getattr(parts[0], f.name) is None
+        else _concat([getattr(p, f.name) for p in parts])
+        for f in fields(ModelOutputs)})
 
 
 def cross_attention(theta1, theta2, w_q, w_k, w_v, w_z) -> Tensor:
@@ -193,32 +217,13 @@ class Model:
             y_cot_hat=y_cot, aux_probs=aux_probs, x_recon=x_recon)
 
     def infer(self, X: np.ndarray) -> ModelOutputs:
-        """Inference-mode outputs, ``INFER_CHUNK`` rows per forward.
-
-        Each chunk runs the inference-mode forward under
-        :func:`engine.no_grad`, so beyond the returned arrays peak memory is
-        one chunk's forward however many rows ``X`` has. It stops at the
-        five fields predictions read (no decoder, aux output layer or aux
-        softmax); those are concatenated as constants, and ``aux_probs``
-        and ``x_recon`` are None.
-
-        Every forward op is row-independent, so up to ``INFER_CHUNK`` rows
-        this is bitwise ``forward(X)``. Beyond that it is bitwise the
-        concatenated per-chunk forwards. Those can differ from one forward
-        over all rows by an ulp, because BLAS picks other kernels for
-        products of about 32k rows and more; chunks of a few dozen rows
-        can differ too, so the chunk size stays in the thousands.
-        """
+        """Inference-mode outputs by :func:`forward_chunks`, stopping at the
+        five fields predictions read (``aux_probs`` and ``x_recon`` are
+        None): bitwise ``forward(X)`` up to ``INFER_CHUNK`` rows, and the
+        concatenated per-chunk forwards beyond."""
         X = self._input(X)
-        chunks = []
-        with E.no_grad():
-            # an empty X still gets one (empty) forward and empty outputs
-            for start in range(0, max(len(X), 1), INFER_CHUNK):
-                out = self._forward(X[start:start + INFER_CHUNK], False,
-                                    full=False)
-                chunks.append([getattr(out, f).value for f in _INFER_FIELDS])
-        return ModelOutputs(**{f: E.constant(np.concatenate(values))
-                               for f, values in zip(_INFER_FIELDS, zip(*chunks))})
+        return forward_chunks(
+            lambda rows: self._forward(X[rows], False, full=False), len(X))
 
 
 class SequentialModel(Model):

@@ -31,7 +31,7 @@ from ..engine import (
 )
 from ..errors import ConfigError
 from .losses import LossTargets, compute_loss, stage_loss
-from .network import Model, SequentialModel
+from .network import Model, SequentialModel, forward_chunks
 
 HISTORY_COLUMNS = ("epoch", "l_cmask", "l_cphase", "l_reg", "l_caux",
                    "l_rec", "l_lasso", "total", "val_total")
@@ -93,13 +93,18 @@ def train_model(model: Model, train_targets: LossTargets, config: TrainConfig,
     if isinstance(model, SequentialModel):
         return _train_sequential(model, train_targets, config, val_targets)
     return TrainResult(histories={"model": _fit(
-        model.params, partial(_joint_loss, model), train_targets, val_targets,
-        config)})
+        model.params, partial(model.forward, train_mode=True),
+        partial(compute_loss, spec=model.spec, params=model.params),
+        train_targets, val_targets, config)})
 
 
-def _fit(params: ParamStore, loss_fn, train: LossTargets,
+def _fit(params: ParamStore, forward, loss, train: LossTargets,
          val: LossTargets | None, config: TrainConfig) -> list[EpochRecord]:
-    """Train ``params`` on ``loss_fn(batch) -> (total, LossBreakdown)``."""
+    """Train ``params`` on ``loss(forward(batch.x), batch) -> (total,
+    LossBreakdown)``, one recorded forward per batch. Each epoch's
+    validation runs ``forward`` by :func:`forward_chunks` and ``loss`` once
+    on the concatenated outputs: bitwise one forward's loss up to about 32k
+    rows, and the loss of the chunk forwards beyond, as predictions are."""
     rng = np.random.default_rng(config.seed)
     state = AdamState()
     records: list[EpochRecord] = []
@@ -107,7 +112,8 @@ def _fit(params: ParamStore, loss_fn, train: LossTargets,
         sums = np.zeros(7)
         batches = _batches(len(train), config.batch_size, rng)
         for idx in batches:
-            total, parts = loss_fn(train.take(idx))
+            batch = train.take(idx)
+            total, parts = loss(forward(batch.x), batch)
             params.zero_grads()
             backward(total)
             optimizer_step(params, config, state)
@@ -116,26 +122,18 @@ def _fit(params: ParamStore, loss_fn, train: LossTargets,
         val_total = None
         if val is not None and len(val) > 0:
             with no_grad():
-                val_total = loss_fn(val)[1].total
+                val_total = loss(forward_chunks(
+                    lambda rows: forward(val.x[rows]), len(val)), val)[1].total
         records.append(EpochRecord(epoch, *(sums / len(batches)),
                                    val_total=val_total))
     return records
 
 
-def _joint_loss(model: Model, batch: LossTargets):
-    outputs = model.forward(batch.x, train_mode=True)
-    return compute_loss(outputs, batch, model.spec, model.params)
-
-
-def _stage_loss(model: SequentialModel, net: str, batch: LossTargets):
-    out = model.stage_output(net, batch.x)
-    return stage_loss(net, out, batch, model.spec, model.subnet_params[net])
-
-
 def _stage_subset(model: SequentialModel, targets: LossTargets) -> np.ndarray:
     """Pixels for the phase/COT stages: predicted-cloudy intersect cloudy."""
-    with no_grad():
-        u_cloud = model.stage_output("mask_net", targets.x).value[:, 0]
+    u_cloud = forward_chunks(
+        lambda rows: model.stage_output("mask_net", targets.x[rows]),
+        len(targets)).value[:, 0]
     idx = np.flatnonzero((u_cloud >= model.spec.threshold) & targets.cloudy)
     if idx.size == 0:
         idx = np.flatnonzero(targets.cloudy)
@@ -151,8 +149,10 @@ def _train_sequential(model: SequentialModel, train_targets: LossTargets,
         if len(train) == 0:
             raise ConfigError(f"sequential stage {net} has no training pixels")
         histories[net] = _fit(model.subnet_params[net],
-                              partial(_stage_loss, model, net), train, val,
-                              config)
+                              partial(model.stage_output, net),
+                              partial(stage_loss, net, spec=model.spec,
+                                      params=model.subnet_params[net]),
+                              train, val, config)
         if net == "mask_net":
             train = train_targets.take(_stage_subset(model, train_targets))
             if val_targets is not None and len(val_targets):

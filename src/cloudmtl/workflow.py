@@ -31,7 +31,7 @@ from .data import (
     split_indices,
 )
 from .engine import TrainConfig, dumps_deterministic, load_checkpoint, save_checkpoint
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, StateError
 from .metrics import METRIC_COLUMNS, EvalReport, evaluate_predictions
 from .models import (
     ArchitectureSpec,
@@ -44,6 +44,7 @@ from .models import (
     predictions_from_outputs,
     train_model,
 )
+from .models.network import forward_chunks
 
 CONFIG_NAME = "config.json"
 CHECKPOINT_NAME = "checkpoint.json"
@@ -69,10 +70,19 @@ def _check_feature_dim(ds: PixelDataset, spec: ArchitectureSpec) -> None:
 
 def evaluate_model(model: Model, standardizer: Standardizer,
                    ds: PixelDataset) -> tuple[Predictions, EvalReport]:
-    """Standardize, run inference, and score against the labels."""
+    """Standardize, run inference, and score against the labels.
+
+    Features are assembled, standardized and inferred one ``INFER_CHUNK``
+    chunk of pixels at a time (:func:`forward_chunks`), so no whole-scene
+    feature matrix is built. Both steps are row-wise, so the predictions
+    are bitwise ``models.predict(model, standardizer.transform(
+    ds.feature_matrix()))``.
+    """
     _check_feature_dim(ds, model.spec)
-    feats = standardizer.transform(ds.feature_matrix())
-    pred = predictions_from_outputs(model.infer(feats), model.spec)
+    outputs = forward_chunks(lambda rows: model.infer(
+        standardizer.transform(ds.subset(rows).feature_matrix())), len(ds))
+    pred = predictions_from_outputs(outputs, model.spec)
+    del outputs
     return pred, evaluate_predictions(pred, ds)
 
 
@@ -185,17 +195,45 @@ def load_trained(path: str) -> tuple[Model, Standardizer, dict]:
 
     Returns the model (parameters restored), the standardizer, and the full
     checkpoint document for callers that need the recorded configuration.
+    A checkpoint whose architecture, seed, parameters or standardizer do not
+    fit together raises :class:`DataError` naming the path.
     """
     doc = load_checkpoint(path)
-    spec = ArchitectureSpec.from_dict(doc["architecture"])
-    seed = int(doc.get("config", {}).get("seed", 0))
-    model = build_model(spec, seed)
-    model.params.load_values(doc["values"])
-    extras = doc.get("extras", {})
+    config = doc["config"] if doc["config"] is not None else {}
+    extras = doc["extras"] if doc["extras"] is not None else {}
+    if not isinstance(config, dict) or not isinstance(extras, dict):
+        raise DataError(f"{path}: checkpoint config and extras must be objects")
+    seed = config.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DataError(f"{path}: checkpoint seed must be an integer, got {seed!r}")
+    try:
+        spec = ArchitectureSpec.from_dict(doc["architecture"])
+        model = build_model(spec, seed)
+        model.params.load_values(doc["values"])
+    except (ConfigError, StateError) as e:
+        raise DataError(f"{path}: {e}") from None
     if "standardizer" not in extras:
         raise DataError(f"{path}: checkpoint lacks standardizer statistics")
-    standardizer = Standardizer.from_dict(extras["standardizer"])
+    standardizer = _checked_standardizer(extras["standardizer"], spec.input_dim,
+                                         path)
     return model, standardizer, doc
+
+
+def _checked_standardizer(d, input_dim: int, path: str) -> Standardizer:
+    if not isinstance(d, dict) or not {"mean", "scale"} <= set(d):
+        raise DataError(f"{path}: standardizer must hold mean and scale")
+    try:
+        std = Standardizer.from_dict(d)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{path}: standardizer: {e}") from None
+    for name, v in (("mean", std.mean), ("scale", std.scale)):
+        if v.shape != (input_dim,) or not np.isfinite(v).all():
+            raise DataError(
+                f"{path}: standardizer {name} must be {input_dim} finite "
+                f"values, got shape {v.shape}")
+    if not (std.scale > 0).all():
+        raise DataError(f"{path}: standardizer scale must be positive")
+    return std
 
 
 def _report_cell(report: EvalReport, attr: str, context: str) -> float:

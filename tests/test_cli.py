@@ -203,6 +203,35 @@ def test_train_invalid_lr_exits_2(tmp_path, data_csv, capsys):
     assert rc == 2
 
 
+#: --config documents whose values have the wrong JSON type, and how the
+#: error names the field (the temporary path already holds "train")
+WRONG_TYPE_CONFIGS = [
+    ({"architecture": 5}, "architecture must"),
+    ({"architecture": {"encoder_widths": "abc"}}, "encoder_widths must"),
+    ({"architecture": {"encoder_widths": [[1]]}}, "encoder_widths entry must"),
+    ({"architecture": {"threshold": "0.5"}}, "threshold must"),
+    ({"train": {"lr": "x"}}, "lr must"),
+    ({"train": {"batch_size": "64"}}, "batch_size must"),
+    ({"train": None}, "train must"),
+    ({"split": {"train": "a"}}, "train fraction must"),
+    ({"split": [1]}, "split must"),
+]
+
+
+@pytest.mark.parametrize("doc,field", WRONG_TYPE_CONFIGS,
+                         ids=[json.dumps(d) for d, _ in WRONG_TYPE_CONFIGS])
+def test_train_config_of_wrong_type_exits_2(tmp_path, data_csv, capsys, doc,
+                                            field):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--data", data_csv, "--outdir", str(tmp_path / "x"),
+                 "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(config) in err and field in err, err
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_train_config_file_and_flag_override(tmp_path, data_csv, capsys):
     cfg_path = str(tmp_path / "exp.json")
     with open(cfg_path, "w") as f:

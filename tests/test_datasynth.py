@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 from cloudmtl.data import SURFACE_TYPES, Standardizer, generate_dataset, get_sensor
+from cloudmtl.data.dataset import (
+    COT_LOG10_MAX, COT_LOG10_MIN, LABEL_CLEAR, LABEL_ICE, LABEL_LIQUID,
+)
+from cloudmtl.data.synth import (
+    DEFAULT_PRIORS, _sig, _surface_albedo_table, cloud_growth,
+)
 from cloudmtl.errors import ConfigError
 
 
@@ -129,3 +135,55 @@ def test_feature_matrix_and_standardize_peak_is_about_the_result(abi):
     std = Standardizer.fit(X)
     out, peak = _peak_above_start(std.transform, X)
     assert peak < 1.1 * out.nbytes, f"transform {peak / out.nbytes:.2f}x"
+
+
+# ------------------------------------------------------------ in-place synthesis
+
+def whole_array_reflectance(sensor, n, seed, noise_sd):
+    """The reflectance as eight whole (n, B) arrays, as it was first written."""
+    rng = np.random.default_rng(seed)
+    label = rng.choice(3, size=n, p=np.asarray(DEFAULT_PRIORS)).astype(np.int64)
+    surface = rng.integers(0, len(SURFACE_TYPES), size=n).astype(np.int64)
+    rng.uniform(800.0, 1050.0, size=n)
+    rng.uniform(1.0, 60.0, size=n)
+    rng.uniform(220.0, 480.0, size=n)
+    view_zenith = rng.uniform(0.0, 70.0, size=n)
+    solar_zenith = rng.uniform(10.0, 75.0, size=n)
+    rng.uniform(0.0, 180.0, size=n)
+    cot = rng.uniform(COT_LOG10_MIN, COT_LOG10_MAX, size=n)
+    cot_log10 = np.where(label == LABEL_CLEAR, np.nan, cot)
+
+    lam = np.asarray(sensor.band_centers_nm, dtype=np.float64)
+    albedo = _surface_albedo_table(lam)[surface]
+    g = np.where(label == LABEL_CLEAR, 0.0, cloud_growth(np.nan_to_num(cot_log10)))
+    swir = _sig((lam - 1450.0) / 100.0)
+    absorb = np.zeros(n)
+    absorb[label == LABEL_LIQUID] = 0.35
+    absorb[label == LABEL_ICE] = 0.75
+    phase_factor = 1.0 - absorb[:, None] * swir[None, :]
+    cloud_term = 0.75 * g[:, None] * phase_factor
+    surface_term = albedo * (1.0 - 0.85 * g[:, None])
+    illum = 0.75 + 0.25 * np.cos(np.radians(solar_zenith))
+    view_factor = 1.0 - 0.08 * (1.0 - np.cos(np.radians(view_zenith)))
+    clean = (surface_term + cloud_term) * (illum * view_factor)[:, None]
+    noise = rng.normal(0.0, 1.0, size=(n, lam.size)) * noise_sd
+    return np.clip(clean + noise, 0.0, 1.5)
+
+
+@pytest.mark.parametrize("sensor", ["OCI", "ABI", "VIIRS"])
+@pytest.mark.parametrize("n", [1, 7, 2049])
+@pytest.mark.parametrize("noise_sd", [0.0, 0.02])
+def test_reflectance_is_bitwise_the_whole_array_chain(sensor, n, noise_sd):
+    s = get_sensor(sensor)
+    ds = generate_dataset(s, n, seed=n + 5, noise_sd=noise_sd)
+    want = whole_array_reflectance(s, n, n + 5, noise_sd)
+    assert ds.reflectance.dtype == want.dtype
+    assert ds.reflectance.tobytes() == want.tobytes()
+
+
+def test_generate_peak_is_about_the_result():
+    # eight (n, B) arrays were alive at once before; two are now
+    ds, peak = _peak_above_start(generate_dataset, get_sensor("OCI"), 2000, 3)
+    result = sum(v.nbytes for v in vars(ds).values()
+                 if isinstance(v, np.ndarray))
+    assert peak <= 3 * result, f"generate_dataset {peak / result:.2f}x"

@@ -162,6 +162,45 @@ def test_auprc_is_bitwise_the_stable_sort_curve():
             stable_sort_auprc(pooled_s, pooled_l).hex(), f"trial {trial}"
 
 
+def float_label_auprc(scores, labels):
+    """The PR-curve area from float labels and float cumulative sums, with
+    the whole-array temporaries the curve was first written with."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(np.float64)
+    order = np.argsort(-scores)
+    s, y = scores[order], labels[order]
+    tp_cum = np.cumsum(y)
+    n_cum = np.arange(1, s.size + 1, dtype=np.float64)
+    group_end = np.append(np.flatnonzero(np.diff(s) != 0), s.size - 1)
+    recall = tp_cum[group_end] / tp_cum[-1]
+    precision = tp_cum[group_end] / n_cum[group_end]
+    prev_r = np.concatenate(([0.0], recall[:-1]))
+    return float(np.sum((recall - prev_r) * precision))
+
+
+@pytest.mark.parametrize("label_dtype", [bool, np.int64, float])
+def test_auprc_is_bitwise_the_float_label_curve(label_dtype):
+    """Integer counts and bool labels give the float curve's bytes, on tie
+    groups of hundreds that mix both zero signs, single and pooled."""
+    rng = np.random.default_rng(13)
+    values = np.array([-0.0, 0.0, 1e-300, 0.3, np.nextafter(0.3, 0.0), 0.7])
+    for trial in range(25):
+        problems = []
+        for _ in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(1, 3000))
+            labels = rng.random(n) < rng.uniform(0.05, 0.95)
+            labels[-1] = True
+            problems.append((rng.choice(values, size=n),
+                             labels.astype(label_dtype)))
+        for scores, labels in problems:
+            assert auprc_class(scores, labels).hex() == \
+                float_label_auprc(scores, labels).hex(), f"trial {trial}"
+        pooled_s = np.concatenate([s for s, _ in problems])
+        pooled_l = np.concatenate([l for _, l in problems])
+        assert auprc_weighted(problems).hex() == \
+            float_label_auprc(pooled_s, pooled_l).hex(), f"trial {trial}"
+
+
 # ------------------------------------------------------------------ regression
 
 def test_mse_hand_case():

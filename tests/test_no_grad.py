@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from cloudmtl import engine as E
+from cloudmtl import workflow
 from cloudmtl.data import Standardizer, generate_dataset, get_sensor
 from cloudmtl.models import (
     VARIANTS, ArchitectureSpec, LossTargets, build_model, compute_loss,
     predict, predictions_from_outputs,
 )
+from cloudmtl.metrics import evaluate_predictions
 from cloudmtl.models.network import INFER_CHUNK
 
 ABI_DIM, OCI_DIM = 16, 243
@@ -170,3 +172,32 @@ def test_infer_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# ----------------------------------------------------------- evaluate_model
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_evaluate_model_is_whole_scene_standardize_and_predict(variant):
+    # the last chunk is a part one, so each chunk boundary is crossed
+    ds = generate_dataset(get_sensor("ABI"), 2 * INFER_CHUNK + 37, seed=31)
+    std = Standardizer.fit(ds.feature_matrix()[:500])
+    model = model_for(variant)
+    pred, report = workflow.evaluate_model(model, std, ds)
+    want = predict(model, std.transform(ds.feature_matrix()))
+    assert_bitwise(dataclasses.asdict(pred), dataclasses.asdict(want))
+    assert report.to_json() == evaluate_predictions(want, ds).to_json()
+
+
+def test_evaluate_model_peak_memory_is_bounded():
+    # a whole-scene feature matrix and its standardized copy took 12.8 MB
+    ds = generate_dataset(get_sensor("ABI"), 50_000, seed=32)
+    std = Standardizer.fit(ds.feature_matrix())
+    model = model_for("MT-HCCAR")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        workflow.evaluate_model(model, std, ds)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"

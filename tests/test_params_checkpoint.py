@@ -1,10 +1,15 @@
 """Parameter store registration, init determinism, and checkpoint files."""
 
+import json
+
 import numpy as np
 import pytest
 
+from cloudmtl import workflow
+from cloudmtl.data import Standardizer
 from cloudmtl.engine import ParamStore, glorot_uniform, load_checkpoint, save_checkpoint
-from cloudmtl.errors import NumericError, StateError
+from cloudmtl.errors import DataError, NumericError, StateError
+from cloudmtl.models import ArchitectureSpec, build_model
 
 
 def test_duplicate_name_rejected():
@@ -120,3 +125,88 @@ def test_alias_rejects_a_duplicate_full_name():
     with pytest.raises(StateError, match="net.w"):
         merged.alias("net", sub)
     assert merged.names() == ["net.w"]  # nothing half-registered
+
+
+# ------------------------------------------------------- malformed checkpoints
+
+def _set_value(i, value):
+    def edit(doc):
+        doc["parameters"][0]["values"][i] = value
+    return edit
+
+
+def _set_entry(key, value):
+    def edit(doc):
+        doc["parameters"][0][key] = value
+    return edit
+
+
+def _ragged(doc):
+    entry = doc["parameters"][0]
+    entry["values"] = [entry["values"][:3], entry["values"][3:4]]
+
+
+def _set(section, key, value):
+    def edit(doc):
+        if key is None:
+            doc[section] = value
+        else:
+            doc[section][key] = value
+    return edit
+
+
+def _short_mean(doc):
+    doc["extras"]["standardizer"]["mean"] = [0.0]
+
+
+#: (case, edit of the checkpoint document, names the parameter)
+MALFORMED = [
+    ("values not a list", _set_entry("values", "abc"), True),
+    ("ragged values", _ragged, True),
+    ("rows not a number", _set_entry("rows", "x"), True),
+    ("seed not a number", _set("config", "seed", "a"), False),
+    ("entry not an object", lambda doc: doc["parameters"].__setitem__(0, 5),
+     False),
+    ("architecture null", _set("architecture", None, None), False),
+    ("null value", _set_value(1, None), True),
+    ("value 1e400", _set_value(2, "BIG"), True),
+    ("standardizer mean too short", _short_mean, False),
+]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_doc(tmp_path_factory):
+    spec = ArchitectureSpec(variant="MT-HCCAR", input_dim=16,
+                            encoder_widths=(8, 4), head_hidden=(4,))
+    model = build_model(spec, seed=1)
+    std = Standardizer.fit(np.random.default_rng(4).normal(size=(20, 16)))
+    path = str(tmp_path_factory.mktemp("ckpt") / "good.json")
+    save_checkpoint(path, model.params, architecture=spec.to_dict(),
+                    config={"seed": 1}, extras={"standardizer": std.to_dict()})
+    workflow.load_trained(path)          # the unedited file loads
+    with open(path) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("case,edit,names_param", MALFORMED,
+                         ids=[c[0] for c in MALFORMED])
+def test_load_trained_rejects_malformed_checkpoint(tmp_path, checkpoint_doc,
+                                                   case, edit, names_param):
+    doc = json.loads(json.dumps(checkpoint_doc))
+    param = doc["parameters"][0]["name"]
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"BIG"', "1e400"))
+    with pytest.raises(DataError) as err:
+        workflow.load_trained(str(path))
+    assert str(path) in str(err.value)
+    if names_param:
+        assert repr(param) in str(err.value)
+
+
+def test_load_trained_rejects_non_utf8_checkpoint(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"format_version": 1, "parameters": ["\xff"]}')
+    with pytest.raises(DataError, match="UTF-8") as err:
+        workflow.load_trained(str(path))
+    assert str(path) in str(err.value)

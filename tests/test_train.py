@@ -1,15 +1,22 @@
 """Mini-batch training loop behavior and history records."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cloudmtl.data import Standardizer, generate_dataset, get_sensor
-from cloudmtl.engine import TrainConfig
+from cloudmtl.engine import (
+    AdamState, TrainConfig, backward, no_grad, optimizer_step,
+)
 from cloudmtl.errors import ConfigError
 from cloudmtl.models import (
-    ArchitectureSpec, LossTargets, build_model, history_csv, train_model,
+    ArchitectureSpec, LossTargets, SequentialModel, build_model, compute_loss,
+    history_csv, train_model,
 )
-from cloudmtl.models.training import HISTORY_COLUMNS
+from cloudmtl.models.losses import stage_loss
+from cloudmtl.models.network import INFER_CHUNK
+from cloudmtl.models.training import HISTORY_COLUMNS, EpochRecord, _stage_subset
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +155,112 @@ def test_sequential_history_rows_hold_only_their_stage():
             assert rec.total == pytest.approx(
                 getattr(rec, stage_field[net]) + rec.l_lasso, rel=1e-12)
             assert rec.val_total is not None and np.isfinite(rec.val_total)
+
+
+# ------------------------------------------------ chunked no-grad forwards
+# The references below are the loop as first written: one forward over the
+# whole validation set (and training split, for SEQ's stage subset).
+
+def unchunked_fit(params, loss_fn, train, val, config):
+    rng = np.random.default_rng(config.seed)
+    state = AdamState()
+    records = []
+    for epoch in range(config.epochs):
+        sums = np.zeros(7)
+        perm = rng.permutation(len(train))
+        batches = [perm[i:i + config.batch_size]
+                   for i in range(0, len(train), config.batch_size)]
+        for idx in batches:
+            total, parts = loss_fn(train.take(idx))
+            params.zero_grads()
+            backward(total)
+            optimizer_step(params, config, state)
+            sums += (parts.l_cmask, parts.l_cphase, parts.l_reg, parts.l_caux,
+                     parts.l_rec, parts.l_lasso, parts.total)
+        val_total = None
+        if val is not None and len(val) > 0:
+            with no_grad():
+                val_total = loss_fn(val)[1].total
+        records.append(EpochRecord(epoch, *(sums / len(batches)),
+                                   val_total=val_total))
+    return records
+
+
+def unchunked_stage_subset(model, targets):
+    with no_grad():
+        u_cloud = model.stage_output("mask_net", targets.x).value[:, 0]
+    idx = np.flatnonzero((u_cloud >= model.spec.threshold) & targets.cloudy)
+    return idx if idx.size else np.flatnonzero(targets.cloudy)
+
+
+def unchunked_train(model, train, config, val):
+    if not isinstance(model, SequentialModel):
+        def loss_fn(batch):
+            outputs = model.forward(batch.x, train_mode=True)
+            return compute_loss(outputs, batch, model.spec, model.params)
+        return {"model": unchunked_fit(model.params, loss_fn, train, val,
+                                       config)}
+    histories, train_all, val_all = {}, train, val
+    for net in SequentialModel.SUBNETS:
+        def loss_fn(batch, net=net):
+            out = model.stage_output(net, batch.x)
+            return stage_loss(net, out, batch, model.spec,
+                              model.subnet_params[net])
+        histories[net] = unchunked_fit(model.subnet_params[net], loss_fn,
+                                       train, val, config)
+        if net == "mask_net":
+            train = train_all.take(unchunked_stage_subset(model, train_all))
+            val = val_all.take(unchunked_stage_subset(model, val_all))
+    return histories
+
+
+@pytest.fixture(scope="module")
+def big_val():
+    """600 training and 5,000 validation ABI pixels (three chunks)."""
+    ds = generate_dataset(get_sensor("ABI"), 5600, seed=24)
+    std = Standardizer.fit(ds.feature_matrix()[:600])
+    tg = LossTargets.from_dataset(ds, std.transform(ds.feature_matrix()),
+                                  ArchitectureSpec(variant="SEQ", input_dim=1).bins)
+    assert len(tg) - 600 > 2 * INFER_CHUNK
+    return tg.take(np.arange(600)), tg.take(np.arange(600, 5600))
+
+
+@pytest.mark.parametrize("variant", ["MT-HCCAR", "SEQ"])
+def test_chunked_validation_is_bitwise_one_forward(big_val, variant):
+    train, val = big_val
+    spec = ArchitectureSpec(variant=variant, input_dim=train.x.shape[1])
+    config = TrainConfig(lr=3e-3, epochs=2, batch_size=64, seed=5)
+    model, ref = build_model(spec, seed=5), build_model(spec, seed=5)
+    got = train_model(model, train, config, val).histories
+    want = unchunked_train(ref, train, config, val)
+    assert got == want
+    for (name, a), (_, b) in zip(model.params.items(), ref.params.items()):
+        assert a.value.tobytes() == b.value.tobytes(), name
+    if variant == "SEQ":
+        for targets in big_val:
+            np.testing.assert_array_equal(
+                _stage_subset(model, targets),
+                unchunked_stage_subset(model, targets))
+
+
+@pytest.mark.parametrize("variant", ["MT-HCCAR", "SEQ"])
+def test_validation_memory_does_not_grow_with_rows(variant):
+    ds = generate_dataset(get_sensor("ABI"), 8064, seed=25)
+    feats = Standardizer.fit(ds.feature_matrix()).transform(ds.feature_matrix())
+    spec = ArchitectureSpec(variant=variant, input_dim=feats.shape[1])
+    tg = LossTargets.from_dataset(ds, feats, spec.bins)
+    train = tg.take(np.arange(64))
+    peaks = []
+    for n in (4000, 8000):
+        val = tg.take(np.arange(64, 64 + n))
+        model = build_model(spec, seed=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_model(model, train, TrainConfig(lr=1e-3, epochs=1,
+                                                  batch_size=64), val)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], \
+        f"{peaks[0] / 2**20:.1f} MB at 4,000 rows, {peaks[1] / 2**20:.1f} at 8,000"

@@ -14,7 +14,10 @@ untrained at OCI input width, the SHA-256 of every ``Predictions`` field
 ``models.predict`` gives on 5,000 random rows (three inference chunks), and
 the SHA-256 of the ``EvalReport`` JSON ``workflow.evaluate_model`` gives on
 5,000 generated OCI pixels, whose near-tied untrained scores put the
-attention of every chunk and the pooled PR curve inside the check.
+attention of every chunk and the pooled PR curve inside the check. It
+ends with the weights and histories of MT-HCCAR and SEQ trained on 1,000
+ABI pixels and validated on 5,000 (three inference chunks), which puts the
+chunked validation forward and SEQ's stage subset inside the check.
 Run it on two trees and diff the output:
 
     PYTHONPATH=src python3 tools/digest.py > after.txt
@@ -209,6 +212,34 @@ def report_digests() -> list[str]:
     return lines
 
 
+#: the chunked-validation recipe: ABI pixels, training pixels, variants;
+#: the other 5,000 pixels validate in three inference chunks
+N_BIG_VAL_PIXELS, N_BIG_VAL_TRAIN = 6000, 1000
+BIG_VAL_VARIANTS = ("MT-HCCAR", "SEQ")
+
+
+def validation_digests() -> list[str]:
+    """SHA-256 of the weights and histories of ``BIG_VAL_VARIANTS`` trained
+    with a validation split of several inference chunks, so the chunked
+    validation forward and SEQ's stage subset are inside the check."""
+    ds = generate_dataset(get_sensor("ABI"), N_BIG_VAL_PIXELS, seed=DATA_SEED)
+    std = Standardizer.fit(ds.subset(np.arange(N_BIG_VAL_TRAIN)).feature_matrix())
+    lines = []
+    for variant in BIG_VAL_VARIANTS:
+        spec = ArchitectureSpec(variant=variant, input_dim=ds.feature_dim)
+        targets = LossTargets.from_dataset(
+            ds, std.transform(ds.feature_matrix()), spec.bins)
+        train_t = targets.take(np.arange(N_BIG_VAL_TRAIN))
+        val_t = targets.take(np.arange(N_BIG_VAL_TRAIN, N_BIG_VAL_PIXELS))
+        config = TrainConfig(lr=3e-3, epochs=2, batch_size=64, seed=1)
+        model = build_model(spec, config.seed)
+        result = train_model(model, train_t, config, val_t)
+        lines.append(f"{variant} validation n={len(val_t)} "
+                     f"weights={weights_sha256(model.params)} "
+                     f"history={histories_sha256(result.histories)}")
+    return lines
+
+
 def main() -> None:
     for line in training_digests():
         print(line, flush=True)
@@ -219,6 +250,8 @@ def main() -> None:
     for line in infer_digests():
         print(line, flush=True)
     for line in report_digests():
+        print(line, flush=True)
+    for line in validation_digests():
         print(line, flush=True)
 
 
