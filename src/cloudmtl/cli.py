@@ -358,10 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except CloudMtlError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (CloudMtlError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

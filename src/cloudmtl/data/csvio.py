@@ -2,12 +2,14 @@
 
 Schema (one header row, LF line endings, UTF-8):
 
-    pixel_id,surface_pressure_mbar,water_vapor_mm,ozone_du,surface_type,
-    view_zenith_deg,solar_zenith_deg,rel_azimuth_deg,refl_<center>...,
-    label,cot_log10
+    pixel_id,<ANCILLARY_FEATURES>,surface_type,<GEOMETRY_FEATURES>,
+    refl_<center>...,label,cot_log10
 
-``surface_type`` and ``label`` are symbolic (land/snow/desert/ocean and
-clear/liquid/ice). ``cot_log10`` is empty exactly when the label is clear.
+The ancillary and geometry column names are those of
+:mod:`~cloudmtl.data.sensors`; their cells hold the dataset's
+``FLOAT_COLUMNS`` in order. ``surface_type`` and ``label`` are symbolic
+(land/snow/desert/ocean and clear/liquid/ice). ``cot_log10`` is empty
+exactly when the label is clear.
 Floats are written with ``repr`` (shortest round-trip form), so a save/load
 cycle reproduces every value bit for bit. Malformed files raise
 :class:`~cloudmtl.errors.DataError` naming the offending line (1-based,
@@ -25,8 +27,11 @@ memory does not grow with the pixel count. The file is replaced atomically.
   columns in C with one ``np.loadtxt``. It takes no file it cannot vouch
   for: any quote character, unknown symbol, unparseable or non-finite value
   or schema violation sends the whole file to the row-by-row path.
-* The row-by-row path (``_load_rows``) is the validator: it parses with the
-  ``csv`` module and raises every ``DataError`` with its line number.
+* The row-by-row path (``_load_rows``) is the validator: it takes records
+  from ``read_csv_file``, the ``csv`` module record loop that the statistics
+  grid reader shares, and raises every ``DataError`` with its line number.
+
+Both paths hand the same column block to one constructor, ``_dataset``.
 
 The fast path counts fields itself because ``np.loadtxt`` with ``usecols``
 silently accepts rows with extra or missing fields. It also streams the
@@ -45,21 +50,22 @@ import numpy as np
 
 from ..atomic import atomic_write
 from ..errors import DataError
-from .dataset import PixelDataset, LABEL_CLEAR, LABEL_NAMES
-from .sensors import SensorConfig, SURFACE_TYPES, sensor_names, get_sensor
+from .dataset import FLOAT_COLUMNS, PixelDataset, LABEL_CLEAR, LABEL_NAMES
+from .sensors import (
+    ANCILLARY_FEATURES, GEOMETRY_FEATURES, SURFACE_TYPES, SensorConfig,
+    get_sensor, sensor_names,
+)
 
-_FIXED_LEAD = ["pixel_id", "surface_pressure_mbar", "water_vapor_mm", "ozone_du",
-               "surface_type", "view_zenith_deg", "solar_zenith_deg",
-               "rel_azimuth_deg"]
+_FIXED_LEAD = ["pixel_id", *ANCILLARY_FEATURES, "surface_type", *GEOMETRY_FEATURES]
 _FIXED_TAIL = ["label", "cot_log10"]
+#: file column of ``surface_type``; the float columns lie on both sides of it
+_SURFACE = _FIXED_LEAD.index("surface_type")
 
 _NAME_TO_LABEL = {v: k for k, v in LABEL_NAMES.items()}
 _SURFACE_TO_CODE = {name: i for i, name in enumerate(SURFACE_TYPES)}
 
 #: cells formatted per written chunk: 67 rows of OCI, 1,024 of ABI
 _CHUNK_CELLS = 16384
-#: file columns of the six ancillary floats (column 4 is ``surface_type``)
-_ANCILLARY_COLUMNS = (1, 2, 3, 5, 6, 7)
 
 
 def save_csv(dataset: PixelDataset, path: str) -> None:
@@ -79,13 +85,8 @@ def _format_rows(ds: PixelDataset, rows: slice) -> str:
         return np.asarray(col[rows], dtype=np.float64).tolist()
 
     cols = [map(str, map(int, ds.pixel_id[rows].tolist())),
-            map(repr, floats(ds.pressure)),
-            map(repr, floats(ds.water_vapor)),
-            map(repr, floats(ds.ozone)),
-            map(SURFACE_TYPES.__getitem__, ds.surface[rows].tolist()),
-            map(repr, floats(ds.view_zenith)),
-            map(repr, floats(ds.solar_zenith)),
-            map(repr, floats(ds.rel_azimuth))]
+            *(map(repr, floats(getattr(ds, name))) for name in FLOAT_COLUMNS)]
+    cols.insert(_SURFACE, map(SURFACE_TYPES.__getitem__, ds.surface[rows].tolist()))
     cols.extend(map(repr, band) for band in
                 np.asarray(ds.reflectance[rows], dtype=np.float64).T.tolist())
     cols.append(map(LABEL_NAMES.__getitem__, map(int, ds.label[rows].tolist())))
@@ -138,6 +139,21 @@ def _check_header(header: list[str], path: str,
     return file_sensor
 
 
+def _dataset(sensor: SensorConfig, pixel_id, surface, label, cot,
+             block: np.ndarray) -> PixelDataset:
+    """The validated dataset of these columns; each ``block`` row holds one
+    pixel's ``FLOAT_COLUMNS`` followed by its reflectances."""
+    floats = {name: block[:, j].copy() for j, name in enumerate(FLOAT_COLUMNS)}
+    ds = PixelDataset(
+        sensor=sensor, surface=np.array(surface, dtype=np.int64),
+        reflectance=np.ascontiguousarray(block[:, len(FLOAT_COLUMNS):]),
+        label=np.array(label, dtype=np.int64),
+        cot_log10=np.array(cot, dtype=np.float64),
+        pixel_id=np.array(pixel_id, dtype=np.int64), **floats)
+    ds.validate()  # non-finite values and cot_log10 out of range fail here
+    return ds
+
+
 def load_csv(path: str, sensor: SensorConfig | None = None) -> PixelDataset:
     """Read a pixel CSV; if ``sensor`` is given the band columns must match it."""
     try:
@@ -167,10 +183,10 @@ def _load_fast(path: str, sensor: SensorConfig | None) -> PixelDataset | None:
                 continue
             if line.count(",") != commas or '"' in line or len(line) > max_line:
                 return None
-            lead = line.split(",", 5)
+            lead = line.split(",", _SURFACE + 1)
             tail = line.rsplit(",", 2)
             pixel_id.append(int(lead[0]))
-            surface.append(_SURFACE_TO_CODE[lead[4]])
+            surface.append(_SURFACE_TO_CODE[lead[_SURFACE]])
             code = _NAME_TO_LABEL[tail[1]]
             label.append(code)
             if (code == LABEL_CLEAR) != (tail[2] == ""):
@@ -178,31 +194,23 @@ def _load_fast(path: str, sensor: SensorConfig | None) -> PixelDataset | None:
             cot.append(math.nan if code == LABEL_CLEAR else float(tail[2]))
     if not label:
         return None
-    usecols = [*_ANCILLARY_COLUMNS, *range(len(_FIXED_LEAD), commas - 1)]
+    usecols = [*range(1, _SURFACE), *range(_SURFACE + 1, commas - 1)]
     block = np.loadtxt(path, delimiter=",", skiprows=1, usecols=usecols,
-                       comments=None, quotechar=None, encoding="utf-8",
-                       ndmin=2)
-    pressure, water_vapor, ozone, view_zenith, solar_zenith, rel_azimuth = (
-        block[:, k].copy() for k in range(len(_ANCILLARY_COLUMNS)))
-    ds = PixelDataset(
-        sensor=file_sensor,
-        pressure=pressure, water_vapor=water_vapor, ozone=ozone,
-        surface=np.array(surface, dtype=np.int64),
-        view_zenith=view_zenith, solar_zenith=solar_zenith,
-        rel_azimuth=rel_azimuth,
-        reflectance=np.ascontiguousarray(block[:, len(_ANCILLARY_COLUMNS):]),
-        label=np.array(label, dtype=np.int64),
-        cot_log10=np.array(cot, dtype=np.float64),
-        pixel_id=np.array(pixel_id, dtype=np.int64),
-    )
-    ds.validate()  # non-finite values and cot_log10 out of range fail here
-    return ds
+                       comments=None, quotechar=None, encoding="utf-8", ndmin=2)
+    return _dataset(file_sensor, pixel_id, surface, label, cot, block)
 
 
 def read_csv_file(path: str, parse: Callable):
-    """``parse(reader, path)`` on a ``csv.reader`` over ``path``; a missing
+    """``parse(header, records, path)`` on the CSV file ``path``.
+
+    ``records`` yields ``(at, fields)`` for each record after the header,
+    blank ones skipped, where ``at`` is ``"<path>: line N"`` for the
+    record's last physical line (a quoted cell may span lines). It raises
+    :class:`DataError` for a record whose field count differs from the
+    header's, and at its end if it yielded nothing. An empty file, a missing
     file, non-UTF-8 bytes or a ``csv`` module error (a field over its size
-    limit) raises :class:`DataError` naming the file, and the line if known."""
+    limit) raise :class:`DataError` naming the file, and the line if known.
+    """
     try:
         f = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -210,97 +218,71 @@ def read_csv_file(path: str, parse: Callable):
     try:
         with f:
             reader = csv.reader(f)
-            return parse(reader, path)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            return parse(header, _records(reader, path, len(header)), path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _load_rows(path: str, sensor: SensorConfig | None) -> PixelDataset:
-    """Row-by-row loader: the reference parse and the source of every error."""
-    return read_csv_file(path, lambda reader, path: _parse_rows(reader, path, sensor))
-
-
-def _parse_rows(reader, path: str, sensor: SensorConfig | None) -> PixelDataset:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    file_sensor = _check_header(header, path, sensor)
-    band_cols = header[len(_FIXED_LEAD):-2]
-
-    ncols = len(header)
-    rows = {name: [] for name in ("pixel_id", "pressure", "water_vapor",
-                                  "ozone", "surface", "view_zenith",
-                                  "solar_zenith", "rel_azimuth", "label",
-                                  "cot_log10")}
-    refl_rows: list[list[float]] = []
+def _records(reader, path: str, width: int):
+    seen = False
     for row in reader:
         if not row:
             continue
-        # the record's last physical line: a quoted cell may span lines
         at = f"{path}: line {reader.line_num}"
-        if len(row) != ncols:
-            raise DataError(
-                f"{at}: expected {ncols} fields, got {len(row)}")
+        if len(row) != width:
+            raise DataError(f"{at}: expected {width} fields, got {len(row)}")
+        seen = True
+        yield at, row
+    if not seen:
+        raise DataError(f"{path}: no data rows")
+
+
+def _load_rows(path: str, sensor: SensorConfig | None) -> PixelDataset:
+    """Row-by-row loader: the reference parse and the source of every error."""
+    return read_csv_file(path, lambda header, records, path:
+                         _parse_rows(header, records, path, sensor))
+
+
+def _parse_rows(header: list[str], records, path: str,
+                sensor: SensorConfig | None) -> PixelDataset:
+    file_sensor = _check_header(header, path, sensor)
+    pixel_id, surface, label, cot, block = [], [], [], [], []
+    for at, row in records:
         try:
-            pixel_id = int(row[0])
+            pid = int(row[0])
         except ValueError:
             raise DataError(
                 f"{at}: pixel_id is not an integer: {row[0]!r}") from None
-        if not -2**63 <= pixel_id < 2**63:
+        if not -2**63 <= pid < 2**63:
             raise DataError(
                 f"{at}: pixel_id does not fit in int64: {row[0]!r}")
-        rows["pixel_id"].append(pixel_id)
-        rows["pressure"].append(_parse_float(row[1], at, header[1]))
-        rows["water_vapor"].append(_parse_float(row[2], at, header[2]))
-        rows["ozone"].append(_parse_float(row[3], at, header[3]))
-        if row[4] not in _SURFACE_TO_CODE:
+        floats = [_parse_float(row[k], at, header[k]) for k in range(1, _SURFACE)]
+        if row[_SURFACE] not in _SURFACE_TO_CODE:
             raise DataError(
-                f"{at}: surface_type {row[4]!r} not one of "
+                f"{at}: surface_type {row[_SURFACE]!r} not one of "
                 f"{list(SURFACE_TYPES)}")
-        rows["surface"].append(_SURFACE_TO_CODE[row[4]])
-        rows["view_zenith"].append(_parse_float(row[5], at, header[5]))
-        rows["solar_zenith"].append(_parse_float(row[6], at, header[6]))
-        rows["rel_azimuth"].append(_parse_float(row[7], at, header[7]))
-        refl_rows.append([_parse_float(row[8 + j], at, band_cols[j])
-                          for j in range(len(band_cols))])
-        label_text = row[-2]
+        floats += [_parse_float(row[k], at, header[k])
+                   for k in range(_SURFACE + 1, len(row) - 2)]
+        label_text, cot_text = row[-2:]
         if label_text not in _NAME_TO_LABEL:
             raise DataError(
                 f"{at}: label {label_text!r} not one of "
                 f"{sorted(_NAME_TO_LABEL)}")
-        label = _NAME_TO_LABEL[label_text]
-        rows["label"].append(label)
-        cot_text = row[-1]
-        if label_text == "clear":
-            if cot_text != "":
-                raise DataError(
-                    f"{at}: clear pixel must have empty cot_log10, "
-                    f"got {cot_text!r}")
-            rows["cot_log10"].append(math.nan)
-        else:
-            if cot_text == "":
-                raise DataError(
-                    f"{at}: cloudy pixel is missing cot_log10")
-            rows["cot_log10"].append(_parse_float(cot_text, at, "cot_log10"))
-
-    if not refl_rows:
-        raise DataError(f"{path}: no data rows")
-    ds = PixelDataset(
-        sensor=file_sensor,
-        pressure=np.asarray(rows["pressure"]),
-        water_vapor=np.asarray(rows["water_vapor"]),
-        ozone=np.asarray(rows["ozone"]),
-        surface=np.asarray(rows["surface"], dtype=np.int64),
-        view_zenith=np.asarray(rows["view_zenith"]),
-        solar_zenith=np.asarray(rows["solar_zenith"]),
-        rel_azimuth=np.asarray(rows["rel_azimuth"]),
-        reflectance=np.asarray(refl_rows, dtype=np.float64),
-        label=np.asarray(rows["label"], dtype=np.int64),
-        cot_log10=np.asarray(rows["cot_log10"], dtype=np.float64),
-        pixel_id=np.asarray(rows["pixel_id"], dtype=np.int64),
-    )
-    ds.validate()
-    return ds
+        if label_text == "clear" and cot_text != "":
+            raise DataError(
+                f"{at}: clear pixel must have empty cot_log10, got {cot_text!r}")
+        if label_text != "clear" and cot_text == "":
+            raise DataError(f"{at}: cloudy pixel is missing cot_log10")
+        pixel_id.append(pid)
+        surface.append(_SURFACE_TO_CODE[row[_SURFACE]])
+        block.append(floats)
+        label.append(_NAME_TO_LABEL[label_text])
+        cot.append(math.nan if label_text == "clear"
+                   else _parse_float(cot_text, at, "cot_log10"))
+    return _dataset(file_sensor, pixel_id, surface, label, cot,
+                    np.array(block, dtype=np.float64))

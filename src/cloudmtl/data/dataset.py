@@ -18,7 +18,7 @@ dimension is M = 10 + B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,6 +32,10 @@ LABEL_NAMES = {LABEL_CLEAR: "clear", LABEL_LIQUID: "liquid", LABEL_ICE: "ice"}
 
 COT_LOG10_MIN = -1.5
 COT_LOG10_MAX = 2.5
+
+#: the float fields, in record order: the ancillary values, then the geometry
+FLOAT_COLUMNS = ("pressure", "water_vapor", "ozone",
+                 "view_zenith", "solar_zenith", "rel_azimuth")
 
 
 @dataclass
@@ -66,16 +70,10 @@ class PixelDataset:
 
     def validate(self) -> None:
         n = len(self)
-        cols = {
-            "pressure": self.pressure, "water_vapor": self.water_vapor,
-            "ozone": self.ozone, "surface": self.surface,
-            "view_zenith": self.view_zenith, "solar_zenith": self.solar_zenith,
-            "rel_azimuth": self.rel_azimuth, "label": self.label,
-            "cot_log10": self.cot_log10, "pixel_id": self.pixel_id,
-        }
-        for name, arr in cols.items():
-            if arr.shape != (n,):
-                raise DataError(f"column {name!r} has shape {arr.shape}, expected ({n},)")
+        for f in fields(self):
+            arr = getattr(self, f.name)
+            if f.name not in ("sensor", "reflectance") and arr.shape != (n,):
+                raise DataError(f"column {f.name!r} has shape {arr.shape}, expected ({n},)")
         if self.reflectance.shape != (n, self.sensor.band_count):
             raise DataError(
                 f"reflectance has shape {self.reflectance.shape}, expected "
@@ -106,9 +104,8 @@ class PixelDataset:
                 or np.any(self.cot_log10 > COT_LOG10_MAX + 1e-12)):
             raise DataError(
                 f"cot_log10 outside [{COT_LOG10_MIN}, {COT_LOG10_MAX}]")
-        for name in ("pressure", "water_vapor", "ozone", "view_zenith",
-                     "solar_zenith", "rel_azimuth"):
-            if not np.all(np.isfinite(cols[name])):
+        for name in FLOAT_COLUMNS:
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise DataError(f"column {name!r} contains non-finite values")
         if not np.all(np.isfinite(self.reflectance)):
             raise DataError("reflectance contains non-finite values")
@@ -125,32 +122,12 @@ class PixelDataset:
             self.reflectance,
         ]).astype(np.float64, copy=False)
 
-    # label helpers (float vectors, ready for loss arithmetic)
-    def l_cloud(self) -> np.ndarray:
-        return (self.label != LABEL_CLEAR).astype(np.float64)
-
-    def l_clear(self) -> np.ndarray:
-        return (self.label == LABEL_CLEAR).astype(np.float64)
-
-    def l_liquid(self) -> np.ndarray:
-        return (self.label == LABEL_LIQUID).astype(np.float64)
-
-    def l_ice(self) -> np.ndarray:
-        return (self.label == LABEL_ICE).astype(np.float64)
-
     def cloudy_mask(self) -> np.ndarray:
         return self.label != LABEL_CLEAR
 
     def subset(self, idx: np.ndarray) -> "PixelDataset":
-        return PixelDataset(
-            sensor=self.sensor,
-            pressure=self.pressure[idx], water_vapor=self.water_vapor[idx],
-            ozone=self.ozone[idx], surface=self.surface[idx],
-            view_zenith=self.view_zenith[idx], solar_zenith=self.solar_zenith[idx],
-            rel_azimuth=self.rel_azimuth[idx], reflectance=self.reflectance[idx],
-            label=self.label[idx], cot_log10=self.cot_log10[idx],
-            pixel_id=self.pixel_id[idx],
-        )
+        return replace(self, **{f.name: getattr(self, f.name)[idx]
+                                for f in fields(self) if f.name != "sensor"})
 
     def class_counts(self) -> dict[str, int]:
         return {name: int(np.sum(self.label == code))

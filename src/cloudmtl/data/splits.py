@@ -29,7 +29,7 @@ class SplitPlan:
         for name, frac in (("train", self.train), ("val", self.val),
                            ("test", self.test)):
             check_number(f"{name} fraction", frac)
-            if not (0.0 <= frac <= 1.0) or not math.isfinite(frac):
+            if not 0.0 <= frac <= 1.0:
                 raise ConfigError(f"{name} fraction must be in [0, 1], got {frac}")
         if self.train + self.val + self.test > 1.0 + 1e-12:
             raise ConfigError(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_number
 from .dataset import (
     PixelDataset, LABEL_CLEAR, LABEL_LIQUID, LABEL_ICE,
     COT_LOG10_MIN, COT_LOG10_MAX,
@@ -73,9 +73,10 @@ def generate_dataset(sensor: SensorConfig, n: int, seed: int,
     priors_arr = np.asarray(priors, dtype=np.float64)
     if priors_arr.shape != (3,):
         raise ConfigError(f"priors must have 3 entries, got {priors_arr.shape}")
-    if np.any(priors_arr < 0) or abs(priors_arr.sum() - 1.0) > 1e-9:
+    if not (np.all(priors_arr >= 0) and abs(priors_arr.sum() - 1.0) <= 1e-9):
         raise ConfigError(
             f"priors must be non-negative and sum to 1, got {priors!r}")
+    check_number("noise_sd", noise_sd)
     if noise_sd < 0:
         raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
 

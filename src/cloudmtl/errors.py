@@ -4,6 +4,7 @@ The CLI maps these onto exit codes: configuration/data/usage problems exit
 with 2, runtime numeric failures with 1 (see cli.main).
 """
 
+import math
 import numbers
 
 
@@ -40,9 +41,10 @@ class MetricUndefinedError(CloudMtlError, ValueError):
 
 
 def check_number(field: str, value, integer: bool = False) -> None:
-    """Raise :class:`ConfigError` naming ``field`` unless ``value`` is a real
-    number (an integer if ``integer``); a bool is neither."""
+    """Raise :class:`ConfigError` naming ``field`` unless ``value`` is a finite
+    real number (an integer if ``integer``); a bool is neither."""
     kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{field} must be {'an integer' if integer else 'a number'}, "
-                          f"got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (isinstance(value, numbers.Integral) or math.isfinite(value))):
+        what = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{field} must be {what}, got {value!r}")

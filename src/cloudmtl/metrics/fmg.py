@@ -33,11 +33,6 @@ class FmgResult:
     eligible_liquid: int
     eligible_ice: int
 
-    def to_dict(self) -> dict:
-        return {"fmg_liquid": self.fmg_liquid, "fmg_ice": self.fmg_ice,
-                "eligible_liquid": self.eligible_liquid,
-                "eligible_ice": self.eligible_ice}
-
 
 def _phase_fraction(y: np.ndarray, y_hat: np.ndarray, bar: float,
                     space: str) -> tuple[float | None, int]:

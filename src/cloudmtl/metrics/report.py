@@ -92,11 +92,7 @@ def evaluate_predictions(pred: Predictions, ds: PixelDataset) -> EvalReport:
     mse_ice_v = _maybe(mse, y[ice_sel], y_hat[ice_sel])
     r2_liq = _maybe(r2, y[~ice_sel], y_hat[~ice_sel])
     r2_ice_v = _maybe(r2, y[ice_sel], y_hat[ice_sel])
-    if y.size:
-        fm = fmg(y, y_hat, ice_sel)
-    else:
-        from .fmg import FmgResult
-        fm = FmgResult(None, None, 0, 0)
+    fm = fmg(y, y_hat, ice_sel)
 
     return EvalReport(
         n_pixels=len(ds), n_cloudy=int(true_cloudy.sum()), acc_bi=acc,

@@ -45,6 +45,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .. import engine as E
+from ..data.dataset import LABEL_ICE, LABEL_LIQUID
 from ..engine import Tensor, ParamStore
 from ..errors import DimensionError
 from .config import ArchitectureSpec
@@ -71,8 +72,9 @@ class LossTargets:
         cloudy = ds.cloudy_mask()
         return cls(
             x=np.asarray(features, dtype=np.float64),
-            l_cloud=ds.l_cloud(), l_clear=ds.l_clear(),
-            l_liquid=ds.l_liquid(), l_ice=ds.l_ice(),
+            l_cloud=cloudy.astype(np.float64), l_clear=(~cloudy).astype(np.float64),
+            l_liquid=(ds.label == LABEL_LIQUID).astype(np.float64),
+            l_ice=(ds.label == LABEL_ICE).astype(np.float64),
             y_cot=np.nan_to_num(ds.cot_log10, nan=0.0),
             aux_onehot=thickness_onehot(ds.cot_log10, cloudy, bins),
             cloudy=cloudy,

@@ -55,11 +55,7 @@ def read_stats_grid(path: str) -> list[FoldStats]:
     return read_csv_file(path, _parse_grid)
 
 
-def _parse_grid(reader, path: str) -> list[FoldStats]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
+def _parse_grid(header: list[str], records, path: str) -> list[FoldStats]:
     if header[:4] != _LEAD:
         raise DataError(
             f"{path}: header must start with {','.join(_LEAD)}, got {header[:4]}")
@@ -72,14 +68,7 @@ def _parse_grid(reader, path: str) -> list[FoldStats]:
         raise DataError(
             f"{path}: header tail must be mu,se or fold_1..fold_K, got {tail}")
     out: list[FoldStats] = []
-    for row in reader:
-        if not row:
-            continue
-        # the record's last physical line: a quoted cell may span lines
-        at = f"{path}: line {reader.line_num}"
-        if len(row) != len(header):
-            raise DataError(
-                f"{at}: expected {len(header)} fields, got {len(row)}")
+    for at, row in records:
         model, dataset, metric = row[0], row[1], row[2]
         lower = _parse_direction(row[3], at)
         if layout == "summary":
@@ -102,8 +91,6 @@ def _parse_grid(reader, path: str) -> list[FoldStats]:
             except ValueError:
                 raise DataError(f"{at}: fold value not numeric") from None
             out.append(fold_stats(model, dataset, metric, lower, values))
-    if not out:
-        raise DataError(f"{path}: no data rows")
     return out
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_number
 from .stats import FoldStats
 from .rules import best_model, one_se_select
 
@@ -128,7 +128,9 @@ def compute_selection(grid: Sequence[FoldStats],
         extra = set(weights) - set(metrics)
         if extra:
             raise ConfigError(f"weights for unknown metrics: {sorted(extra)}")
-        w.update({k: float(v) for k, v in weights.items()})
+        for k, v in weights.items():
+            check_number(f"weight for {k!r}", v)
+            w[k] = float(v)
 
     p_ab_cell: dict[tuple[str, str, str], float] = {}
     psi_cell: dict[tuple[str, str, str], int] = {}

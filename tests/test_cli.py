@@ -232,6 +232,49 @@ def test_train_config_of_wrong_type_exits_2(tmp_path, data_csv, capsys, doc,
     assert not os.path.exists(tmp_path / "x")
 
 
+#: non-finite numbers on the command line or in a --config document (a dict
+#: stands for one), and the field the error names
+NON_FINITE_CASES = [
+    (["gen-data", "--priors", "nan", "nan", "nan"], "priors"),
+    (["gen-data", "--noise-sd", "nan"], "noise_sd"),
+    (["train", "--lasso-lambda", "nan"], "lasso_lambda"),
+    (["train", "--lasso-lambda", "inf"], "lasso_lambda"),
+    (["train", "--clip-norm", "nan"], "clip_norm"),
+    (["train", {"train": {"eps": float("nan")}}], "eps"),
+    (["train", {"architecture": {"bins": [-1.5, float("nan"), 1.0, 2.5]}}],
+     "bins entry"),
+    (["select", "--weights", "ACC_bi=nan"], "'ACC_bi'"),
+    (["select", "--weights", "ACC_bi=inf"], "'ACC_bi'"),
+]
+
+
+@pytest.mark.parametrize("argv,field", NON_FINITE_CASES,
+                         ids=[" ".join(map(str, a)) for a, _ in NON_FINITE_CASES])
+def test_non_finite_number_exits_2_naming_the_field(tmp_path, data_csv, capsys,
+                                                    argv, field):
+    command, *flags = argv
+    out = str(tmp_path / "out")
+    if command == "gen-data":
+        base = ["gen-data", "--sensor", "ABI", "--n", "50", "--out", out]
+    elif command == "train":
+        base = ["train", "--data", data_csv, "--outdir", out, *FAST]
+    else:
+        grid = str(tmp_path / "grid.csv")
+        write_summary_csv(grid, reference_grid())
+        base = ["select", "--grid", grid, "--out", out]
+    named = [field]
+    if isinstance(flags[0], dict):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(flags[0]))  # NaN, as Python's json writes it
+        flags = ["--config", str(config)]
+        named.append(str(config))
+    assert main(base + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(name in err for name in named), err
+    assert not os.path.exists(out) and not os.path.exists(out + ".config.json")
+
+
 def test_train_config_file_and_flag_override(tmp_path, data_csv, capsys):
     cfg_path = str(tmp_path / "exp.json")
     with open(cfg_path, "w") as f:

@@ -18,6 +18,7 @@ from cloudmtl.data import (
     load_csv, save_csv,
 )
 from cloudmtl.errors import DataError
+from cloudmtl.selection import read_stats_grid
 
 
 @pytest.fixture()
@@ -333,6 +334,77 @@ def test_load_matches_row_by_row_path_on_fuzzed_cells(edits, newline):
         with open(path, "wb") as f:
             f.write((newline.join(lines) + newline).encode("utf-8"))
         assert_same_outcome(path)
+
+
+# ------------------------------------------- record framing shared by readers
+#
+# The pixel CSV reader and the statistics-grid reader frame records with one
+# loop: the header, blank records, line numbers and field counts.
+
+#: (reader, its header line, one valid data line)
+READERS = {
+    "pixel": (load_csv, *_lines(n=1)),
+    "grid": (read_stats_grid, "model,dataset,metric,direction,mu,se",
+             "m,d,ACC,higher,0.9,0.01"),
+}
+
+
+def _drop_last_field(line):
+    return line.rsplit(",", 1)[0]
+
+
+def _spanning(line):
+    """``line`` with its first cell quoted and ending in a newline."""
+    first, rest = line.split(",", 1)
+    return f'"{first}\n",{rest}'
+
+
+#: (case, the file's lines, the file's line ending, error after "<path>: "
+#: or None when the file reads like its LF-only form)
+FRAMING_CASES = [
+    ("empty_file", lambda h, r: [], "\n", "empty file"),
+    ("header_only", lambda h, r: [h], "\n", "no data rows"),
+    ("header_and_blank_lines", lambda h, r: [h, "", ""], "\r\n", "no data rows"),
+    ("blank_lines_crlf", lambda h, r: [h, "", r, "", r], "\r\n", None),
+    ("wrong_count_after_blank_lines_crlf",
+     lambda h, r: [h, "", r, "", _drop_last_field(r)], "\r\n",
+     "line 5: expected {n} fields, got {m}"),
+    ("extra_field", lambda h, r: [h, r, r + ",1"], "\n",
+     "line 3: expected {n} fields, got {p}"),
+    ("spanning_record", lambda h, r: [h, _spanning(_drop_last_field(r))], "\n",
+     "line 3: expected {n} fields, got {m}"),
+    ("spanning_record_then_wrong_count",
+     lambda h, r: [h, _spanning(r), _drop_last_field(r)], "\n",
+     "line 4: expected {n} fields, got {m}"),
+]
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("case,make,newline,error", FRAMING_CASES,
+                         ids=[c[0] for c in FRAMING_CASES])
+def test_record_framing_on_both_readers(tmp_path, reader, case, make, newline,
+                                        error):
+    read, header, row = READERS[reader]
+    lines = make(header, row)
+    path = _write(tmp_path, "".join(line + newline for line in lines))
+    if error is None:
+        lf = _write(tmp_path, "".join(line + "\n" for line in lines if line),
+                    name="lf.csv")
+        assert _framed(read, path) == _framed(read, lf)
+        return
+    n = header.count(",") + 1
+    error = error.format(n=n, m=n - 1, p=n + 1)
+    with pytest.raises(DataError, match=rf"^{re.escape(path)}: {error}$"):
+        read(path)
+
+
+def _framed(read, path):
+    """What ``read`` gives for ``path``, with a dataset's columns as bytes."""
+    out = read(path)
+    if isinstance(out, list):
+        return out
+    return [(f.name, getattr(out, f.name).tobytes())
+            for f in dataclasses.fields(out) if f.name != "sensor"]
 
 
 # ------------------------------------------------------- save bytes and memory

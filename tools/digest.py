@@ -7,17 +7,21 @@ of its ``history*.csv`` text and of every ``Predictions`` field that
 ``models.predict`` gives on the validation pixels; then it runs a 2-epoch
 ``cloudmtl ablate`` of all six variants and a 2-fold, 2-epoch
 ``cloudmtl kfold`` of its default variants, and prints for each one SHA-256
-over every file the run writes. Last, for each of ABI, OCI and VIIRS it
-prints the SHA-256 of the bytes ``cloudmtl gen-data`` writes and of every
-column ``load_csv`` reads back from them, and for each variant, built
-untrained at OCI input width, the SHA-256 of every ``Predictions`` field
-``models.predict`` gives on 5,000 random rows (three inference chunks), and
-the SHA-256 of the ``EvalReport`` JSON ``workflow.evaluate_model`` gives on
-5,000 generated OCI pixels, whose near-tied untrained scores put the
-attention of every chunk and the pooled PR curve inside the check. It
-ends with the weights and histories of MT-HCCAR and SEQ trained on 1,000
-ABI pixels and validated on 5,000 (three inference chunks), which puts the
-chunked validation forward and SEQ's stage subset inside the check.
+over every file the run writes, plus, for the kfold run, the SHA-256 of the
+``FoldStats`` that ``read_stats_grid`` reads from its ``fold_values.csv``.
+Last, for each of ABI, OCI and VIIRS it prints the SHA-256 of the bytes
+``cloudmtl gen-data`` writes and of every column ``load_csv`` reads back
+from them, and of every column ``load_csv`` reads from the ABI file with
+every cell quoted (which only the row-by-row parser takes); for each
+variant, built untrained at OCI input width, the SHA-256 of every
+``Predictions`` field ``models.predict`` gives on 5,000 random rows (three
+inference chunks), and the SHA-256 of the ``EvalReport`` JSON
+``workflow.evaluate_model`` gives on 5,000 generated OCI pixels, whose
+near-tied untrained scores put the attention of every chunk and the
+pooled PR curve inside the check. It ends with the weights and histories
+of MT-HCCAR and SEQ trained on 1,000 ABI pixels and validated on 5,000
+(three inference chunks), which puts the chunked validation forward and
+SEQ's stage subset inside the check.
 Run it on two trees and diff the output:
 
     PYTHONPATH=src python3 tools/digest.py > after.txt
@@ -51,6 +55,7 @@ from cloudmtl.models import (
     VARIANTS, ArchitectureSpec, LossTargets, build_model, history_csv,
     predict, train_model,
 )
+from cloudmtl.selection import read_stats_grid
 
 N_PIXELS, DATA_SEED, N_TRAIN = 4000, 100, 3000
 CLIP_NORMS = (None, 0.5)
@@ -145,7 +150,8 @@ def _run_cli(argv: list[str]) -> None:
 
 
 def cli_digests() -> list[str]:
-    """One SHA-256 over every file each of ``CLI_RUNS`` writes."""
+    """One SHA-256 over every file each of ``CLI_RUNS`` writes, and one over
+    the fold statistics read back from the kfold run's grid."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "abi.csv")
@@ -155,6 +161,12 @@ def cli_digests() -> list[str]:
             outdir = os.path.join(tmp, command)
             _run_cli([command, "--data", data, "--outdir", outdir, *flags])
             lines.append(f"{command} artifacts={tree_sha256(outdir)}")
+        grid = read_stats_grid(os.path.join(tmp, "kfold", "fold_values.csv"))
+        h = hashlib.sha256()
+        for stats in grid:
+            h.update(fields_sha256(stats).encode())
+        lines.append(f"kfold read_stats_grid n={len(grid)} "
+                     f"fold_stats={h.hexdigest()}")
     return lines
 
 
@@ -165,7 +177,8 @@ CSV_RUNS = (("ABI", N_PIXELS, DATA_SEED), ("OCI", 500, DATA_SEED),
 
 def csv_digests() -> list[str]:
     """SHA-256 of each ``CSV_RUNS`` file ``gen-data`` writes and of every
-    column ``load_csv`` reads back."""
+    column ``load_csv`` reads back, and for ABI also from a copy with every
+    cell quoted, which sends ``load_csv`` down its row-by-row path."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for sensor, n, seed in CSV_RUNS:
@@ -176,6 +189,15 @@ def csv_digests() -> list[str]:
                 csv_sha = hashlib.sha256(f.read()).hexdigest()
             lines.append(f"gen-data {sensor} n={n} csv={csv_sha} "
                          f"load_csv={fields_sha256(load_csv(path))}")
+            if sensor == "ABI":
+                quoted = os.path.join(tmp, "quoted.csv")
+                with open(path, encoding="utf-8") as src, \
+                        open(quoted, "w", encoding="utf-8") as dst:
+                    for line in src:
+                        cells = line.rstrip("\n").split(",")
+                        dst.write(",".join(f'"{c}"' for c in cells) + "\n")
+                lines.append(f"quoted {sensor} n={n} "
+                             f"load_csv={fields_sha256(load_csv(quoted))}")
     return lines
 
 
