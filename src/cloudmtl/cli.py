@@ -7,8 +7,9 @@ timestamps.  Exit codes: 0 success, 2 configuration/data/usage error,
 Flags shared by the training-style commands may also be supplied through
 ``--config experiment.json`` holding any of the keys ``architecture``,
 ``train``, and ``split`` (the same sub-documents the commands write next to
-their artifacts).  Explicit flags override file values, which override the
-built-in defaults.
+their artifacts).  Each such flag sets one ``<section>.<field>``, its
+argparse dest, which ``--help`` shows as its metavar.  Explicit flags
+override file values, which override the built-in defaults.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 
 from .atomic import atomic_write
 from .data import SplitPlan, generate_dataset, get_sensor, load_csv, save_csv
@@ -37,11 +37,13 @@ def _parse_name_list(text: str, what: str) -> list[str]:
     return names
 
 
-def _parse_int_tuple(text: str, flag: str) -> tuple[int, ...]:
+def _int_tuple(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated integer list flag (an argparse ``type``)."""
     try:
         return tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}") from None
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -63,111 +65,76 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _section(file_cfg: dict, key: str) -> dict:
-    """A copy of one ``--config`` section, which must be a JSON object."""
+def _section(args: argparse.Namespace, file_cfg: dict, key: str) -> dict:
+    """``--config``'s ``key`` section, which must be a JSON object, with the
+    flags given whose dest is ``<key>.<field>`` laid over it."""
     doc = file_cfg.get(key, {})
     if not isinstance(doc, dict):
         raise ConfigError(f"{key} must be an object, got {doc!r}")
-    return dict(doc)
-
-
-@contextmanager
-def _naming_config(path: str | None):
-    """Prefix a ConfigError raised while merging ``--config`` with the flags
-    with the file's path."""
-    try:
-        yield
-    except ConfigError as e:
-        if path is None:
-            raise
-        raise ConfigError(f"{path}: {e}") from None
+    prefix = key + "."
+    return {**doc, **{dest[len(prefix):]: v for dest, v in vars(args).items()
+                      if dest.startswith(prefix) and v is not None}}
 
 
 def _add_arch_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--encoder-widths", default=None,
+    p.add_argument("--encoder-widths", dest="architecture.encoder_widths",
+                   type=_int_tuple,
                    help="comma-separated encoder widths (default 128,64,32)")
-    p.add_argument("--head-hidden", default=None,
+    p.add_argument("--head-hidden", dest="architecture.head_hidden",
+                   type=_int_tuple,
                    help="comma-separated head hidden widths (default 16)")
-    p.add_argument("--gating", default=None, choices=["soft", "hard"],
+    p.add_argument("--gating", dest="architecture.gating_mode",
+                   choices=["soft", "hard"],
                    help="training-time gating mode (default soft)")
-    p.add_argument("--lasso-lambda", type=float, default=None)
-    p.add_argument("--reg-norm", default=None, choices=["sum", "mean"])
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--lasso-lambda", dest="architecture.lasso_lambda",
+                   type=float)
+    p.add_argument("--reg-norm", dest="architecture.reg_norm",
+                   choices=["sum", "mean"])
+    p.add_argument("--threshold", dest="architecture.threshold", type=float,
                    help="cloud decision threshold (default 0.5)")
-    p.add_argument("--mlp-hidden", type=int, default=None,
+    p.add_argument("--mlp-hidden", dest="architecture.mlp_hidden", type=int,
                    help="hidden width for MLP-BASELINE (default 10)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--clip-norm", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--lr", dest="train.lr", type=float)
+    p.add_argument("--epochs", dest="train.epochs", type=int)
+    p.add_argument("--batch-size", dest="train.batch_size", type=int)
+    p.add_argument("--clip-norm", dest="train.clip_norm", type=float)
+    p.add_argument("--seed", dest="train.seed", type=int)
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train-frac", type=float, default=None)
-    p.add_argument("--val-frac", type=float, default=None)
-    p.add_argument("--test-frac", type=float, default=None)
-    p.add_argument("--split-seed", type=int, default=None)
+    p.add_argument("--train-frac", dest="split.train", type=float)
+    p.add_argument("--val-frac", dest="split.val", type=float)
+    p.add_argument("--test-frac", dest="split.test", type=float)
+    p.add_argument("--split-seed", dest="split.seed", type=int)
 
 
-def _spec_from_args(args: argparse.Namespace, variant: str, input_dim: int,
-                    file_cfg: dict) -> ArchitectureSpec:
-    doc = _section(file_cfg, "architecture")
-    doc["variant"] = variant
-    doc["input_dim"] = input_dim
-    if args.encoder_widths is not None:
-        doc["encoder_widths"] = _parse_int_tuple(args.encoder_widths, "--encoder-widths")
-    if args.head_hidden is not None:
-        doc["head_hidden"] = _parse_int_tuple(args.head_hidden, "--head-hidden")
-    if args.gating is not None:
-        doc["gating_mode"] = args.gating
-    if args.lasso_lambda is not None:
-        doc["lasso_lambda"] = args.lasso_lambda
-    if args.reg_norm is not None:
-        doc["reg_norm"] = args.reg_norm
-    if args.threshold is not None:
-        doc["threshold"] = args.threshold
-    if args.mlp_hidden is not None:
-        doc["mlp_hidden"] = args.mlp_hidden
-    return ArchitectureSpec.from_dict(doc)
-
-
-def _train_config_from_args(args: argparse.Namespace, file_cfg: dict) -> TrainConfig:
-    doc = _section(file_cfg, "train")
-    for key, val in (("lr", args.lr), ("epochs", args.epochs),
-                     ("batch_size", args.batch_size),
-                     ("clip_norm", args.clip_norm), ("seed", args.seed)):
-        if val is not None:
-            doc[key] = val
-    return TrainConfig.from_dict(doc)
-
-
-def _split_plan_from_args(args: argparse.Namespace, file_cfg: dict) -> SplitPlan:
-    doc = _section(file_cfg, "split")
-    for key, val in (("train", args.train_frac), ("val", args.val_frac),
-                     ("test", args.test_frac), ("seed", args.split_seed)):
-        if val is not None:
-            doc[key] = val
-    known = {"train", "val", "test", "seed"}
-    extra = set(doc) - known
-    if extra:
-        raise ConfigError(f"unknown split fields: {sorted(extra)}")
-    plan = SplitPlan(**doc)
-    plan.validate()
-    return plan
-
-
-def _load_dataset(args: argparse.Namespace):
-    """Load ``--data``, cross-checked against ``--sensor`` when given.
-
-    The dataset's ``sensor.name`` is the registered sensor whose band
-    centers the file's columns match exactly, or "FILE" when none does.
-    """
-    sensor = get_sensor(args.sensor) if getattr(args, "sensor", None) else None
-    return load_csv(args.data, sensor=sensor)
+def _run_inputs(args: argparse.Namespace):
+    """Read ``--config`` and ``--data`` (cross-checked against ``--sensor``
+    when given), then build the architecture of each requested variant, the
+    training config and, for the commands with split flags, the split plan
+    (else None), in that order. A ConfigError in a setting is prefixed with
+    the ``--config`` path when there is one."""
+    file_cfg = _load_config_file(args.config)
+    sensor = get_sensor(args.sensor) if args.sensor else None
+    ds = load_csv(args.data, sensor=sensor)
+    variants = ([args.variant] if args.cmd == "train"
+                else _parse_name_list(args.variants, "variant"))
+    try:
+        arch = _section(args, file_cfg, "architecture")
+        specs = [ArchitectureSpec.from_dict(
+            {**arch, "variant": v, "input_dim": ds.feature_dim})
+            for v in variants]
+        config = TrainConfig.from_dict(_section(args, file_cfg, "train"))
+        plan = (SplitPlan.from_dict(_section(args, file_cfg, "split"))
+                if args.cmd != "kfold" else None)
+    except ConfigError as e:
+        if args.config is None:
+            raise
+        raise ConfigError(f"{args.config}: {e}") from None
+    return ds, specs, config, plan
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -195,12 +162,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    ds = _load_dataset(args)
-    with _naming_config(args.config):
-        spec = _spec_from_args(args, args.variant, ds.feature_dim, file_cfg)
-        config = _train_config_from_args(args, file_cfg)
-        plan = _split_plan_from_args(args, file_cfg)
+    ds, (spec,), config, plan = _run_inputs(args)
     result = workflow.run_training(
         ds, spec, config, plan, outdir=args.outdir,
         dump_scatter=args.dump_scatter, sensor_name=ds.sensor.name,
@@ -224,36 +186,25 @@ def _fmt_opt(v: float | None) -> str:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    ds = _load_dataset(args)
-    variants = _parse_name_list(args.variants, "variant")
-    with _naming_config(args.config):
-        specs = [_spec_from_args(args, v, ds.feature_dim, file_cfg) for v in variants]
-        config = _train_config_from_args(args, file_cfg)
-        plan = _split_plan_from_args(args, file_cfg)
+    ds, specs, config, plan = _run_inputs(args)
     results = workflow.run_ablation(ds, specs, config, plan,
                                     outdir=args.outdir, sensor_name=ds.sensor.name)
-    for v in variants:
-        r = results[v]
-        print(f"{v}: params={r.model.param_count()} "
+    for spec in specs:
+        r = results[spec.variant]
+        print(f"{spec.variant}: params={r.model.param_count()} "
               f"acc_bi={r.report.acc_bi:.4f} mse={_fmt_opt(r.report.mse_all)}")
     print(f"comparison table: {os.path.join(args.outdir, 'ablation.csv')}")
     return 0
 
 
 def cmd_kfold(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    ds = _load_dataset(args)
+    ds, specs, config, _ = _run_inputs(args)
     label = args.dataset_label or ds.sensor.name
-    variants = _parse_name_list(args.variants, "variant")
-    with _naming_config(args.config):
-        specs = [_spec_from_args(args, v, ds.feature_dim, file_cfg) for v in variants]
-        config = _train_config_from_args(args, file_cfg)
     result = workflow.run_kfold(ds, specs, config, args.k,
                                 outdir=args.outdir, dataset_label=label)
     grid_path = os.path.join(args.outdir, "fold_values.csv")
     write_fold_values_csv(grid_path, result.fold_rows)
-    print(f"{args.k}-fold run over {len(variants)} variants; "
+    print(f"{args.k}-fold run over {len(specs)} variants; "
           f"fold grid: {grid_path}")
     return 0
 
@@ -274,10 +225,11 @@ def cmd_select(args: argparse.Namespace) -> int:
             except ValueError:
                 raise ConfigError(f"weight for {k.strip()!r} is not numeric") from None
     scores = compute_selection(grid, order, weights=weights)
+    scores_json = dumps_deterministic(scores.to_dict()) + "\n"
     table = render_table(scores, grid)
     os.makedirs(args.out, exist_ok=True)
     with atomic_write(os.path.join(args.out, "scores.json")) as f:
-        f.write(dumps_deterministic(scores.to_dict()) + "\n")
+        f.write(scores_json)
     with atomic_write(os.path.join(args.out, "table.txt")) as f:
         f.write(table)
     print(table, end="")

@@ -10,11 +10,11 @@ same split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import ConfigError, check_number
+from ..errors import ConfigError, check_number, from_doc
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,26 @@ class SplitPlan:
     seed: int = 0
 
     def validate(self) -> None:
-        check_number("seed", self.seed, integer=True)
-        for name, frac in (("train", self.train), ("val", self.val),
-                           ("test", self.test)):
+        """Raise :class:`ConfigError` unless the seed is an integer >= 0 and
+        the other fields are fractions in [0, 1] summing to at most 1."""
+        check_number("split seed", self.seed, integer=True)
+        if self.seed < 0:
+            raise ConfigError(f"split seed must be >= 0, got {self.seed}")
+        fracs = [(f.name, getattr(self, f.name)) for f in fields(self)
+                 if f.name != "seed"]
+        for name, frac in fracs:
             check_number(f"{name} fraction", frac)
             if not 0.0 <= frac <= 1.0:
                 raise ConfigError(f"{name} fraction must be in [0, 1], got {frac}")
-        if self.train + self.val + self.test > 1.0 + 1e-12:
-            raise ConfigError(
-                f"split fractions sum to {self.train + self.val + self.test}, "
-                f"which exceeds 1")
+        total = sum(frac for _, frac in fracs)
+        if total > 1.0 + 1e-12:
+            raise ConfigError(f"split fractions sum to {total}, which exceeds 1")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SplitPlan":
+        plan = from_doc(cls, d, "split")
+        plan.validate()
+        return plan
 
 
 def split_indices(n: int, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -70,6 +70,9 @@ def generate_dataset(sensor: SensorConfig, n: int, seed: int,
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
+    check_number("seed", seed, integer=True)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     priors_arr = np.asarray(priors, dtype=np.float64)
     if priors_arr.shape != (3,):
         raise ConfigError(f"priors must have 3 entries, got {priors_arr.shape}")

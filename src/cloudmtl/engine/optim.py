@@ -21,15 +21,13 @@ deterministic given (params, grads, state).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError, StateError, check_number
+from ..errors import (ConfigError, NumericError, StateError, check_fields,
+                      from_doc)
 from .params import ParamStore
-
-
-_INT_FIELDS = ("batch_size", "epochs", "seed")
 
 
 @dataclass
@@ -59,23 +57,17 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"train must be an object, got {d!r}")
-        known = {f.name for f in fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown training fields: {sorted(extra)}")
         # types checked here, not in validate, which runs on every step
-        for name, value in d.items():
-            if value is not None or name != "clip_norm":
-                check_number(name, value, integer=name in _INT_FIELDS)
-        cfg = cls(**d)
+        cfg = from_doc(cls, d, "train")
+        check_fields(cfg)
         cfg.validate()
         return cfg
 

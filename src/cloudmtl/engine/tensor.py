@@ -1,39 +1,22 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every operation is a pure function: it reads its operands, allocates a new
-``Tensor`` holding the result, and records its operands and a
-vector-Jacobian product (VJP) closure for the backward pass. Inside
-:func:`no_grad` nothing is recorded: results are leaves with no parents and
-no VJP, so an intermediate array is freed as soon as no variable refers to
-it, as with PyTorch's ``torch.no_grad()``; values are bitwise those of a
-recorded forward. Calling :func:`backward` on a scalar result
-walks the recorded graph once in reverse topological order and *adds* the
-resulting cotangents into the ``grad`` field of each leaf it reaches
-(parameters and constants, the nodes without a VJP); intermediate nodes pass
-their cotangent on and keep ``grad = None``, as in PyTorch's autograd.
-The addition is in place (``np.add(grad, g, out=grad)``, the same values as
-``grad + g``), so a parameter's ``grad`` stays the view of its store's flat
-gradient vector that :meth:`ParamStore.flat_grad` bound, the one vector the
-optimizer reads; a caller that keeps a leaf's ``grad`` across a later
-backward must copy it.
-Because accumulation is additive, two backward passes without an intervening
-``zero_grads`` produce exactly doubled gradients, and gradients of a sum of
-losses equal the sum of the individual gradients.
+Each op reads its operands, returns a new ``Tensor`` and records the
+operands and a vector-Jacobian product (VJP) closure; under :func:`no_grad`
+it records nothing, with bitwise the same values. :func:`backward` walks the
+recorded graph once in reverse topological order and adds each leaf's
+cotangent in place into its ``grad``, so repeated calls accumulate and a
+parameter's ``grad`` stays the view of its store's flat gradient vector.
 
-Design constraints honored throughout:
+Invariants:
 
-* all values are ``numpy.float64`` arrays (scalars are 0-d arrays);
-* forward and VJP never mutate an operand or a cotangent they are handed
-  (purity: repeated forward on the same inputs is bitwise identical); an
-  op may build its own fresh result in place (``dense`` adds its bias into
-  the product, ``softmax_rows`` shifts, exponentiates and normalizes in one
-  buffer, and ``attention_mix`` does the same in its score buffer);
+* all values are float64 arrays (scalars are 0-d arrays);
+* no forward or VJP writes an operand or a cotangent it is handed; an op
+  may build its own fresh result in place;
 * a fused node (``dense``, ``l1_norm``, ``attention_mix``) gives bitwise
-  the value and cotangents of the chain of ops it replaces;
-* softmax subtracts the row max before exponentiation so any finite input
-  row produces a row summing to 1;
-* probabilities destined for logarithms are clamped to
-  ``[PROB_EPS, 1 - PROB_EPS]`` with ``PROB_EPS = 1e-7``.
+  the value and cotangents of the chain of ops its docstring names;
+* softmax subtracts the row max, so every finite row sums to 1;
+* probabilities bound for logarithms are clamped to
+  ``[PROB_EPS, 1 - PROB_EPS]``.
 """
 
 from __future__ import annotations
@@ -66,16 +49,11 @@ def no_grad() -> Iterator[None]:
 
 
 class Tensor:
-    """A node in the autodiff graph: a float64 value plus backward plumbing.
+    """A graph node: a float64 value, its parents and VJP, and a ``grad``.
 
-    ``parents`` and ``vjp`` are empty for leaves (parameters, constants) and
-    for every result computed under :func:`no_grad`.
-    Only leaves ever hold a ``grad``: :func:`backward` allocates it lazily on
-    a leaf it reaches, adds into it in place, and leaves it ``None`` on
-    every intermediate node. Parameter leaves get their ``grad`` from
-    :class:`~cloudmtl.engine.params.ParamStore`: zeros at registration, then
-    a view of the store's flat gradient vector, so accumulation across
-    batches works without special cases.
+    ``parents`` and ``vjp`` are empty for leaves and for results computed
+    under :func:`no_grad`. Only leaves get a ``grad``: :func:`backward`
+    allocates it, or a parameter's ``ParamStore`` binds it.
     """
 
     __slots__ = ("value", "grad", "parents", "vjp", "name")
@@ -203,11 +181,8 @@ def transpose(a) -> Tensor:
 
 
 def dense(x, w, b) -> Tensor:
-    """Affine layer: ``x @ w + b`` with ``b`` broadcast across rows.
-
-    One graph node; value and cotangents are bitwise those of
-    ``add(matmul(x, w), b)``. The bias is added in place into the fresh
-    product: the values of ``x @ w + b`` with one array fewer.
+    """Affine layer ``x @ w + b``, ``b`` broadcast across rows: one node,
+    bitwise ``add(matmul(x, w), b)``, with the bias added into the product.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if b.value.ndim != 1 or b.value.shape[0] != w.value.shape[1]:
@@ -307,11 +282,8 @@ def absval(x) -> Tensor:
 
 
 def l1_norm(tensors: Sequence) -> Tensor:
-    """``sum_t sum(|t|)`` over ``tensors``, summed in the order given.
-
-    One graph node; value and cotangents are bitwise those of the chain
-    ``add(...add(reduce_sum(absval(t0)), reduce_sum(absval(t1)))...)``.
-    Each operand's cotangent is ``g * sign(t)`` (0 where an entry is 0).
+    """``sum_t sum(|t|)`` over ``tensors`` in the order given: one node,
+    bitwise ``add(reduce_sum(absval(t0)), ...)``; cotangents ``g * sign(t)``.
     """
     ts = tuple(_wrap(t) for t in tensors)
     if not ts:
@@ -355,12 +327,8 @@ def reduce_mean(x, axis=None) -> Tensor:
 
 
 def _row_max(v: np.ndarray) -> np.ndarray:
-    """``v.max(axis=-1, keepdims=True)`` by pairwise halving of the columns.
-
-    Faster than numpy's per-row reduction on short rows. A max is exact in
-    any order; only the sign of a zero max can differ, and ``exp`` of the
-    shifted values is the same either way. An odd tail column folds into
-    column 0.
+    """``v.max(axis=-1, keepdims=True)`` by pairwise halving of the columns;
+    exact up to the sign of a zero max, which ``exp`` of the shift ignores.
     """
     m, k = v, v.shape[-1]
     while k > 1:
@@ -374,14 +342,9 @@ def _row_max(v: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(x) -> Tensor:
-    """Softmax along the last axis with max-subtraction for stability.
-
-    For any all-finite input each output row sums to 1 (within 1e-12) and
-    entries lie in [0, 1]. Works on 2-D (n, k) and 3-D (n, d, d) inputs; the
-    latter is the row-wise normalization of per-pixel attention scores.
-    Shift, ``exp`` and division share the result buffer, and the VJP
-    builds its cotangent in one buffer without writing ``g`` (``add``'s VJP
-    hands one array to both parents); both are bitwise the plain numpy.
+    """Softmax along the last axis of an (n, k) or (n, d, d) input, shifted
+    by the row max and built in the result buffer; each finite row sums to 1
+    within 1e-12. The VJP builds its cotangent in a new buffer, not in ``g``.
     """
     x = _wrap(x)
     y = x.value - _row_max(x.value)
@@ -443,22 +406,12 @@ def bmatvec(m, v) -> Tensor:
 
 
 def attention_mix(q, k, v) -> Tensor:
-    """Per-row attention: (n, d), (n, e), (n, e) -> (n, d).
+    """Per-row attention (n, d), (n, e), (n, e) -> (n, d): one node, bitwise
+    ``bmatvec(softmax_rows(outer_rows(q, k)), v)``, scores built in one buffer.
 
-    One graph node whose value and cotangents are bitwise those of
-    ``bmatvec(softmax_rows(outer_rows(q, k)), v)``: the scores come from
-    ``outer_rows``' einsum and are shifted, exponentiated and normalized in
-    that one buffer, and the VJP replays the VJP expressions of
-    ``bmatvec``, ``softmax_rows`` and ``outer_rows`` in that order.
-
-    When ``q`` and ``k`` are finite, the max of score row ``(i, p)`` is
-    ``q[i, p] * max_q k[i, q]`` where ``q[i, p] >= 0`` and
-    ``q[i, p] * min_q k[i, q]`` elsewhere, with no scan of the scores.
-    Rounding a product with a fixed factor is monotone, so the extreme key
-    gives the largest rounded product; a max of either zero sign gives the
-    same ``exp``. Non-finite operands (``inf * 0`` is NaN) fall back to
-    :func:`_row_max` over the scores, so floating-point warnings are the
-    chain's too.
+    With finite ``q`` and ``k`` each score row's max comes from its key row's
+    extremes (exact: rounding a product by a fixed factor is monotone);
+    otherwise :func:`_row_max` scans the scores.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     qv, kv, vv = q.value, k.value, v.value
@@ -551,13 +504,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor, upstream=None) -> None:
-    """Accumulate d(root)/d(leaf) into ``leaf.grad`` for every leaf reached.
+    """Add d(root)/d(leaf) in place into ``grad`` of every leaf reached (a
+    node whose ``vjp`` is None); intermediate nodes keep ``grad = None``.
 
-    ``upstream`` seeds the cotangent of ``root`` (defaults to ones, i.e. the
-    gradient of ``root`` itself; for the usual scalar loss that is 1.0).
-    Cotangents are computed in a fresh table on every call and then *added*
-    in place into the ``grad`` of each leaf (a node whose ``vjp`` is None),
-    so repeated calls accumulate. Intermediate nodes keep ``grad = None``.
+    ``upstream`` seeds root's cotangent (default ones). Raises StateError if
+    ``root`` is not a Tensor, DimensionError if ``upstream``'s shape differs.
     """
     if not isinstance(root, Tensor):
         raise StateError(

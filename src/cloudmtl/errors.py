@@ -1,11 +1,15 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the checked reader
+that builds a config dataclass from a JSON document.
 
 The CLI maps these onto exit codes: configuration/data/usage problems exit
 with 2, runtime numeric failures with 1 (see cli.main).
 """
 
+import dataclasses
 import math
 import numbers
+import types
+import typing
 
 
 class CloudMtlError(Exception):
@@ -42,9 +46,61 @@ class MetricUndefinedError(CloudMtlError, ValueError):
 
 def check_number(field: str, value, integer: bool = False) -> None:
     """Raise :class:`ConfigError` naming ``field`` unless ``value`` is a finite
-    real number (an integer if ``integer``); a bool is neither."""
+    real number (an integer if ``integer``); a bool is neither, nor is an
+    integer too large for a float64 in a float field."""
     kind = numbers.Integral if integer else numbers.Real
-    if (isinstance(value, bool) or not isinstance(value, kind)
-            or not (isinstance(value, numbers.Integral) or math.isfinite(value))):
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, kind)
+              and (integer or math.isfinite(value)))
+    except OverflowError:
+        ok = False
+    if not ok:
         what = "an integer" if integer else "a finite number"
         raise ConfigError(f"{field} must be {what}, got {value!r}")
+
+
+def _check_value(field: str, value, kind) -> None:
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{field} must be a string, got {value!r}")
+    elif kind in (int, float):
+        check_number(field, value, integer=kind is int)
+    elif isinstance(kind, types.UnionType):            # X | None
+        if value is not None:
+            _check_value(field, value, typing.get_args(kind)[0])
+    elif not isinstance(value, tuple):                 # tuple[X, ...]
+        raise ConfigError(
+            f"{field} must be a tuple (a JSON list), got {value!r}")
+    else:
+        for v in value:
+            _check_value(f"{field} entry", v, typing.get_args(kind)[0])
+
+
+def check_fields(obj) -> None:
+    """Raise :class:`ConfigError` naming the first field of dataclass ``obj``
+    whose value does not fit its annotation: ``str``; ``int`` or ``float``
+    (by :func:`check_number`); ``X | None``; or ``tuple[X, ...]``, whose
+    items are named ``<field> entry``."""
+    kinds = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        _check_value(f.name, getattr(obj, f.name), kinds[f.name])
+
+
+def from_doc(cls, doc, what: str):
+    """Construct dataclass ``cls`` from the JSON object ``doc``, the ``what``
+    section of a document, with its lists passed as tuples. Raises
+    :class:`ConfigError` if ``doc`` is not an object, names an unknown
+    field or lacks a field that has no default."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be an object, got {doc!r}")
+    fields = dataclasses.fields(cls)
+    extra = set(doc) - {f.name for f in fields}
+    if extra:
+        raise ConfigError(f"unknown {what} fields: {sorted(extra)}")
+    missing = [f.name for f in fields if f.name not in doc
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing {what} fields: {missing}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v
+                  for k, v in doc.items()})

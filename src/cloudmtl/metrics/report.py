@@ -17,7 +17,7 @@ pixels, a constant-truth subset, no eligible thick pixels) are reported as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 from ..errors import MetricUndefinedError
 from ..data.dataset import PixelDataset, LABEL_ICE, LABEL_LIQUID
@@ -25,13 +25,6 @@ from ..models.inference import Predictions
 from .classification import acc_binary, auprc_class, auprc_weighted
 from .regression import mse, r2
 from .fmg import fmg
-
-METRIC_COLUMNS = (
-    "acc_bi", "auprc_cloudy", "auprc_clear", "auprc_liquid", "auprc_ice",
-    "auprc_weighted", "mse_all", "mse_liquid", "mse_ice",
-    "r2_all", "r2_liquid", "r2_ice",
-    "fmg_liquid", "fmg_ice", "fmg_eligible_liquid", "fmg_eligible_ice",
-)
 
 
 @dataclass
@@ -60,6 +53,11 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+#: the report's metric fields: all but the two pixel counts
+METRIC_COLUMNS = tuple(f.name for f in fields(EvalReport)
+                       if f.name not in ("n_pixels", "n_cloudy"))
 
 
 def _maybe(fn, *args):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
-from ..errors import ConfigError, check_number
+from ..errors import ConfigError, check_fields, from_doc
 
 VARIANT_SEQ = "SEQ"
 VARIANT_CR = "MT-CR"
@@ -72,18 +72,7 @@ class ArchitectureSpec:
     mlp_hidden: int = 10                 # MLP-BASELINE only
 
     def __post_init__(self):
-        for name in ("variant", "gating_mode", "reg_norm"):
-            if not isinstance(getattr(self, name), str):
-                raise ConfigError(
-                    f"{name} must be a string, got {getattr(self, name)!r}")
-        for name in ("input_dim", "mlp_hidden"):
-            check_number(name, getattr(self, name), integer=True)
-        for name in ("lasso_lambda", "threshold"):
-            check_number(name, getattr(self, name))
-        for name, integer in (("encoder_widths", True), ("head_hidden", True),
-                              ("bins", False)):
-            for v in getattr(self, name):
-                check_number(f"{name} entry", v, integer)
+        check_fields(self)
         if self.variant not in _VARIANT_FLAGS:
             raise ConfigError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
@@ -145,25 +134,9 @@ class ArchitectureSpec:
         return self.head_hidden[-1]
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["encoder_widths"] = list(self.encoder_widths)
-        d["head_hidden"] = list(self.head_hidden)
-        d["bins"] = list(self.bins)
-        return d
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchitectureSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(f"architecture must be an object, got {d!r}")
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown architecture fields: {sorted(extra)}")
-        kwargs = dict(d)
-        for key in ("encoder_widths", "head_hidden", "bins"):
-            if key in kwargs:
-                if not isinstance(kwargs[key], (list, tuple)):
-                    raise ConfigError(
-                        f"{key} must be a list, got {kwargs[key]!r}")
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return from_doc(cls, d, "architecture")

@@ -22,25 +22,14 @@ with ``l_hc = l_cmask + l_cphase`` and ``l_car = l_reg + l_caux``:
 * ``l_lasso``  lasso_lambda times the L1 norm of all weight (non-bias)
   parameters.
 
-Components that a variant lacks (no decoder, no aux head) contribute an
-exact 0.0. Every probability entering a logarithm is clamped to
-``[1e-7, 1 - 1e-7]`` first. For the four mask and phase probabilities the
-clamp lives inside the fused cross-entropy nodes: ``_bce_pair`` (one node
-per probability column, for the flat variants and SEQ's stages) and
-``_hierarchical_ce`` (one node for ``l_hc``). Each clips its input's value
-and masks the cotangent of clipped entries, and runs the numpy expressions
-of the clamp/log/mul chain it replaces, so values and gradients are bitwise
-those of that chain. The thickness-bin probabilities keep an explicit
-``clamp`` node.
-
-The sequential baseline (SEQ) trains one subnet at a time; ``stage_loss``
-builds each stage's loss from the same parts: the binary cross entropy of
-the flat variants, the truly-cloudy absolute error and the lasso.
+Components a variant lacks (no decoder, no aux head) are an exact 0.0.
+Every probability entering a logarithm is clamped to ``[1e-7, 1 - 1e-7]``.
+``stage_loss`` builds each SEQ stage's loss from the same parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -81,11 +70,8 @@ class LossTargets:
         )
 
     def take(self, idx: np.ndarray) -> "LossTargets":
-        return LossTargets(
-            x=self.x[idx], l_cloud=self.l_cloud[idx], l_clear=self.l_clear[idx],
-            l_liquid=self.l_liquid[idx], l_ice=self.l_ice[idx],
-            y_cot=self.y_cot[idx], aux_onehot=self.aux_onehot[idx],
-            cloudy=self.cloudy[idx])
+        return LossTargets(**{f.name: getattr(self, f.name)[idx]
+                              for f in fields(self)})
 
     def __len__(self) -> int:
         return int(self.l_cloud.shape[0])
@@ -116,13 +102,8 @@ def _clip_prob(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bce_pair(u: Tensor, labels: np.ndarray) -> Tensor:
-    """Per-pixel binary cross entropy for one probability column.
-
-    One graph node: ``-(labels*log(p) + (1-labels)*log(1-p))`` with ``p``
-    the log-safe clamp of ``u``. Value and cotangent are bitwise those of
-    the chain ``neg(add(mul(labels, log(p)), mul(1-labels, log(sub(1, p)))))``
-    on ``p = clamp(u)``.
-    """
+    """Per-pixel ``-(labels*log(p) + (1-labels)*log(1-p))``, ``p`` the
+    log-safe clamp of ``u``: one node, bitwise its clamp/log/mul chain."""
     p, mask = _clip_prob(u.value)
     neg_labels = 1.0 - labels
     q = 1.0 - p
@@ -137,17 +118,9 @@ def _bce_pair(u: Tensor, labels: np.ndarray) -> Tensor:
 
 def _hierarchical_ce(outputs: ModelOutputs, targets: LossTargets
                      ) -> tuple[Tensor, float, float]:
-    """``l_hc = l_cmask + l_cphase`` of the hierarchical variants as one node.
-
-    Returns the node and the float values of ``l_cmask`` and ``l_cphase``.
-    The four probabilities are clamped to the log-safe range inside the
-    node. Value and cotangents are bitwise those of the chain of
-    ``clamp``/``log``/``mul``/``add``/``reduce_mean``/``neg`` nodes the
-    module docstring's formulas describe. The clamped ``u_cloud`` feeds
-    five products there; its cotangents are summed in the order that
-    chain's backward pass adds them: the mask term, then the liquid
-    label and joint terms, then the ice label and joint terms.
-    """
+    """``l_hc = l_cmask + l_cphase`` of the hierarchical variants, with the
+    float values of both: one node, bitwise the clamp/log/mul chain of the
+    module docstring's formulas."""
     parents = (outputs.u_cloud, outputs.u_clear, outputs.u_liquid, outputs.u_ice)
     (uc, m_c), (ucl, m_cl), (ul, m_l), (ui, m_i) = (
         _clip_prob(t.value) for t in parents)
@@ -164,6 +137,7 @@ def _hierarchical_ce(outputs: ModelOutputs, targets: LossTargets
         g = -g / n
         d_liq_p = (g * liq_w) / liq_p
         d_ice_p = (g * ice_w) / ice_p
+        # the chain's order: mask, liquid label and joint, ice label and joint
         d_uc = ((((g * t.l_cloud) / uc + (g * log_liq) * t.l_liquid)
                   + d_liq_p * ul) + (g * log_ice) * t.l_ice) + d_ice_p * ui
         return (d_uc * m_c, ((g * t.l_clear) / ucl) * m_cl,
@@ -174,10 +148,8 @@ def _hierarchical_ce(outputs: ModelOutputs, targets: LossTargets
 
 def cloudy_abs_error(y_hat: Tensor, targets: LossTargets,
                      reg_norm: str) -> Tensor:
-    """Absolute thickness error summed over truly-cloudy pixels.
-
-    ``reg_norm="mean"`` divides the sum by the number of those pixels.
-    """
+    """Absolute thickness error summed over truly-cloudy pixels, divided by
+    their count if ``reg_norm="mean"``."""
     cloudy_f = targets.cloudy.astype(np.float64)
     abs_err = E.absval(E.sub(y_hat, E.constant(targets.y_cot)))
     err = E.reduce_sum(E.mul(abs_err, E.constant(cloudy_f)))
@@ -187,11 +159,8 @@ def cloudy_abs_error(y_hat: Tensor, targets: LossTargets,
 
 
 def lasso_penalty(params: ParamStore | None, lam: float) -> Tensor:
-    """``lam`` times the L1 norm of every weight (non-bias) parameter.
-
-    An exact 0.0 constant when ``params`` is None, ``lam`` is 0 or the store
-    has no weights.
-    """
+    """``lam`` times the L1 norm of every weight (non-bias) parameter; an
+    exact 0.0 if ``params`` is None, ``lam`` is 0 or there are no weights."""
     weights = params.weight_tensors() if params is not None and lam > 0 else []
     if not weights:
         return E.constant(0.0)
@@ -201,11 +170,8 @@ def lasso_penalty(params: ParamStore | None, lam: float) -> Tensor:
 def compute_loss(outputs: ModelOutputs, targets: LossTargets,
                  spec: ArchitectureSpec,
                  params: ParamStore | None = None) -> tuple[Tensor, LossBreakdown]:
-    """Evaluate the composite loss; returns the scalar graph node + floats.
-
-    ``params`` supplies the lasso domain; pass the model store during
-    training, or None to get ``l_lasso = 0`` (useful for output-level tests).
-    """
+    """The composite loss node and its breakdown; the lasso runs over
+    ``params``, and is 0.0 when it is None."""
     n = len(targets)
     if outputs.u_cloud.value.shape != (n,):
         raise DimensionError(
@@ -279,14 +245,9 @@ _STAGES = {
 def stage_loss(net: str, out: Tensor, targets: LossTargets,
                spec: ArchitectureSpec,
                params: ParamStore | None) -> tuple[Tensor, LossBreakdown]:
-    """Loss of one sequential (SEQ) stage on its subnet's output ``out``.
-
-    The mask and phase stages take the sum of two mean binary cross
-    entropies, one per probability column; the COT stage takes
-    :func:`cloudy_abs_error`. Each adds the lasso over its own ``params``.
-    The stage's term fills its own breakdown field (and the ``l_hc`` or
-    ``l_car`` sum it belongs to); every other component is exactly 0.0.
-    """
+    """Loss of one SEQ stage on its subnet's output ``out``: two mean binary
+    cross entropies (mask, phase stages) or :func:`cloudy_abs_error` (COT),
+    plus the lasso over ``params``. Other breakdown fields are 0.0."""
     field, labels = _STAGES[net]
     if labels is None:
         term = cloudy_abs_error(out, targets, spec.reg_norm)

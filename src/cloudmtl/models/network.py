@@ -1,31 +1,16 @@
 """Network construction and forward passes for every variant.
 
-All variants produce a :class:`ModelOutputs` bundle of graph tensors
-(:meth:`Model.infer` gives the inference-mode bundle, computed in chunks
-without a graph):
-
-* mask uncertainties ``u_cloud`` / ``u_clear`` (sigmoid, clamped into
-  (0, 1) for log safety);
-* phase uncertainties ``u_liquid`` / ``u_ice``;
-* ``y_cot_hat`` regression output (log10 optical thickness);
-* optional ``aux_probs`` (n, 3) thickness-bin softmax (exact softmax, so
-  each row sums to 1; clamping happens inside the cross-entropy instead);
-* optional ``x_recon`` decoder reconstruction.
-
-Hierarchical variants multiply the latent representation by the cloud-mask
-uncertainty before the phase head. The multiplicative gate uses the
-*pre-clamp* sigmoid so that a exactly-saturated mask (0 or 1) gates the
-branch identically in soft and hard modes; at inference the gate is always
-the hard indicator ``u_cloud >= threshold``.
-
-The cross-attention block refines the regression hidden vector theta1 with
-the auxiliary hidden vector theta2, per pixel i:
+Every variant returns a :class:`ModelOutputs` of graph tensors: the mask
+pair ``u_cloud``/``u_clear``, the phase pair ``u_liquid``/``u_ice`` (each
+clamped into (0, 1)), the log10 thickness ``y_cot_hat``, and optionally the
+(n, 3) thickness-bin softmax ``aux_probs`` and the reconstruction
+``x_recon``. Hierarchical variants gate the phase branch by the pre-clamp
+cloud probability (soft) or by ``u_cloud >= threshold`` (hard, and always
+at inference). MT-HCCAR's cross attention refines the regression hidden
+vector theta1 with the auxiliary one theta2, per pixel i, unscaled:
 
     q_i = W_Q theta2_i   k_i = W_K theta1_i   v_i = W_V theta1_i
-    S_i = q_i k_i^T      A_i = row_softmax(S_i)
-    out_i = W_z (A_i v_i) + theta1_i
-
-There is no 1/sqrt(d) scaling: S is the plain outer product.
+    out_i = W_z (row_softmax(q_i k_i^T) v_i) + theta1_i
 """
 
 from __future__ import annotations
@@ -59,16 +44,11 @@ class ModelOutputs:
 
 def forward_chunks(forward, n: int):
     """``forward(rows)`` on each ``INFER_CHUNK``-row slice of ``range(n)``
-    under :func:`engine.no_grad`, concatenated: every graph-free forward.
-
-    ``forward`` returns a Tensor or :class:`ModelOutputs`; the result is the
-    same kind, each array concatenated into a constant (None stays None).
-    Beyond the result, peak memory is one chunk's forward; an empty range
-    gets one empty call. Forward ops are row-independent, so this is
-    bitwise one forward over all rows until BLAS picks other kernels for
-    products of about 32k rows (an ulp); chunks of a few dozen rows could
-    differ too, so chunks stay in the thousands.
-    """
+    under :func:`engine.no_grad`, concatenated into a constant Tensor or
+    :class:`ModelOutputs` of constants (None stays None); an empty range
+    gets one empty call, and peak memory is one chunk's forward. Bitwise one
+    forward over all rows up to about 32k rows, where BLAS may pick other
+    kernels (an ulp)."""
     with E.no_grad():
         parts = [forward(slice(start, start + INFER_CHUNK))
                  for start in range(0, max(n, 1), INFER_CHUNK)]
@@ -85,15 +65,11 @@ def _concat(parts):
 
 
 def cross_attention(theta1, theta2, w_q, w_k, w_v, w_z) -> Tensor:
-    """Attention-refined regression features; see the module docstring.
-
-    ``theta1``/``theta2`` are (n, d); the four matrices are (d, d). Accepts
-    Tensors or plain arrays (arrays are wrapped as constants). Scores,
-    softmax and mixing are the one node :func:`engine.attention_mix`; the
-    projections and the residual stay separate ``E.<op>`` calls, so a
-    tracer that wraps engine ops by name still sees the ``attn`` layer.
-    Training and inference run this same path.
-    """
+    """Attention-refined regression features (see the module docstring) of
+    (n, d) ``theta1``/``theta2`` and four (d, d) matrices, Tensors or arrays.
+    Scores, softmax and mixing are one :func:`engine.attention_mix` node;
+    the projections and residual stay separate ops, so a tracer wrapping
+    engine ops by name still sees the ``attn`` layer."""
     theta1, theta2, w_q, w_k, w_v, w_z = (
         t if isinstance(t, Tensor) else E.constant(t)
         for t in (theta1, theta2, w_q, w_k, w_v, w_z))
@@ -217,24 +193,19 @@ class Model:
             y_cot_hat=y_cot, aux_probs=aux_probs, x_recon=x_recon)
 
     def infer(self, X: np.ndarray) -> ModelOutputs:
-        """Inference-mode outputs by :func:`forward_chunks`, stopping at the
-        five fields predictions read (``aux_probs`` and ``x_recon`` are
-        None): bitwise ``forward(X)`` up to ``INFER_CHUNK`` rows, and the
-        concatenated per-chunk forwards beyond."""
+        """Inference-mode outputs by :func:`forward_chunks`, with
+        ``aux_probs`` and ``x_recon`` None: bitwise ``forward(X)`` up to
+        ``INFER_CHUNK`` rows."""
         X = self._input(X)
         return forward_chunks(
             lambda rows: self._forward(X[rows], False, full=False), len(X))
 
 
 class SequentialModel(Model):
-    """Three independent networks (mask, phase, COT) behind the Model API.
-
-    Each subnet is a trunk (the encoder widths) plus a task head. The merged
-    ``params`` store aliases the subnet tensors under ``mask_net.``/
-    ``phase_net.``/``cot_net.`` prefixes, so checkpointing and gradient
-    checking see one flat parameter list while sequential training steps each
-    subnet store separately.
-    """
+    """Three independent networks (mask, phase, COT) behind the Model API:
+    each a trunk of the encoder widths plus a task head. ``params`` aliases
+    the subnet tensors under ``mask_net.``/``phase_net.``/``cot_net.``
+    prefixes; sequential training steps each subnet's own store."""
 
     SUBNETS = ("mask_net", "phase_net", "cot_net")
     _OUT_DIMS = {"mask_net": 2, "phase_net": 2, "cot_net": 1}
@@ -263,12 +234,9 @@ class SequentialModel(Model):
         return SequentialModel(spec, merged, subnets)
 
     def stage_output(self, net: str, X: np.ndarray) -> Tensor:
-        """One subnet's output on standardized features ``X``.
-
-        The mask and phase nets give an (n, 2) clamped-sigmoid pair, the COT
-        net the (n,) log10 thickness. Sequential training calls this per
-        stage, so it trains exactly the tensors ``forward`` reports.
-        """
+        """One subnet's output on standardized features ``X``: an (n, 2)
+        clamped-sigmoid pair for the mask and phase nets, the (n,) log10
+        thickness for the COT net."""
         ps = self.subnet_params[net]
         h = _chain(E.constant(X), ps, "trunk", len(self.spec.encoder_widths),
                    final_relu=True)

@@ -21,7 +21,7 @@ epoch. The sequential pipeline yields one history per subnet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -32,9 +32,6 @@ from ..engine import (
 from ..errors import ConfigError
 from .losses import LossTargets, compute_loss, stage_loss
 from .network import Model, SequentialModel, forward_chunks
-
-HISTORY_COLUMNS = ("epoch", "l_cmask", "l_cphase", "l_reg", "l_caux",
-                   "l_rec", "l_lasso", "total", "val_total")
 
 
 @dataclass
@@ -51,11 +48,15 @@ class EpochRecord:
 
     def row(self) -> list[str]:
         vals = [str(self.epoch)]
-        for v in (self.l_cmask, self.l_cphase, self.l_reg, self.l_caux,
-                  self.l_rec, self.l_lasso, self.total):
-            vals.append(repr(float(v)))
+        for col in _MEAN_COLUMNS:
+            vals.append(repr(float(getattr(self, col))))
         vals.append("" if self.val_total is None else repr(float(self.val_total)))
         return vals
+
+
+HISTORY_COLUMNS = tuple(f.name for f in fields(EpochRecord))
+#: the loss components averaged over an epoch's batches
+_MEAN_COLUMNS = HISTORY_COLUMNS[1:-1]
 
 
 @dataclass
@@ -109,7 +110,7 @@ def _fit(params: ParamStore, forward, loss, train: LossTargets,
     state = AdamState()
     records: list[EpochRecord] = []
     for epoch in range(config.epochs):
-        sums = np.zeros(7)
+        sums = np.zeros(len(_MEAN_COLUMNS))
         batches = _batches(len(train), config.batch_size, rng)
         for idx in batches:
             batch = train.take(idx)
@@ -117,8 +118,7 @@ def _fit(params: ParamStore, forward, loss, train: LossTargets,
             params.zero_grads()
             backward(total)
             optimizer_step(params, config, state)
-            sums += (parts.l_cmask, parts.l_cphase, parts.l_reg, parts.l_caux,
-                     parts.l_rec, parts.l_lasso, parts.total)
+            sums += [getattr(parts, col) for col in _MEAN_COLUMNS]
         val_total = None
         if val is not None and len(val) > 0:
             with no_grad():

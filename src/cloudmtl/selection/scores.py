@@ -24,6 +24,7 @@ otherwise the missing cells are reported in the error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -157,6 +158,10 @@ def compute_selection(grid: Sequence[FoldStats],
     p_1se_total = {
         mod: sum(w[m] * psi_cell[(mod, d, m)] for d in datasets for m in metrics)
         for mod in models}
+    for mod, total in p_1se_total.items():
+        if not math.isfinite(total):
+            raise ConfigError(
+                f"weights give {mod!r} a non-finite 1SE total ({total})")
 
     return SelectionScores(
         models=models, datasets=datasets, metrics=metrics, weights=w,

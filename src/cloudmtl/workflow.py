@@ -18,7 +18,7 @@ Artifact layout for a single training run (``run_training`` with ``outdir``):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -107,12 +107,7 @@ def resolved_config(spec: ArchitectureSpec, config: TrainConfig,
         "sensor": sensor_name,
         "architecture": spec.to_dict(),
         "train": config.to_dict(),
-        "split": {
-            "train": plan.train,
-            "val": plan.val,
-            "test": plan.test,
-            "seed": plan.seed,
-        },
+        "split": asdict(plan),
     }
     if data_source is not None:
         doc["data"] = data_source
@@ -199,16 +194,14 @@ def load_trained(path: str) -> tuple[Model, Standardizer, dict]:
     fit together raises :class:`DataError` naming the path.
     """
     doc = load_checkpoint(path)
-    config = doc["config"] if doc["config"] is not None else {}
     extras = doc["extras"] if doc["extras"] is not None else {}
-    if not isinstance(config, dict) or not isinstance(extras, dict):
-        raise DataError(f"{path}: checkpoint config and extras must be objects")
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise DataError(f"{path}: checkpoint seed must be an integer, got {seed!r}")
+    if not isinstance(extras, dict):
+        raise DataError(f"{path}: checkpoint extras must be an object")
     try:
+        config = TrainConfig.from_dict(
+            {} if doc["config"] is None else doc["config"])
         spec = ArchitectureSpec.from_dict(doc["architecture"])
-        model = build_model(spec, seed)
+        model = build_model(spec, config.seed)
         model.params.load_values(doc["values"])
     except (ConfigError, StateError) as e:
         raise DataError(f"{path}: {e}") from None

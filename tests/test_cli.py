@@ -275,6 +275,62 @@ def test_non_finite_number_exits_2_naming_the_field(tmp_path, data_csv, capsys,
     assert not os.path.exists(out) and not os.path.exists(out + ".config.json")
 
 
+#: negative seeds, integers too large for a float64 field and weights whose
+#: totals overflow (a dict stands for a --config document): (id, argv, the
+#: field the error names)
+OUT_OF_RANGE_CASES = [
+    ("train --seed -1", ["train", "--seed", "-1"], "seed"),
+    ("ablate --seed -1", ["ablate", "--seed", "-1"], "seed"),
+    ("kfold --seed -1", ["kfold", "--seed", "-1"], "seed"),
+    ("train --split-seed -1", ["train", "--split-seed", "-1"], "split seed"),
+    ("config train.seed -3", ["train", {"train": {"seed": -3}}], "seed"),
+    ("gen-data --seed -1", ["gen-data", "--seed", "-1"], "seed"),
+    ("config architecture.lasso_lambda 10**400",
+     ["train", {"architecture": {"lasso_lambda": 10**400}}], "lasso_lambda"),
+    ("config train.lr 10**400", ["train", {"train": {"lr": 10**400}}], "lr"),
+    ("select --weights 1e308 twice",
+     ["select", "--weights", "ACC_bi=1e308,MSE=1e308"], "weights"),
+]
+
+
+@pytest.mark.parametrize("argv,field", [c[1:] for c in OUT_OF_RANGE_CASES],
+                         ids=[c[0] for c in OUT_OF_RANGE_CASES])
+def test_out_of_range_input_exits_2_naming_the_field(tmp_path, data_csv,
+                                                     capsys, argv, field):
+    command, *flags = argv
+    out = str(tmp_path / "out")
+    grid = str(tmp_path / "grid.csv")
+    write_summary_csv(grid, reference_grid())
+    base = {"gen-data": ["--sensor", "ABI", "--n", "50", "--out", out],
+            "train": ["--data", data_csv, "--outdir", out],
+            "ablate": ["--data", data_csv, "--outdir", out],
+            "kfold": ["--data", data_csv, "--k", "2", "--outdir", out],
+            "select": ["--grid", grid, "--out", out]}[command]
+    named = [field]
+    if isinstance(flags[0], dict):   # no FAST: its flags would win
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(flags[0]))
+        flags = ["--config", str(config)]
+        named.append(str(config))
+    elif command in ("train", "ablate", "kfold"):
+        base += FAST
+    assert main([command, *base, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(name in err for name in named), err
+    assert not os.path.exists(out) and not os.path.exists(out + ".config.json")
+
+
+def test_malformed_width_flag_is_a_usage_error(tmp_path, data_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", data_csv, "--outdir", str(tmp_path / "x"),
+              "--encoder-widths", "8,x"])
+    assert exc.value.code == 2
+    assert "--encoder-widths: expects comma-separated integers" in \
+        capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_train_config_file_and_flag_override(tmp_path, data_csv, capsys):
     cfg_path = str(tmp_path / "exp.json")
     with open(cfg_path, "w") as f:

@@ -171,6 +171,11 @@ MALFORMED = [
     ("null value", _set_value(1, None), True),
     ("value 1e400", _set_value(2, "BIG"), True),
     ("standardizer mean too short", _short_mean, False),
+    ("seed negative", _set("config", "seed", -2), False),
+    ("architecture lacks variant",
+     lambda doc: doc["architecture"].pop("variant"), False),
+    ("architecture lacks input_dim",
+     lambda doc: doc["architecture"].pop("input_dim"), False),
 ]
 
 

@@ -6,9 +6,11 @@ per variant and ``clip_norm`` setting, the SHA-256 of the trained weights,
 of its ``history*.csv`` text and of every ``Predictions`` field that
 ``models.predict`` gives on the validation pixels; then it runs a 2-epoch
 ``cloudmtl ablate`` of all six variants and a 2-fold, 2-epoch
-``cloudmtl kfold`` of its default variants, and prints for each one SHA-256
-over every file the run writes, plus, for the kfold run, the SHA-256 of the
-``FoldStats`` that ``read_stats_grid`` reads from its ``fold_values.csv``.
+``cloudmtl kfold`` of its default variants and a ``cloudmtl train`` whose
+settings come from a ``--config`` file and flags, and prints for each one
+SHA-256 over every file the run writes, plus, for the kfold run, the SHA-256
+of the ``FoldStats`` that ``read_stats_grid`` reads from its
+``fold_values.csv``.
 Last, for each of ABI, OCI and VIIRS it prints the SHA-256 of the bytes
 ``cloudmtl gen-data`` writes and of every column ``load_csv`` reads back
 from them, and of every column ``load_csv`` reads from the ABI file with
@@ -42,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -149,9 +152,26 @@ def _run_cli(argv: list[str]) -> None:
         raise SystemExit(f"cloudmtl {argv[0]} exited with {code}")
 
 
+#: the ``--config`` document of the digested ``cloudmtl train`` run; it sets
+#: fields of all three sections, and ``CONFIG_FLAGS`` override some of them
+CONFIG_DOC = {
+    "architecture": {"encoder_widths": [32, 16], "head_hidden": [8],
+                     "gating_mode": "hard", "lasso_lambda": 1e-4,
+                     "reg_norm": "mean", "threshold": 0.4,
+                     "bins": [-1.5, 0.5, 1.5, 2.5]},
+    "train": {"lr": 3e-3, "epochs": 3, "batch_size": 64, "clip_norm": 0.5,
+              "seed": 5},
+    "split": {"train": 0.6, "val": 0.2, "test": 0.2, "seed": 3},
+}
+CONFIG_FLAGS = ["--variant", "MT-HCCAR", "--threshold", "0.45",
+                "--epochs", "2", "--seed", "1", "--split-seed", "7"]
+
+
 def cli_digests() -> list[str]:
-    """One SHA-256 over every file each of ``CLI_RUNS`` writes, and one over
-    the fold statistics read back from the kfold run's grid."""
+    """One SHA-256 over every file each of ``CLI_RUNS`` and the ``--config``
+    train run write, and one over the fold statistics read back from the
+    kfold run's grid. The train run records its ``--data`` path, so it runs
+    inside the temporary directory with relative paths."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "abi.csv")
@@ -161,6 +181,17 @@ def cli_digests() -> list[str]:
             outdir = os.path.join(tmp, command)
             _run_cli([command, "--data", data, "--outdir", outdir, *flags])
             lines.append(f"{command} artifacts={tree_sha256(outdir)}")
+        with open(os.path.join(tmp, "config.json"), "w") as f:
+            json.dump(CONFIG_DOC, f)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            _run_cli(["train", "--data", "abi.csv", "--outdir", "train",
+                      "--config", "config.json", *CONFIG_FLAGS])
+        finally:
+            os.chdir(cwd)
+        lines.append("train --config artifacts="
+                     f"{tree_sha256(os.path.join(tmp, 'train'))}")
         grid = read_stats_grid(os.path.join(tmp, "kfold", "fold_values.csv"))
         h = hashlib.sha256()
         for stats in grid:
