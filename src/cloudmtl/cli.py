@@ -9,7 +9,9 @@ Flags shared by the training-style commands may also be supplied through
 ``train``, and ``split`` (the same sub-documents the commands write next to
 their artifacts).  Each such flag sets one ``<section>.<field>``, its
 argparse dest, which ``--help`` shows as its metavar.  Explicit flags
-override file values, which override the built-in defaults.
+override file values, which override the built-in defaults. Every command
+that reads ``--config`` checks all three sections, though ``kfold``
+partitions by ``--k`` and uses no field of the split plan.
 """
 
 from __future__ import annotations
@@ -114,9 +116,8 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
 def _run_inputs(args: argparse.Namespace):
     """Read ``--config`` and ``--data`` (cross-checked against ``--sensor``
     when given), then build the architecture of each requested variant, the
-    training config and, for the commands with split flags, the split plan
-    (else None), in that order. A ConfigError in a setting is prefixed with
-    the ``--config`` path when there is one."""
+    training config and the split plan, in that order. A ConfigError in a
+    setting is prefixed with the ``--config`` path when there is one."""
     file_cfg = _load_config_file(args.config)
     sensor = get_sensor(args.sensor) if args.sensor else None
     ds = load_csv(args.data, sensor=sensor)
@@ -128,8 +129,7 @@ def _run_inputs(args: argparse.Namespace):
             {**arch, "variant": v, "input_dim": ds.feature_dim})
             for v in variants]
         config = TrainConfig.from_dict(_section(args, file_cfg, "train"))
-        plan = (SplitPlan.from_dict(_section(args, file_cfg, "split"))
-                if args.cmd != "kfold" else None)
+        plan = SplitPlan.from_dict(_section(args, file_cfg, "split"))
     except ConfigError as e:
         if args.config is None:
             raise

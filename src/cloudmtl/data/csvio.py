@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from array import array
 from typing import Callable
 
@@ -92,6 +93,21 @@ def _format_rows(ds: PixelDataset, rows: slice) -> str:
     cols.append(map(LABEL_NAMES.__getitem__, map(int, ds.label[rows].tolist())))
     cols.append("" if math.isnan(c) else repr(c) for c in floats(ds.cot_log10))
     return "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+def csv_text(rows) -> str:
+    """The CSV text of ``rows``, one LF-ended line each. A cell is empty for
+    None; a str is written as is, an integer by ``str`` and any other
+    number by ``repr(float(v))``."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    return str(v) if isinstance(v, numbers.Integral) else repr(float(v))
 
 
 def _parse_float(text: str, at: str, column: str) -> float:

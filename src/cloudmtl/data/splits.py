@@ -19,14 +19,16 @@ from ..errors import ConfigError, check_number, from_doc
 
 @dataclass(frozen=True)
 class SplitPlan:
+    """Split fractions and shuffle seed: frozen, and checked when built; a
+    seed that is not an integer >= 0, or fractions outside [0, 1] or summing
+    past 1, raise :class:`ConfigError`."""
+
     train: float = 0.625
     val: float = 0.225
     test: float = 0.10
     seed: int = 0
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` unless the seed is an integer >= 0 and
-        the other fields are fractions in [0, 1] summing to at most 1."""
+    def __post_init__(self) -> None:
         check_number("split seed", self.seed, integer=True)
         if self.seed < 0:
             raise ConfigError(f"split seed must be >= 0, got {self.seed}")
@@ -42,14 +44,11 @@ class SplitPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SplitPlan":
-        plan = from_doc(cls, d, "split")
-        plan.validate()
-        return plan
+        return from_doc(cls, d, "split")
 
 
 def split_indices(n: int, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (train_idx, val_idx, test_idx) over range(n)."""
-    plan.validate()
     if n < 1:
         raise ConfigError(f"cannot split an empty dataset (n={n})")
     rng = np.random.default_rng(plan.seed)

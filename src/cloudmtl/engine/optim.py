@@ -1,21 +1,11 @@
-"""Adaptive-moment gradient descent with optional global-norm clipping.
-
-The update follows the standard bias-corrected first/second moment scheme
-(beta1=0.9, beta2=0.999, eps=1e-8 by default):
+"""Adam with optional global-norm clipping, on a store's flat gradient.
 
     m <- b1*m + (1-b1)*g          v <- b2*v + (1-b2)*g^2
-    m_hat = m / (1 - b1^t)        v_hat = v / (1 - b2^t)
-    p <- p - lr * m_hat / (sqrt(v_hat) + eps)
+    p <- p - lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
 
-so the very first step moves each parameter by -lr * sign(g) up to the eps
-correction. The step reads one gradient vector: the store's flat gradient
-vector (see :meth:`ParamStore.flat_grad`), in parameter order. The moments
-live in :class:`AdamState` as flat vectors of the same layout and are
-updated in place, each term computed by the formulas above in their order;
-the global norm for clipping is still summed parameter by parameter, since
-another summation order would change the clipped step. The arithmetic is
-elementwise, so it is bitwise that of a per-parameter loop; the step is
-deterministic given (params, grads, state).
+The moments are flat vectors in parameter order, updated in place term by
+term in that order, so a step is bitwise a per-parameter loop's. The
+clipping norm is summed parameter by parameter, as that order fixes it.
 """
 
 from __future__ import annotations
@@ -30,9 +20,10 @@ from ..errors import (ConfigError, NumericError, StateError, check_fields,
 from .params import ParamStore
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyperparameters shared by the optimizer and train loop."""
+    """Optimization settings of the optimizer and train loop: frozen, and
+    checked when built; a bad field raises :class:`ConfigError` naming it."""
 
     lr: float = 1e-5
     beta1: float = 0.9
@@ -43,33 +34,31 @@ class TrainConfig:
     epochs: int = 500
     seed: int = 0
 
-    def validate(self) -> None:
-        if not (self.lr > 0 and math.isfinite(self.lr)):
-            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
-            raise ConfigError(
-                f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+    def __post_init__(self) -> None:
+        check_fields(self)
+        for name, ok, rule in (
+                ("lr", self.lr > 0, "positive"),
+                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                ("eps", self.eps > 0, "positive"),
+                ("clip_norm", self.clip_norm is None or self.clip_norm > 0,
+                 "positive or None"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("epochs", self.epochs >= 0, ">= 0"),
+                ("seed", self.seed >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(
+                    f"{name} must be {rule}, got {getattr(self, name)}")
+
+    #: the check run when built, which a frozen instance always passes again
+    validate = __post_init__
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        # types checked here, not in validate, which runs on every step
-        cfg = from_doc(cls, d, "train")
-        check_fields(cfg)
-        cfg.validate()
-        return cfg
+        return from_doc(cls, d, "train")
 
 
 @dataclass
@@ -107,7 +96,6 @@ def optimizer_step(params: ParamStore, config: TrainConfig, state: AdamState) ->
     a store of another size. All-zero gradients leave parameters bitwise
     unchanged (aside from the step counter advancing).
     """
-    config.validate()
     g = params.flat_grad()
     if not np.isfinite(g).all():
         for name, t in params.items():

@@ -299,31 +299,17 @@ def l1_norm(tensors: Sequence) -> Tensor:
     return Tensor(total, ts, vjp)
 
 
-def reduce_sum(x, axis=None) -> Tensor:
+def reduce_sum(x) -> Tensor:
     x = _wrap(x)
-    out_val = x.value.sum(axis=axis)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.value.shape).copy(),)
-        expanded = np.expand_dims(g, axis)
-        return (np.broadcast_to(expanded, x.value.shape).copy(),)
-
-    return Tensor(out_val, (x,), vjp)
+    return Tensor(x.value.sum(), (x,),
+                  lambda g: (np.broadcast_to(g, x.value.shape).copy(),))
 
 
-def reduce_mean(x, axis=None) -> Tensor:
+def reduce_mean(x) -> Tensor:
     x = _wrap(x)
-    out_val = x.value.mean(axis=axis)
-    denom = x.value.size if axis is None else x.value.shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / denom, x.value.shape).copy(),)
-        expanded = np.expand_dims(g / denom, axis)
-        return (np.broadcast_to(expanded, x.value.shape).copy(),)
-
-    return Tensor(out_val, (x,), vjp)
+    denom = x.value.size
+    return Tensor(x.value.mean(), (x,),
+                  lambda g: (np.broadcast_to(g / denom, x.value.shape).copy(),))
 
 
 def _row_max(v: np.ndarray) -> np.ndarray:

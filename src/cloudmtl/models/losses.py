@@ -186,15 +186,7 @@ def compute_loss(outputs: ModelOutputs, targets: LossTargets,
         l_cmask = E.reduce_mean(mask_ce)
         phase_ce = E.add(_bce_pair(outputs.u_liquid, targets.l_liquid),
                          _bce_pair(outputs.u_ice, targets.l_ice))
-        if spec.conditional_phase:
-            # A flat conditional phase head (the sequential pipeline's phase
-            # net) only ever trains on cloudy pixels, so its composite loss
-            # averages over those alone.
-            sel = targets.cloudy.astype(np.float64)
-            l_cphase = E.div(E.reduce_sum(E.mul(phase_ce, E.constant(sel))),
-                             E.constant(max(float(sel.sum()), 1.0)))
-        else:
-            l_cphase = E.reduce_mean(phase_ce)
+        l_cphase = E.reduce_mean(phase_ce)
         l_hc = E.add(l_cmask, l_cphase)
         cmask, cphase = float(l_cmask.value), float(l_cphase.value)
 

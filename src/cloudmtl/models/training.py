@@ -29,6 +29,7 @@ import numpy as np
 from ..engine import (
     TrainConfig, AdamState, ParamStore, backward, no_grad, optimizer_step,
 )
+from ..data.csvio import csv_text
 from ..errors import ConfigError
 from .losses import LossTargets, compute_loss, stage_loss
 from .network import Model, SequentialModel, forward_chunks
@@ -45,13 +46,6 @@ class EpochRecord:
     l_lasso: float
     total: float
     val_total: float | None = None
-
-    def row(self) -> list[str]:
-        vals = [str(self.epoch)]
-        for col in _MEAN_COLUMNS:
-            vals.append(repr(float(getattr(self, col))))
-        vals.append("" if self.val_total is None else repr(float(self.val_total)))
-        return vals
 
 
 HISTORY_COLUMNS = tuple(f.name for f in fields(EpochRecord))
@@ -74,10 +68,10 @@ class TrainResult:
 
 
 def history_csv(records: list[EpochRecord]) -> str:
-    lines = [",".join(HISTORY_COLUMNS)]
-    for r in records:
-        lines.append(",".join(r.row()))
-    return "\n".join(lines) + "\n"
+    return csv_text([HISTORY_COLUMNS, *(
+        (r.epoch, *(float(getattr(r, c)) for c in _MEAN_COLUMNS),
+         None if r.val_total is None else float(r.val_total))
+        for r in records)])
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -88,7 +82,6 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarr
 def train_model(model: Model, train_targets: LossTargets, config: TrainConfig,
                 val_targets: LossTargets | None = None) -> TrainResult:
     """Train in place; returns per-epoch histories."""
-    config.validate()
     if len(train_targets) == 0:
         raise ConfigError("training set is empty")
     if isinstance(model, SequentialModel):

@@ -2,7 +2,7 @@
 
 from .stats import FoldStats, fold_stats
 from .rules import one_se_select, best_model
-from .scores import SelectionScores, compute_selection, p_ab, p_1se
+from .scores import SelectionScores, compute_selection
 from .gridio import (
     read_stats_grid, write_fold_values_csv, write_summary_csv,
     render_table, display_quantum,
@@ -11,7 +11,7 @@ from .gridio import (
 __all__ = [
     "FoldStats", "fold_stats",
     "one_se_select", "best_model",
-    "SelectionScores", "compute_selection", "p_ab", "p_1se",
+    "SelectionScores", "compute_selection",
     "read_stats_grid", "write_fold_values_csv", "write_summary_csv",
     "render_table", "display_quantum",
 ]

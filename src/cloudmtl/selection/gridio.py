@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from ..atomic import atomic_write
-from ..data.csvio import read_csv_file
+from ..data.csvio import csv_text, read_csv_file
 from ..errors import DataError
 from .stats import FoldStats, fold_stats
 from .scores import SelectionScores
@@ -39,6 +39,10 @@ def display_quantum(text: str) -> float:
             raise DataError(f"malformed exponent in {text!r}") from None
     decimals = len(t.split(".", 1)[1]) if "." in t else 0
     return 0.5 * 10.0 ** (exp - decimals)
+
+
+def _direction(lower_better: bool) -> str:
+    return "lower" if lower_better else "higher"
 
 
 def _parse_direction(text: str, at: str) -> bool:
@@ -80,11 +84,9 @@ def _parse_grid(header: list[str], records, path: str) -> list[FoldStats]:
                 ) from None
             if not (math.isfinite(mu) and math.isfinite(se)):
                 raise DataError(f"{at}: non-finite statistics")
-            fs = FoldStats(model=model, dataset=dataset, metric=metric,
-                           lower_better=lower, mu=mu, se=se,
-                           mu_quantum=display_quantum(row[4]))
-            fs.validate()
-            out.append(fs)
+            out.append(FoldStats(model=model, dataset=dataset, metric=metric,
+                                 lower_better=lower, mu=mu, se=se,
+                                 mu_quantum=display_quantum(row[4])))
         else:
             try:
                 values = [float(v) for v in row[4:]]
@@ -104,11 +106,9 @@ def write_fold_values_csv(path: str, rows: list[tuple[str, str, str, bool, list[
         raise DataError("fold counts differ across rows")
     header = _LEAD + [f"fold_{i + 1}" for i in range(k)]
     with atomic_write(path) as f:
-        f.write(",".join(header) + "\n")
-        for model, dataset, metric, lower, values in rows:
-            cells = [model, dataset, metric, "lower" if lower else "higher"]
-            cells.extend(repr(float(v)) for v in values)
-            f.write(",".join(cells) + "\n")
+        f.write(csv_text([header, *(
+            (model, dataset, metric, _direction(lower), *map(float, values))
+            for model, dataset, metric, lower, values in rows)]))
 
 
 def _format_mu(mu: float, quantum: float) -> str:
@@ -128,12 +128,9 @@ def _format_mu(mu: float, quantum: float) -> str:
 
 def write_summary_csv(path: str, grid: list[FoldStats]) -> None:
     with atomic_write(path) as f:
-        f.write(",".join(_LEAD + ["mu", "se"]) + "\n")
-        for s in grid:
-            f.write(",".join([
-                s.model, s.dataset, s.metric,
-                "lower" if s.lower_better else "higher",
-                _format_mu(s.mu, s.mu_quantum), repr(float(s.se))]) + "\n")
+        f.write(csv_text([_LEAD + ["mu", "se"], *(
+            (s.model, s.dataset, s.metric, _direction(s.lower_better),
+             _format_mu(s.mu, s.mu_quantum), float(s.se)) for s in grid)]))
 
 
 def render_table(scores: SelectionScores, grid: list[FoldStats]) -> str:
@@ -142,7 +139,7 @@ def render_table(scores: SelectionScores, grid: list[FoldStats]) -> str:
     lines: list[str] = []
     for metric in scores.metrics:
         lower = next(s.lower_better for s in grid if s.metric == metric)
-        lines.append(f"metric: {metric} ({'lower' if lower else 'higher'} is better)")
+        lines.append(f"metric: {metric} ({_direction(lower)} is better)")
         lines.append(f"  {'dataset':<10} {'model':<14} {'mu':>12} {'se':>12} "
                      f"{'gap_pct':>10} {'sel':>4}")
         for dataset in scores.datasets:

@@ -34,7 +34,6 @@ def _validate_group(group: Sequence[FoldStats], order_idx: dict[str, int]) -> No
     key = (group[0].dataset, group[0].metric, group[0].lower_better)
     seen: set[str] = set()
     for s in group:
-        s.validate()
         if (s.dataset, s.metric, s.lower_better) != key:
             raise ConfigError(
                 f"mixed cells: ({s.dataset}, {s.metric}) vs {key[:2]}")
@@ -46,29 +45,29 @@ def _validate_group(group: Sequence[FoldStats], order_idx: dict[str, int]) -> No
                 f"model {s.model!r} missing from the complexity order")
 
 
-def best_model(group: Sequence[FoldStats], complexity_order: Sequence[str]
-               ) -> FoldStats:
-    """The best-mean entry; mean ties resolve to the simplest model."""
+def one_se_rule(group: Sequence[FoldStats], complexity_order: Sequence[str]
+                ) -> tuple[FoldStats, FoldStats]:
+    """The (best, selected) entries of one cell group, checked once."""
     order_idx = _order_index(complexity_order)
     _validate_group(group, order_idx)
     lower = group[0].lower_better
-
-    def key(s: FoldStats):
-        primary = s.mu if lower else -s.mu
-        return (primary, order_idx[s.model])
-
-    return min(group, key=key)
-
-
-def one_se_select(group: Sequence[FoldStats], complexity_order: Sequence[str]
-                  ) -> str:
-    """Name of the simplest model within one SE of the best mean."""
-    order_idx = _order_index(complexity_order)
-    _validate_group(group, order_idx)
-    best = best_model(group, complexity_order)
+    best = min(group, key=lambda s: (s.mu if lower else -s.mu,
+                                     order_idx[s.model]))
     lo = best.mu - best.se
     hi = best.mu + best.se
     members = [s for s in group
                if lo - s.mu_quantum <= s.mu <= hi + s.mu_quantum]
     # best is always a member of its own region
-    return min(members, key=lambda s: order_idx[s.model]).model
+    return best, min(members, key=lambda s: order_idx[s.model])
+
+
+def best_model(group: Sequence[FoldStats], complexity_order: Sequence[str]
+               ) -> FoldStats:
+    """The best-mean entry; mean ties resolve to the simplest model."""
+    return one_se_rule(group, complexity_order)[0]
+
+
+def one_se_select(group: Sequence[FoldStats], complexity_order: Sequence[str]
+                  ) -> str:
+    """Name of the simplest model within one SE of the best mean."""
+    return one_se_rule(group, complexity_order)[1].model

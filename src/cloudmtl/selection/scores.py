@@ -30,7 +30,7 @@ from typing import Sequence
 
 from ..errors import ConfigError, check_number
 from .stats import FoldStats
-from .rules import best_model, one_se_select
+from .rules import one_se_rule
 
 Cell = tuple[str, str]  # (dataset, metric)
 
@@ -88,7 +88,6 @@ def _group_grid(grid: Sequence[FoldStats]
     cells: dict[Cell, list[FoldStats]] = {}
     directions: dict[str, bool] = {}
     for s in grid:
-        s.validate()
         if s.model not in models:
             models.append(s.model)
         if s.dataset not in datasets:
@@ -136,8 +135,7 @@ def compute_selection(grid: Sequence[FoldStats],
     p_ab_cell: dict[tuple[str, str, str], float] = {}
     psi_cell: dict[tuple[str, str, str], int] = {}
     for (d, m), group in cells.items():
-        best = best_model(group, complexity_order)
-        chosen = one_se_select(group, complexity_order)
+        best, chosen = one_se_rule(group, complexity_order)
         for s in group:
             if best.mu == 0.0:
                 raise ConfigError(
@@ -148,7 +146,7 @@ def compute_selection(grid: Sequence[FoldStats],
             elif s.lower_better:
                 gap = -gap
             p_ab_cell[(s.model, d, m)] = 100.0 * gap
-            psi_cell[(s.model, d, m)] = 1 if s.model == chosen else 0
+            psi_cell[(s.model, d, m)] = 1 if s is chosen else 0
 
     p_ab_by_metric = {
         (mod, m): sum(p_ab_cell[(mod, d, m)] for d in datasets)
@@ -168,14 +166,3 @@ def compute_selection(grid: Sequence[FoldStats],
         p_ab_cell=p_ab_cell, p_ab_by_metric=p_ab_by_metric,
         p_ab_total=p_ab_total, psi_cell=psi_cell, p_1se_total=p_1se_total)
 
-
-def p_ab(grid: Sequence[FoldStats], complexity_order: Sequence[str]
-         ) -> dict[str, float]:
-    """Overall percent relative-gap totals per model."""
-    return compute_selection(grid, complexity_order).p_ab_total
-
-
-def p_1se(grid: Sequence[FoldStats], complexity_order: Sequence[str],
-          weights: dict[str, float] | None = None) -> dict[str, float]:
-    """Weighted 1SE selection counts per model."""
-    return compute_selection(grid, complexity_order, weights).p_1se_total

@@ -23,6 +23,9 @@ from ..errors import ConfigError
 
 @dataclass(frozen=True)
 class FoldStats:
+    """One cell's statistics: frozen, and checked when built (``mu`` and
+    ``se`` finite, ``se`` and ``mu_quantum`` >= 0), else ConfigError."""
+
     model: str
     dataset: str
     metric: str
@@ -32,15 +35,14 @@ class FoldStats:
     k: int | None = None
     mu_quantum: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.mu) and math.isfinite(self.se)):
             raise ConfigError(
                 f"non-finite statistics for ({self.model}, {self.dataset}, "
                 f"{self.metric}): mu={self.mu}, se={self.se}")
-        if self.se < 0:
-            raise ConfigError(f"negative standard error {self.se}")
-        if self.mu_quantum < 0:
-            raise ConfigError(f"negative display quantum {self.mu_quantum}")
+        for name, value in (("se", self.se), ("mu_quantum", self.mu_quantum)):
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 def fold_stats(model: str, dataset: str, metric: str, lower_better: bool,
@@ -57,7 +59,5 @@ def fold_stats(model: str, dataset: str, metric: str, lower_better: bool,
     k = arr.size
     mu = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(k))
-    fs = FoldStats(model=model, dataset=dataset, metric=metric,
-                   lower_better=lower_better, mu=mu, se=se, k=k)
-    fs.validate()
-    return fs
+    return FoldStats(model=model, dataset=dataset, metric=metric,
+                     lower_better=lower_better, mu=mu, se=se, k=k)

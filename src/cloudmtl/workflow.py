@@ -30,6 +30,7 @@ from .data import (
     kfold_indices,
     split_indices,
 )
+from .data.csvio import csv_text
 from .engine import TrainConfig, dumps_deterministic, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, StateError
 from .metrics import METRIC_COLUMNS, EvalReport, evaluate_predictions
@@ -126,12 +127,9 @@ def _history_filename(key: str) -> str:
 def scatter_csv(pred: Predictions, ds: PixelDataset) -> str:
     """(pixel, true, predicted) log10-thickness rows over truly cloudy pixels."""
     cloudy = ds.cloudy_mask()
-    lines = ["pixel_id,y_true_log10,y_pred_log10"]
-    for i in np.flatnonzero(cloudy):
-        lines.append("%d,%s,%s" % (ds.pixel_id[i],
-                                   repr(float(ds.cot_log10[i])),
-                                   repr(float(pred.cot_raw[i]))))
-    return "\n".join(lines) + "\n"
+    cols = (ds.pixel_id[cloudy].tolist(), ds.cot_log10[cloudy].tolist(),
+            pred.cot_raw[cloudy].tolist())
+    return csv_text([("pixel_id", "y_true_log10", "y_pred_log10"), *zip(*cols)])
 
 
 def run_training(ds: PixelDataset, spec: ArchitectureSpec, config: TrainConfig,
@@ -304,20 +302,9 @@ ABLATION_COLUMNS = ("variant", "param_count") + METRIC_COLUMNS
 
 def ablation_csv(rows: list[tuple[str, int, EvalReport]]) -> str:
     """One CSV row per variant: identity, size, and every report column."""
-    lines = [",".join(ABLATION_COLUMNS)]
-    for variant, count, report in rows:
-        d = report.to_dict()
-        cells = [variant, str(count)]
-        for col in METRIC_COLUMNS:
-            v = d[col]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, int):
-                cells.append(str(v))
-            else:
-                cells.append(repr(float(v)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_text([ABLATION_COLUMNS, *(
+        (variant, count, *(getattr(report, col) for col in METRIC_COLUMNS))
+        for variant, count, report in rows)])
 
 
 def run_ablation(ds: PixelDataset, specs: list[ArchitectureSpec],

@@ -321,6 +321,20 @@ def test_out_of_range_input_exits_2_naming_the_field(tmp_path, data_csv,
     assert not os.path.exists(out) and not os.path.exists(out + ".config.json")
 
 
+def test_kfold_config_checks_its_split_section(tmp_path, data_csv, capsys):
+    """kfold uses no field of the split plan, but a malformed ``split``
+    section fails it before any outdir exists, as it fails train."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"split": {"train": 7, "bogus": 1}}))
+    for command, extra in (("train", []), ("kfold", ["--k", "2"])):
+        out = str(tmp_path / command)
+        assert main([command, "--data", data_csv, "--outdir", out, *extra,
+                     "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown split fields: ['bogus']" in err, err
+        assert str(config) in err and not os.path.exists(out)
+
+
 def test_malformed_width_flag_is_a_usage_error(tmp_path, data_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--data", data_csv, "--outdir", str(tmp_path / "x"),

@@ -1,5 +1,6 @@
 """The three config dataclasses read their own documents: ``from_dict``
-either builds an instance that round-trips or raises ConfigError."""
+either builds an instance that round-trips or raises ConfigError. They and
+``FoldStats`` are frozen and checked when built, however they are built."""
 
 import dataclasses
 
@@ -11,6 +12,7 @@ from cloudmtl.data import SplitPlan
 from cloudmtl.engine import TrainConfig
 from cloudmtl.errors import ConfigError
 from cloudmtl.models import VARIANTS, ArchitectureSpec
+from cloudmtl.selection import FoldStats
 
 #: (reader, its writer, a valid document)
 READERS = [
@@ -113,3 +115,26 @@ def test_negative_seeds_are_rejected():
         TrainConfig.from_dict({"seed": -1})
     with pytest.raises(ConfigError, match="split seed must be >= 0"):
         SplitPlan.from_dict({"seed": -1})
+
+
+#: settings built past the reader, and the field each one's error names
+BUILT_OUT_OF_RANGE = [
+    ("replace lr", lambda: dataclasses.replace(TrainConfig(), lr=-1.0), "lr"),
+    ("replace train", lambda: dataclasses.replace(SplitPlan(), train=2.0),
+     "train fraction"),
+    ("lr str", lambda: TrainConfig(lr="x"), "lr"),
+    ("negative se", lambda: FoldStats("MT-CR", "D", "MSE", True, 0.5, -0.1),
+     "se"),
+]
+
+
+@pytest.mark.parametrize("build,field", [c[1:] for c in BUILT_OUT_OF_RANGE],
+                         ids=[c[0] for c in BUILT_OUT_OF_RANGE])
+def test_settings_are_checked_when_built(build, field):
+    with pytest.raises(ConfigError, match=f"^{field} must"):
+        build()
+
+
+def test_train_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainConfig().lr = 1.0

@@ -1,5 +1,6 @@
 """Dataset CSV round trips and malformed-file diagnostics; the fast load
-path against the row-by-row validator; save bytes and memory."""
+path against the row-by-row validator; save bytes and memory; the cell
+rule of the artifact writers."""
 
 import dataclasses
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from cloudmtl.data import (
     LABEL_CLEAR, LABEL_NAMES, SURFACE_TYPES, csvio, generate_dataset, get_sensor,
     load_csv, save_csv,
 )
+from cloudmtl import models, workflow
 from cloudmtl.errors import DataError
-from cloudmtl.selection import read_stats_grid
+from cloudmtl.metrics import EvalReport
+from cloudmtl.selection import read_stats_grid, write_fold_values_csv
 
 
 @pytest.fixture()
@@ -483,3 +487,34 @@ def test_load_memory_within_3x_of_arrays(tmp_path, sensor, n):
                  if f.name != "sensor")
     assert peak < 3 * arrays
     assert held < 1.2 * arrays  # no column keeps the parse buffer alive
+
+
+def test_artifact_writers_share_one_cell_rule(tmp_path):
+    """None is an empty cell, a str is as is, an integer goes through
+    ``str`` and any other number through ``repr(float(v))``; each former
+    writer's row keeps its bytes, integer loss means and fold values
+    included."""
+    assert csvio.csv_text([("a", None, 3, np.int64(4), 0.1, np.float64(2.0)),
+                           ()]) == "a,,3,4,0.1,2.0\n\n"
+
+    history = models.history_csv([models.EpochRecord(2, 1, 0.5, 0.0, 0.0,
+                                                     0.0, 1e-5, 1.5)])
+    assert history.splitlines()[1] == "2,1.0,0.5,0.0,0.0,0.0,1e-05,1.5,"
+
+    report = EvalReport(**{f.name: None for f in dataclasses.fields(EvalReport)}
+                        | {"acc_bi": 0.75, "fmg_eligible_liquid": 3,
+                           "fmg_eligible_ice": 0})
+    row = workflow.ablation_csv([("MT-CR", 12, report)]).splitlines()[1]
+    assert row == "MT-CR,12,0.75" + "," * 13 + ",3,0"
+
+    ds = generate_dataset(get_sensor("ABI"), 40, seed=2)
+    i = int(np.flatnonzero(ds.cloudy_mask())[0])
+    pred = types.SimpleNamespace(cot_raw=np.linspace(-1.0, 2.0, len(ds)))
+    row = workflow.scatter_csv(pred, ds).splitlines()[1]
+    assert row == (f"{ds.pixel_id[i]},{float(ds.cot_log10[i])!r},"
+                   f"{float(pred.cot_raw[i])!r}")
+
+    path = str(tmp_path / "folds.csv")
+    write_fold_values_csv(path, [("m", "D", "MSE", True, [1, 0.25])])
+    with open(path, "rb") as f:
+        assert f.read().splitlines()[1] == b"m,D,MSE,lower,1.0,0.25"

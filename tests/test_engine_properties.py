@@ -165,11 +165,11 @@ def test_log(n, k, seed):
 
 @covers("reduce_sum", "reduce_mean")
 @EXAMPLES
-@given(n=dims, k=dims, seed=seeds, axis=st.sampled_from([None, 0, 1, -1]))
-def test_reductions(n, k, seed, axis):
+@given(n=dims, k=dims, seed=seeds)
+def test_reductions(n, k, seed):
     x = np.random.default_rng(seed).normal(size=(n, k))
-    check_vjp(lambda t: E.reduce_sum(t, axis=axis), x, seed=seed)
-    check_vjp(lambda t: E.reduce_mean(t, axis=axis), x, seed=seed)
+    check_vjp(E.reduce_sum, x, seed=seed)
+    check_vjp(E.reduce_mean, x, seed=seed)
 
 
 @covers("l1_norm")

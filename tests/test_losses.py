@@ -179,22 +179,6 @@ def test_component_sum_identity_on_random_batches():
         assert all(math.isfinite(v) for v in br.to_dict().values())
 
 
-def test_seq_phase_average_restricted_to_cloudy():
-    """The sequential pipeline averages phase error over cloudy pixels only;
-    flat multi-task variants average over every pixel."""
-    seq = ArchitectureSpec(variant="SEQ", input_dim=2,
-                           encoder_widths=(2,), head_hidden=(2,))
-    tg = hand_targets([1.0, 0.0], [1.0, 0.0], [1.0, 0.0])
-    out = lambda: hand_outputs([1, 0], [0, 1], [0.75, 0.01], [0.25, 0.99],
-                               [1.0, 0.0])
-    _, br_seq = compute_loss(out(), tg, seq)
-    # cloudy pixel only: BCE(liquid 0.75 vs 1) + BCE(ice 0.25 vs 0)
-    expected = -(math.log(0.75) + math.log(0.75))
-    assert br_seq.l_cphase == pytest.approx(expected, rel=1e-14)
-    _, br_flat = compute_loss(out(), tg, FSPEC)
-    assert br_flat.l_cphase > br_seq.l_cphase  # clear pixel's huge BCE included
-
-
 def test_shape_mismatch_rejected():
     from cloudmtl.errors import DimensionError
     out = hand_outputs([1, 0], [0, 1], [1, 0], [0, 1], [0.0, 0.0])

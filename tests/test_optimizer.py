@@ -63,14 +63,14 @@ def test_nan_gradient_raises_with_parameter_name():
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(lr=-1.0).validate()
+        TrainConfig(lr=-1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(batch_size=0).validate()
+        TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
-        TrainConfig(epochs=-1).validate()
+        TrainConfig(epochs=-1)
     with pytest.raises(ConfigError):
-        TrainConfig(beta1=1.5, beta2=0.9).validate()
-    TrainConfig().validate()  # defaults are legal
+        TrainConfig(beta1=1.5, beta2=0.9)
+    TrainConfig()  # defaults are legal
 
 
 def test_train_config_round_trip():

@@ -8,7 +8,7 @@ import pytest
 from cloudmtl.errors import ConfigError, DataError
 from cloudmtl.selection import (
     FoldStats, best_model, compute_selection, display_quantum, fold_stats,
-    one_se_select, p_1se, p_ab, read_stats_grid, render_table,
+    one_se_select, read_stats_grid, render_table,
     write_fold_values_csv, write_summary_csv,
 )
 
@@ -45,7 +45,7 @@ def test_fold_stats_validation():
     with pytest.raises(ConfigError):
         fold_stats("m", "d", "MSE", True, [1.0])     # one fold: no SE
     with pytest.raises(ConfigError):
-        fs("m", 0.5, -0.1).validate()                 # negative SE
+        fs("m", 0.5, -0.1)                            # negative SE
 
 
 # ------------------------------------------------------------ 1SE rule
@@ -103,7 +103,7 @@ def test_reference_grid_cell_winners():
 
 
 def test_reference_grid_selection_totals():
-    totals = p_1se(reference_grid(), ORDER)
+    totals = compute_selection(reference_grid(), ORDER).p_1se_total
     assert totals == EXPECTED_P1SE
 
 
@@ -112,9 +112,9 @@ def test_reference_grid_acc_gap_block():
     within the published tolerance, and the per-cell values match the direct
     formula."""
     grid = [s for s in reference_grid() if s.metric == "ACC_bi"]
-    totals = p_ab(grid, ORDER)
-    # spot check one cell against plain arithmetic
     scores = compute_selection(grid, ORDER)
+    totals = scores.p_ab_total
+    # spot check one cell against plain arithmetic
     assert scores.p_ab_cell[("MT-CR", "OCI", "ACC_bi")] == pytest.approx(
         100.0 * (0.969 - 0.985) / 0.985, rel=1e-12)
     assert totals["MT-HCCAR"] == 0.0
@@ -132,10 +132,11 @@ def test_reference_grid_full_gap_signs():
 
 def test_metric_weights_scale_selection_totals():
     grid = reference_grid()
-    weighted = p_1se(grid, ORDER, weights={"ACC_bi": 2.0})
+    weighted = compute_selection(grid, ORDER,
+                                 weights={"ACC_bi": 2.0}).p_1se_total
     assert weighted["MT-HCR"] == EXPECTED_P1SE["MT-HCR"] + 3.0  # 3 ACC cells
     with pytest.raises(ConfigError):
-        p_1se(grid, ORDER, weights={"BLEU": 1.0})
+        compute_selection(grid, ORDER, weights={"BLEU": 1.0})
 
 
 def test_incomplete_grid_lists_missing_cells():
