@@ -78,39 +78,42 @@ def _section(args: argparse.Namespace, file_cfg: dict, key: str) -> dict:
                       if dest.startswith(prefix) and v is not None}}
 
 
-def _add_arch_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--encoder-widths", dest="architecture.encoder_widths",
-                   type=_int_tuple,
-                   help="comma-separated encoder widths (default 128,64,32)")
-    p.add_argument("--head-hidden", dest="architecture.head_hidden",
-                   type=_int_tuple,
-                   help="comma-separated head hidden widths (default 16)")
-    p.add_argument("--gating", dest="architecture.gating_mode",
-                   choices=["soft", "hard"],
-                   help="training-time gating mode (default soft)")
-    p.add_argument("--lasso-lambda", dest="architecture.lasso_lambda",
-                   type=float)
-    p.add_argument("--reg-norm", dest="architecture.reg_norm",
-                   choices=["sum", "mean"])
-    p.add_argument("--threshold", dest="architecture.threshold", type=float,
-                   help="cloud decision threshold (default 0.5)")
-    p.add_argument("--mlp-hidden", dest="architecture.mlp_hidden", type=int,
-                   help="hidden width for MLP-BASELINE (default 10)")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", dest="train.lr", type=float)
-    p.add_argument("--epochs", dest="train.epochs", type=int)
-    p.add_argument("--batch-size", dest="train.batch_size", type=int)
-    p.add_argument("--clip-norm", dest="train.clip_norm", type=float)
-    p.add_argument("--seed", dest="train.seed", type=int)
-
-
-def _add_split_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train-frac", dest="split.train", type=float)
-    p.add_argument("--val-frac", dest="split.val", type=float)
-    p.add_argument("--test-frac", dest="split.test", type=float)
-    p.add_argument("--split-seed", dest="split.seed", type=int)
+def _run_parents() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The flags of every run command (train, ablate, kfold), and the split
+    flags of train and ablate, as argparse parent parsers."""
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--data", required=True, help="dataset CSV")
+    run.add_argument("--sensor", help="expected sensor (cross-checked)")
+    run.add_argument("--outdir", required=True)
+    run.add_argument("--config", help="experiment config JSON")
+    run.add_argument("--lr", dest="train.lr", type=float)
+    run.add_argument("--epochs", dest="train.epochs", type=int)
+    run.add_argument("--batch-size", dest="train.batch_size", type=int)
+    run.add_argument("--clip-norm", dest="train.clip_norm", type=float)
+    run.add_argument("--seed", dest="train.seed", type=int)
+    run.add_argument("--encoder-widths", dest="architecture.encoder_widths",
+                     type=_int_tuple,
+                     help="comma-separated encoder widths (default 128,64,32)")
+    run.add_argument("--head-hidden", dest="architecture.head_hidden",
+                     type=_int_tuple,
+                     help="comma-separated head hidden widths (default 16)")
+    run.add_argument("--gating", dest="architecture.gating_mode",
+                     choices=["soft", "hard"],
+                     help="training-time gating mode (default soft)")
+    run.add_argument("--lasso-lambda", dest="architecture.lasso_lambda",
+                     type=float)
+    run.add_argument("--reg-norm", dest="architecture.reg_norm",
+                     choices=["sum", "mean"])
+    run.add_argument("--threshold", dest="architecture.threshold", type=float,
+                     help="cloud decision threshold (default 0.5)")
+    run.add_argument("--mlp-hidden", dest="architecture.mlp_hidden", type=int,
+                     help="hidden width for MLP-BASELINE (default 10)")
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--train-frac", dest="split.train", type=float)
+    split.add_argument("--val-frac", dest="split.val", type=float)
+    split.add_argument("--test-frac", dest="split.test", type=float)
+    split.add_argument("--split-seed", dest="split.seed", type=int)
+    return run, split
 
 
 def _run_inputs(args: argparse.Namespace):
@@ -253,41 +256,25 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("CLEAR", "LIQUID", "ICE"))
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train one variant and evaluate on the test split")
-    p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--sensor", default=None, help="expected sensor (cross-checked)")
+    run, split = _run_parents()
+    p = sub.add_parser("train", parents=[run, split],
+                       help="train one variant and evaluate on the test split")
     p.add_argument("--variant", default="MT-HCCAR", choices=sorted(VARIANTS))
-    p.add_argument("--outdir", required=True)
-    p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--dump-scatter", action="store_true",
                    help="also write (true, predicted) thickness pairs")
-    _add_train_flags(p)
-    _add_split_flags(p)
-    _add_arch_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("ablate", help="train several variants under one split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--sensor", default=None)
+    p = sub.add_parser("ablate", parents=[run, split],
+                       help="train several variants under one split")
     p.add_argument("--variants", default=",".join(VARIANTS))
-    p.add_argument("--outdir", required=True)
-    p.add_argument("--config", default=None)
-    _add_train_flags(p)
-    _add_split_flags(p)
-    _add_arch_flags(p)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("kfold", help="K-fold cross-validation producing a fold grid")
-    p.add_argument("--data", required=True)
-    p.add_argument("--sensor", default=None)
+    p = sub.add_parser("kfold", parents=[run],
+                       help="K-fold cross-validation producing a fold grid")
     p.add_argument("--variants", default=DEFAULT_COMPLEXITY)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--outdir", required=True)
     p.add_argument("--dataset-label", default=None,
                    help="grid dataset label (default: sensor name)")
-    p.add_argument("--config", default=None)
-    _add_train_flags(p)
-    _add_arch_flags(p)
     p.set_defaults(func=cmd_kfold)
 
     p = sub.add_parser("select", help="score a fold grid with the 1SE rule")

@@ -5,38 +5,17 @@ Schema (one header row, LF line endings, UTF-8):
     pixel_id,<ANCILLARY_FEATURES>,surface_type,<GEOMETRY_FEATURES>,
     refl_<center>...,label,cot_log10
 
-The ancillary and geometry column names are those of
-:mod:`~cloudmtl.data.sensors`; their cells hold the dataset's
-``FLOAT_COLUMNS`` in order. ``surface_type`` and ``label`` are symbolic
-(land/snow/desert/ocean and clear/liquid/ice). ``cot_log10`` is empty
-exactly when the label is clear.
-Floats are written with ``repr`` (shortest round-trip form), so a save/load
-cycle reproduces every value bit for bit. Malformed files raise
-:class:`~cloudmtl.errors.DataError` naming the offending line (1-based,
-header = line 1).
+The ancillary and geometry cells hold the dataset's ``FLOAT_COLUMNS`` in
+order; ``surface_type`` and ``label`` are symbolic, and ``cot_log10`` is
+empty exactly when the label is clear. Floats are written with ``repr``, so
+a save/load cycle is bitwise. ``save_csv`` streams about ``_CHUNK_CELLS``
+cells at a time and replaces the file atomically.
 
-``save_csv`` formats whole columns at a time (``map(repr, col.tolist())``)
-and streams the file out in chunks of about ``_CHUNK_CELLS`` cells, so its
-memory does not grow with the pixel count. The file is replaced atomically.
-
-``load_csv`` has two paths that return the same arrays bit for bit:
-
-* The fast path reads the file once in Python, checking each line's field
-  count and parsing the four non-numeric columns (``pixel_id``,
-  ``surface_type``, ``label``, ``cot_log10``), then parses the 6 + B numeric
-  columns in C with one ``np.loadtxt``. It takes no file it cannot vouch
-  for: any quote character, unknown symbol, unparseable or non-finite value
-  or schema violation sends the whole file to the row-by-row path.
-* The row-by-row path (``_load_rows``) is the validator: it takes records
-  from ``read_csv_file``, the ``csv`` module record loop that the statistics
-  grid reader shares, and raises every ``DataError`` with its line number.
-
-Both paths hand the same column block to one constructor, ``_dataset``.
-
-The fast path counts fields itself because ``np.loadtxt`` with ``usecols``
-silently accepts rows with extra or missing fields. It also streams the
-file line by line rather than splitting the whole text, which would hold
-every line of the file in memory at once.
+``load_csv`` parses the numeric columns with one ``np.loadtxt`` when it can
+vouch for the file; any quote, unknown symbol, bad value or field count
+sends the file to the row-by-row reader, which returns the same arrays and
+raises each :class:`~cloudmtl.errors.DataError` naming its line (header =
+line 1).
 """
 
 from __future__ import annotations
@@ -197,6 +176,7 @@ def _load_fast(path: str, sensor: SensorConfig | None) -> PixelDataset | None:
             line = line.rstrip("\r\n")
             if not line:
                 continue
+            # np.loadtxt with usecols accepts rows with extra or missing fields
             if line.count(",") != commas or '"' in line or len(line) > max_line:
                 return None
             lead = line.split(",", _SURFACE + 1)
@@ -217,16 +197,11 @@ def _load_fast(path: str, sensor: SensorConfig | None) -> PixelDataset | None:
 
 
 def read_csv_file(path: str, parse: Callable):
-    """``parse(header, records, path)`` on the CSV file ``path``.
-
-    ``records`` yields ``(at, fields)`` for each record after the header,
-    blank ones skipped, where ``at`` is ``"<path>: line N"`` for the
-    record's last physical line (a quoted cell may span lines). It raises
-    :class:`DataError` for a record whose field count differs from the
-    header's, and at its end if it yielded nothing. An empty file, a missing
-    file, non-UTF-8 bytes or a ``csv`` module error (a field over its size
-    limit) raise :class:`DataError` naming the file, and the line if known.
-    """
+    """``parse(header, records, path)`` on the CSV file ``path``, where
+    ``records`` yields ``(at, fields)`` per non-blank record, ``at`` being
+    ``"<path>: line N"``. A wrong field count, no records, an empty, missing
+    or non-UTF-8 file or a ``csv`` error raise :class:`DataError` naming the
+    file, and the line if known."""
     try:
         f = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:

@@ -70,14 +70,4 @@ def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
         raise ConfigError(f"k must be >= 2, got {k}")
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of pixels n={n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    base = n // k
-    rem = n % k
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < rem else 0)
-        folds.append(perm[start:start + size])
-        start += size
-    return folds
+    return np.array_split(np.random.default_rng(seed).permutation(n), k)

@@ -1,8 +1,4 @@
-"""Synthetic per-pixel scene generator.
-
-Produces labeled pixels whose reflectance spectra follow a small closed-form
-radiative model, so the retrieval tasks are genuinely learnable from the
-features while remaining cheap to simulate:
+"""Synthetic labeled pixels from a small closed-form radiative model:
 
 * each surface type has a fixed smooth base spectrum (ocean dark with a blue
   bump, vegetated land with a red edge, bright desert, snow bright in the
@@ -16,11 +12,9 @@ features while remaining cheap to simulate:
 * independent Gaussian noise (sd ``noise_sd``) is added per band and the
   result is clipped to [0, 1.5].
 
-The ancillary scalars (pressure, water vapor, ozone) are drawn independently
-of the reflectances: they are deliberate nuisance features.
-
-All randomness flows from one seeded generator in a fixed draw order, so a
-given (sensor, n, seed, priors, noise_sd) tuple is bitwise reproducible.
+The ancillary scalars (pressure, water vapor, ozone) are independent
+nuisance features. One seeded generator in a fixed draw order makes each
+(sensor, n, seed, priors, noise_sd) bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -60,14 +54,10 @@ def cloud_growth(cot_log10: np.ndarray) -> np.ndarray:
 def generate_dataset(sensor: SensorConfig, n: int, seed: int,
                      priors: tuple[float, float, float] = DEFAULT_PRIORS,
                      noise_sd: float = 0.02) -> PixelDataset:
-    """Draw n labeled pixels for the given sensor.
-
-    ``priors`` are the (clear, liquid, ice) class probabilities; they must be
-    non-negative and sum to 1. ``noise_sd`` is the per-band reflectance noise
-    standard deviation (0 gives the noiseless closed form). The (n, B)
-    reflectance is built in place in two buffers, with the closed form's
-    expressions in their order, so peak memory is about twice the result.
-    """
+    """``n`` pixels of ``sensor`` with (clear, liquid, ice) class
+    probabilities ``priors`` (non-negative, summing to 1) and per-band noise
+    sd ``noise_sd``; the reflectance is built in place in two buffers. Bad
+    arguments raise :class:`ConfigError`."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     check_number("seed", seed, integer=True)

@@ -1,26 +1,12 @@
 """Finite-difference validation of reverse-mode gradients.
 
-For a scalar loss ``f(params)`` the checker compares the analytic gradient
-(one backward pass) against central differences
-
-    (f(p + h e_k) - f(p - h e_k)) / (2 h)
-
-entry by entry on a deterministic sample of parameter entries. Relative
-error uses ``|analytic - numeric| / max(|analytic|, |numeric|, floor)``.
-
-Two guards keep the comparison honest:
-
-* the loss is evaluated twice up front; any bitwise difference raises
-  :class:`DeterminismError` (a stochastic loss cannot be checked);
-* entries sitting on a kink (relu corner, clamp boundary, abs at zero) are
-  detected by comparing the one-sided differences; where they disagree
-  beyond ``kink_tol`` the entry is recorded as skipped instead of failed,
-  since the two-sided quotient does not estimate a derivative there;
-* the quotient carries roundoff noise of order ``eps * |f| / step`` from the
-  cancellation in ``f_plus - f_minus``, so when analytic and numeric agree
-  to within a small multiple of that resolution the entry passes outright;
-  a derivative smaller than the noise floor (e.g. an exact analytic zero
-  from sign cancellation) cannot be resolved by finite differences at all.
+The analytic gradient of a scalar loss ``f(params)`` (one backward pass) is
+compared with central differences ``(f(p + h e_k) - f(p - h e_k)) / (2 h)``
+on a seeded sample of entries, by ``|a - n| / max(|a|, |n|, floor)``. A loss
+that differs between two evaluations raises :class:`DeterminismError`.
+Entries on a kink (one-sided differences disagreeing beyond ``kink_tol``)
+are skipped, and a disagreement within the quotient's roundoff resolution
+``~eps * |f| / step`` counts as below resolution, not as a failure.
 """
 
 from __future__ import annotations
@@ -60,13 +46,10 @@ def finite_diff_check(loss_fn: Callable[[ParamStore], Tensor],
                       rel_floor: float = 1e-8,
                       kink_tol: float = 1e-3,
                       seed: int = 0) -> GradCheckReport:
-    """Compare analytic and numeric gradients of ``loss_fn`` over ``params``.
-
-    ``loss_fn`` must be a pure scalar function of the store (it is invoked
-    many times with individually perturbed entries). Up to
-    ``max_entries_per_param`` entries per parameter are sampled with a seeded
-    generator, so the same call checks the same entries every time.
-    """
+    """Compare analytic and numeric gradients of the pure scalar function
+    ``loss_fn`` over up to ``max_entries_per_param`` seeded entries of each
+    parameter, perturbed in place; a non-scalar or non-finite loss raises
+    :class:`NumericError`."""
     base_t = loss_fn(params)
     if base_t.value.ndim != 0:
         raise NumericError(

@@ -1,18 +1,12 @@
-"""Classification metrics: binary accuracy and area under the PR curve.
+"""Binary accuracy and the area under the PR curve.
 
-The PR curve sweeps thresholds over the distinct prediction scores in
-descending order, grouping ties, and integrates with the step rule
+The curve's thresholds are the distinct scores, descending, and its area is
 
     AU = sum_h (R_h - R_{h-1}) * P_h,    R_0 = 0
 
-where R_h and P_h are recall and precision when everything scoring at least
-the h-th distinct value is called positive.
-
-The weighted (micro-averaged) variant pools several binary problems into
-one score/label list before building a single curve, so every pixel
-contributes once per class it participates in:
-
-    R_h = sum_c TP_c(h) / sum_c P_c      P_h = sum_c TP_c(h) / sum_c (TP_c(h) + FP_c(h))
+with R_h and P_h the recall and precision when every score >= the h-th is
+called positive. The weighted (micro-averaged) area pools every class's
+(score, label) pairs into one curve.
 """
 
 from __future__ import annotations
@@ -57,15 +51,10 @@ def acc_binary(true_positive: np.ndarray, pred_positive: np.ndarray) -> float:
 
 def _pr_points(scores: np.ndarray, labels: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Recall and precision at each distinct descending score threshold.
-
-    ``scores`` are finite float64 and ``labels`` bool (``_validate_binary``).
-    The sort need not be stable: each tie group is cut at its last index,
-    where the cumulative counts cover the whole group whatever its inner
-    order, and ±0 compare equal, so they share a group. Beyond the curve it
-    holds one float and one integer array of the input's length; the counts
-    are integers, so recall and precision are exact quotients.
-    """
+    """Recall and precision at each distinct descending score threshold, as
+    exact quotients of integer counts, for checked ``scores`` and bool
+    ``labels``. Each tie group (±0 included) is cut at its last index, so
+    the sort need not be stable; it holds two arrays of the input's length."""
     key = np.negative(scores)
     order = np.argsort(key)
     np.take(scores, order, out=key, mode="clip")  # descending; clip: unbuffered
@@ -98,11 +87,8 @@ def auprc_class(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def auprc_weighted(class_problems: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
-    """Micro-averaged AUPRC over several (scores, labels) binary problems.
-
-    The problems are pooled into one list sharing a common threshold axis;
-    passing a single problem reproduces :func:`auprc_class` exactly.
-    """
+    """Micro-averaged AUPRC over pooled (scores, labels) binary problems;
+    one problem gives :func:`auprc_class` exactly."""
     if not class_problems:
         raise MetricUndefinedError("weighted AUPRC needs at least one class")
     pooled_scores = []

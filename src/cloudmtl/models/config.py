@@ -14,8 +14,8 @@ MT-HCCAR       MT-HCCR plus cross-attention between the regression
 MLP-BASELINE   one hidden layer of 10 units, 5 outputs
 =============  =====================================================
 
-Capability flags (hierarchical, aux head, attention, decoder, conditional
-phase) derive from the variant name; they are not free knobs.
+Each variant's structure comes from its row of ``_VARIANT_FLAGS``, so no
+other module compares variant names; the flags are not free knobs.
 """
 
 from __future__ import annotations
@@ -32,14 +32,15 @@ VARIANT_HCCAR = "MT-HCCAR"
 VARIANT_MLP = "MLP-BASELINE"
 
 # name -> (hierarchical, aux head, attention, encoder-decoder,
-#          phase outputs conditional on cloudy)
-_VARIANT_FLAGS: dict[str, tuple[bool, bool, bool, bool, bool]] = {
-    VARIANT_SEQ: (False, False, False, False, True),
-    VARIANT_CR: (False, False, False, True, False),
-    VARIANT_HCR: (True, False, False, True, True),
-    VARIANT_HCCR: (True, True, False, True, True),
-    VARIANT_HCCAR: (True, True, True, True, True),
-    VARIANT_MLP: (False, False, False, False, False),
+#          phase outputs conditional on cloudy, three sequential subnets,
+#          one hidden layer)
+_VARIANT_FLAGS: dict[str, tuple[bool, ...]] = {
+    VARIANT_SEQ: (False, False, False, False, True, True, False),
+    VARIANT_CR: (False, False, False, True, False, False, False),
+    VARIANT_HCR: (True, False, False, True, True, False, False),
+    VARIANT_HCCR: (True, True, False, True, True, False, False),
+    VARIANT_HCCAR: (True, True, True, True, True, False, False),
+    VARIANT_MLP: (False, False, False, False, False, False, True),
 }
 
 VARIANTS = tuple(_VARIANT_FLAGS)
@@ -52,13 +53,9 @@ DEFAULT_BINS = (-1.5, 0.0, 1.0, 2.5)
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """Everything needed to build a model deterministically.
-
-    ``encoder_widths`` lists the encoder layer widths ending at the latent
-    dimension (the decoder mirrors it back to the input). ``head_hidden``
-    is the hidden width of every task head; its last entry is the dimension
-    of the attention space.
-    """
+    """Everything needed to build a model deterministically: frozen, and
+    checked when built (:class:`ConfigError`). ``encoder_widths`` ends at the
+    latent width; ``head_hidden``'s last entry is the attention width."""
 
     variant: str
     input_dim: int
@@ -118,12 +115,17 @@ class ArchitectureSpec:
 
     @property
     def conditional_phase(self) -> bool:
-        """Phase outputs are probabilities given cloudy, not joint ones.
-
-        True for the hierarchical variants (the phase branch is gated by
-        the mask) and for SEQ (its phase net trains on cloudy pixels only).
-        """
+        """Phase outputs are probabilities given cloudy (hierarchical
+        variants and SEQ), not joint ones."""
         return _VARIANT_FLAGS[self.variant][4]
+
+    @property
+    def sequential(self) -> bool:
+        return _VARIANT_FLAGS[self.variant][5]
+
+    @property
+    def single_hidden(self) -> bool:
+        return _VARIANT_FLAGS[self.variant][6]
 
     @property
     def latent_dim(self) -> int:

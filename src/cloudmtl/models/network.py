@@ -22,7 +22,7 @@ import numpy as np
 from .. import engine as E
 from ..engine import Tensor, ParamStore
 from ..errors import DimensionError
-from .config import ArchitectureSpec, VARIANT_SEQ, VARIANT_MLP
+from .config import ArchitectureSpec
 
 
 #: rows per forward in :func:`forward_chunks`
@@ -89,6 +89,14 @@ def cross_attention(theta1, theta2, w_q, w_k, w_v, w_z) -> Tensor:
     return E.add(E.matmul(mixed, E.transpose(w_z)), theta1)
 
 
+def _add_chain(ps: ParamStore, rng: np.random.Generator, prefix: str,
+               widths) -> None:
+    """Register dense layers ``prefix.0 ..`` mapping ``widths[i]`` to
+    ``widths[i + 1]``, weights drawn from ``rng`` in layer order."""
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        ps.add_dense(f"{prefix}.{i}", rng, fan_in, fan_out)
+
+
 def _chain(x: Tensor, params: ParamStore, prefix: str, n_layers: int,
            final_relu: bool) -> Tensor:
     """Apply dense layers ``prefix.0 .. prefix.{n-1}`` with ReLU between."""
@@ -129,7 +137,7 @@ class Model:
         spec, ps = self.spec, self.params
         x = E.constant(self._input(X))
 
-        if spec.variant == VARIANT_MLP:
+        if spec.single_hidden:
             h = E.relu(E.dense(x, ps["hidden.w"], ps["hidden.b"]))
             out5 = E.dense(h, ps["out.w"], ps["out.b"])
             probs = E.clamped_sigmoid(out5)
@@ -207,31 +215,14 @@ class SequentialModel(Model):
     the subnet tensors under ``mask_net.``/``phase_net.``/``cot_net.``
     prefixes; sequential training steps each subnet's own store."""
 
-    SUBNETS = ("mask_net", "phase_net", "cot_net")
-    _OUT_DIMS = {"mask_net": 2, "phase_net": 2, "cot_net": 1}
+    #: subnet -> output width; a one-column output is the log10 thickness
+    STAGES = {"mask_net": 2, "phase_net": 2, "cot_net": 1}
+    SUBNETS = tuple(STAGES)
 
     def __init__(self, spec: ArchitectureSpec, merged: ParamStore,
                  subnet_params: dict[str, ParamStore]):
         super().__init__(spec, merged)
         self.subnet_params = subnet_params
-
-    @staticmethod
-    def _build(spec: ArchitectureSpec, seed: int) -> "SequentialModel":
-        rng = np.random.default_rng(seed)
-        merged = ParamStore()
-        subnets: dict[str, ParamStore] = {}
-        for net in SequentialModel.SUBNETS:
-            ps = ParamStore()
-            widths = [spec.input_dim, *spec.encoder_widths]
-            for i in range(len(spec.encoder_widths)):
-                ps.add_dense(f"trunk.{i}", rng, widths[i], widths[i + 1])
-            hw = [spec.latent_dim, *spec.head_hidden]
-            for i in range(len(spec.head_hidden)):
-                ps.add_dense(f"head.{i}", rng, hw[i], hw[i + 1])
-            ps.add_dense("out", rng, hw[-1], SequentialModel._OUT_DIMS[net])
-            subnets[net] = ps
-            merged.alias(net, ps)
-        return SequentialModel(spec, merged, subnets)
 
     def stage_output(self, net: str, X: np.ndarray) -> Tensor:
         """One subnet's output on standardized features ``X``: an (n, 2)
@@ -242,7 +233,7 @@ class SequentialModel(Model):
                    final_relu=True)
         h = _chain(h, ps, "head", len(self.spec.head_hidden), final_relu=True)
         out = E.dense(h, ps["out.w"], ps["out.b"])
-        return E.col(out, 0) if net == "cot_net" else E.clamped_sigmoid(out)
+        return E.col(out, 0) if self.STAGES[net] == 1 else E.clamped_sigmoid(out)
 
     def _forward(self, X: np.ndarray, train_mode: bool, full: bool) -> ModelOutputs:
         # the three stage outputs are all predictions read, so ``full`` is moot
@@ -257,37 +248,35 @@ class SequentialModel(Model):
 
 def build_model(spec: ArchitectureSpec, seed: int) -> Model:
     """Deterministically initialize a model (same spec + seed -> same values)."""
-    if spec.variant == VARIANT_SEQ:
-        return SequentialModel._build(spec, seed)
     rng = np.random.default_rng(seed)
     ps = ParamStore()
-    if spec.variant == VARIANT_MLP:
+    if spec.single_hidden:
         ps.add_dense("hidden", rng, spec.input_dim, spec.mlp_hidden)
         ps.add_dense("out", rng, spec.mlp_hidden, 5)
         return Model(spec, ps)
 
     widths = [spec.input_dim, *spec.encoder_widths]
-    for i in range(len(spec.encoder_widths)):
-        ps.add_dense(f"encoder.{i}", rng, widths[i], widths[i + 1])
+    head_widths = [spec.latent_dim, *spec.head_hidden]
+    if spec.sequential:
+        subnets = {}
+        for net, out_dim in SequentialModel.STAGES.items():
+            sub = subnets[net] = ParamStore()
+            _add_chain(sub, rng, "trunk", widths)
+            _add_chain(sub, rng, "head", head_widths)
+            sub.add_dense("out", rng, head_widths[-1], out_dim)
+            ps.alias(net, sub)
+        return SequentialModel(spec, ps, subnets)
+
+    _add_chain(ps, rng, "encoder", widths)
     if spec.has_decoder:
-        rev = list(reversed(widths))
-        for i in range(len(spec.encoder_widths)):
-            ps.add_dense(f"decoder.{i}", rng, rev[i], rev[i + 1])
-
-    def add_head(name: str, out_dim: int):
-        hw = [spec.latent_dim, *spec.head_hidden]
-        for i in range(len(spec.head_hidden)):
-            ps.add_dense(f"{name}.{i}", rng, hw[i], hw[i + 1])
-        ps.add_dense(f"{name}_out", rng, hw[-1], out_dim)
-
-    if spec.hierarchical:
-        add_head("mask_head", 2)
-        add_head("phase_head", 2)
-    else:
-        add_head("cls_head", 4)
+        _add_chain(ps, rng, "decoder", widths[::-1])
+    heads = ([("mask_head", 2), ("phase_head", 2)] if spec.hierarchical
+             else [("cls_head", 4)])
     if spec.aux_enabled:
-        add_head("aux_head", 3)
-    add_head("reg_head", 1)
+        heads.append(("aux_head", 3))
+    for name, out_dim in heads + [("reg_head", 1)]:
+        _add_chain(ps, rng, name, head_widths)
+        ps.add_dense(f"{name}_out", rng, head_widths[-1], out_dim)
     if spec.attention_enabled:
         d = spec.attention_dim
         for w_name in ("attn.wq", "attn.wk", "attn.wv", "attn.wz"):

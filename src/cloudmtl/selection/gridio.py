@@ -18,7 +18,7 @@ import math
 
 from ..atomic import atomic_write
 from ..data.csvio import csv_text, read_csv_file
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from .stats import FoldStats, fold_stats
 from .scores import SelectionScores
 
@@ -75,24 +75,25 @@ def _parse_grid(header: list[str], records, path: str) -> list[FoldStats]:
     for at, row in records:
         model, dataset, metric = row[0], row[1], row[2]
         lower = _parse_direction(row[3], at)
-        if layout == "summary":
-            try:
-                mu, se = float(row[4]), float(row[5])
-            except ValueError:
-                raise DataError(
-                    f"{at}: mu/se not numeric: {row[4]!r}, {row[5]!r}"
-                ) from None
-            if not (math.isfinite(mu) and math.isfinite(se)):
-                raise DataError(f"{at}: non-finite statistics")
-            out.append(FoldStats(model=model, dataset=dataset, metric=metric,
-                                 lower_better=lower, mu=mu, se=se,
-                                 mu_quantum=display_quantum(row[4])))
-        else:
-            try:
-                values = [float(v) for v in row[4:]]
-            except ValueError:
-                raise DataError(f"{at}: fold value not numeric") from None
-            out.append(fold_stats(model, dataset, metric, lower, values))
+        try:
+            if layout == "summary":
+                try:
+                    mu, se = float(row[4]), float(row[5])
+                except ValueError:
+                    raise DataError(
+                        f"{at}: mu/se not numeric: {row[4]!r}, {row[5]!r}"
+                    ) from None
+                out.append(FoldStats(model=model, dataset=dataset,
+                                     metric=metric, lower_better=lower, mu=mu,
+                                     se=se, mu_quantum=display_quantum(row[4])))
+            else:
+                try:
+                    values = [float(v) for v in row[4:]]
+                except ValueError:
+                    raise DataError(f"{at}: fold value not numeric") from None
+                out.append(fold_stats(model, dataset, metric, lower, values))
+        except ConfigError as e:
+            raise DataError(f"{at}: {e}") from None
     return out
 
 

@@ -82,31 +82,20 @@ def _group_grid(grid: Sequence[FoldStats]
                 ) -> tuple[list[str], list[str], list[str], dict[Cell, list[FoldStats]]]:
     if not grid:
         raise ConfigError("selection grid is empty")
-    models: list[str] = []
-    datasets: list[str] = []
-    metrics: list[str] = []
     cells: dict[Cell, list[FoldStats]] = {}
     directions: dict[str, bool] = {}
     for s in grid:
-        if s.model not in models:
-            models.append(s.model)
-        if s.dataset not in datasets:
-            datasets.append(s.dataset)
-        if s.metric not in metrics:
-            metrics.append(s.metric)
         if s.metric in directions and directions[s.metric] != s.lower_better:
             raise ConfigError(
                 f"metric {s.metric!r} has inconsistent direction flags")
         directions[s.metric] = s.lower_better
         cells.setdefault((s.dataset, s.metric), []).append(s)
-
-    missing = []
-    for d in datasets:
-        for m in metrics:
-            have = {s.model for s in cells.get((d, m), [])}
-            for mod in models:
-                if mod not in have:
-                    missing.append((mod, d, m))
+    models = list(dict.fromkeys(s.model for s in grid))
+    datasets = list(dict.fromkeys(s.dataset for s in grid))
+    metrics = list(dict.fromkeys(s.metric for s in grid))
+    present = {(s.model, s.dataset, s.metric) for s in grid}
+    missing = [(mod, d, m) for d in datasets for m in metrics for mod in models
+               if (mod, d, m) not in present]
     if missing:
         raise ConfigError(
             f"incomplete grid; missing (model, dataset, metric) cells: {missing}")

@@ -1,18 +1,11 @@
-"""Experiment orchestration shared by the command line and the test suite.
+"""The train, ablate and k-fold runs behind the command line.
 
-Everything here is deterministic given its arguments.  Artifacts carry no
-timestamps, JSON objects are emitted with a fixed key order, and floats are
-serialized with full round-trip precision, so repeating a run with the same
-inputs produces byte-identical files.
-
-Artifact layout for a single training run (``run_training`` with ``outdir``):
-
-* ``config.json`` -- the fully resolved experiment configuration
-* ``checkpoint.json`` -- trained parameters plus the fitted standardizer
-* ``history.csv`` -- per-epoch loss components (or ``history_<net>.csv``
-  per stage for the sequential baseline)
-* ``eval.json`` -- metric report on the held-out test split
-* ``scatter.csv`` -- optional (true, predicted) thickness pairs
+Artifacts carry no timestamps, JSON keys are in a fixed order and floats
+round-trip, so a repeated run writes byte-identical files. A training run's
+``outdir`` gets ``config.json`` (the resolved settings), ``checkpoint.json``
+(parameters and standardizer), ``history.csv`` (``history_<net>.csv`` per
+SEQ stage), ``eval.json`` (the test report) and, on request,
+``scatter.csv``.
 """
 
 from __future__ import annotations
@@ -71,14 +64,9 @@ def _check_feature_dim(ds: PixelDataset, spec: ArchitectureSpec) -> None:
 
 def evaluate_model(model: Model, standardizer: Standardizer,
                    ds: PixelDataset) -> tuple[Predictions, EvalReport]:
-    """Standardize, run inference, and score against the labels.
-
-    Features are assembled, standardized and inferred one ``INFER_CHUNK``
-    chunk of pixels at a time (:func:`forward_chunks`), so no whole-scene
-    feature matrix is built. Both steps are row-wise, so the predictions
-    are bitwise ``models.predict(model, standardizer.transform(
-    ds.feature_matrix()))``.
-    """
+    """Predictions on ``ds`` and their report, standardized and inferred one
+    ``INFER_CHUNK`` of pixels at a time: bitwise ``models.predict`` on the
+    standardized whole-scene features, with no such matrix built."""
     _check_feature_dim(ds, model.spec)
     outputs = forward_chunks(lambda rows: model.infer(
         standardizer.transform(ds.subset(rows).feature_matrix())), len(ds))
@@ -132,6 +120,32 @@ def scatter_csv(pred: Predictions, ds: PixelDataset) -> str:
     return csv_text([("pixel_id", "y_true_log10", "y_pred_log10"), *zip(*cols)])
 
 
+def _fit_and_score(ds: PixelDataset, spec: ArchitectureSpec,
+                   config: TrainConfig, train_idx: np.ndarray,
+                   val_idx: np.ndarray, test_idx: np.ndarray
+                   ) -> tuple[RunResult, Predictions | None]:
+    """Standardize on the training pixels, build and train the model (with
+    per-epoch validation when ``val_idx`` is not empty) and score the test
+    pixels; the report and predictions are None when ``test_idx`` is empty."""
+    train_ds = ds.subset(train_idx)
+    standardizer = Standardizer.fit(train_ds.feature_matrix())
+
+    def targets_for(sub: PixelDataset) -> LossTargets:
+        feats = standardizer.transform(sub.feature_matrix())
+        return LossTargets.from_dataset(sub, feats, spec.bins)
+
+    model = build_model(spec, config.seed)
+    val_targets = targets_for(ds.subset(val_idx)) if val_idx.size else None
+    train_result = train_model(model, targets_for(train_ds), config, val_targets)
+    pred = report = None
+    if test_idx.size:
+        pred, report = evaluate_model(model, standardizer, ds.subset(test_idx))
+    return RunResult(model=model, standardizer=standardizer,
+                     train_result=train_result, report=report,
+                     train_idx=train_idx, val_idx=val_idx,
+                     test_idx=test_idx), pred
+
+
 def run_training(ds: PixelDataset, spec: ArchitectureSpec, config: TrainConfig,
                  plan: SplitPlan, outdir: str | None = None,
                  dump_scatter: bool = False, sensor_name: str = "FILE",
@@ -142,23 +156,8 @@ def run_training(ds: PixelDataset, spec: ArchitectureSpec, config: TrainConfig,
     train_idx, val_idx, test_idx = split_indices(len(ds), plan)
     if train_idx.size == 0:
         raise ConfigError("split plan leaves the training set empty")
-    train_ds = ds.subset(train_idx)
-    standardizer = Standardizer.fit(train_ds.feature_matrix())
-
-    def targets_for(sub: PixelDataset) -> LossTargets:
-        feats = standardizer.transform(sub.feature_matrix())
-        return LossTargets.from_dataset(sub, feats, spec.bins)
-
-    model = build_model(spec, config.seed)
-    val_ds = ds.subset(val_idx)
-    val_targets = targets_for(val_ds) if len(val_ds) else None
-    train_result = train_model(model, targets_for(train_ds), config, val_targets)
-
-    report = None
-    pred = None
-    test_ds = ds.subset(test_idx)
-    if len(test_ds):
-        pred, report = evaluate_model(model, standardizer, test_ds)
+    result, pred = _fit_and_score(ds, spec, config, train_idx, val_idx,
+                                  test_idx)
 
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
@@ -166,31 +165,25 @@ def run_training(ds: PixelDataset, spec: ArchitectureSpec, config: TrainConfig,
         _write_text(os.path.join(outdir, CONFIG_NAME),
                     dumps_deterministic(doc) + "\n")
         save_checkpoint(
-            os.path.join(outdir, CHECKPOINT_NAME), model.params,
+            os.path.join(outdir, CHECKPOINT_NAME), result.model.params,
             architecture=spec.to_dict(), config=config.to_dict(),
-            extras={"standardizer": standardizer.to_dict(),
+            extras={"standardizer": result.standardizer.to_dict(),
                     "sensor": sensor_name})
-        for key, records in train_result.histories.items():
+        for key, records in result.train_result.histories.items():
             _write_text(os.path.join(outdir, _history_filename(key)),
                         history_csv(records))
-        if report is not None:
-            _write_text(os.path.join(outdir, EVAL_NAME), report.to_json() + "\n")
+        if result.report is not None:
+            _write_text(os.path.join(outdir, EVAL_NAME),
+                        result.report.to_json() + "\n")
         if dump_scatter and pred is not None:
             _write_text(os.path.join(outdir, SCATTER_NAME),
-                        scatter_csv(pred, test_ds))
-    return RunResult(model=model, standardizer=standardizer,
-                     train_result=train_result, report=report,
-                     train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)
+                        scatter_csv(pred, ds.subset(test_idx)))
+    return result
 
 
 def load_trained(path: str) -> tuple[Model, Standardizer, dict]:
-    """Rebuild a model and its standardizer from a checkpoint file.
-
-    Returns the model (parameters restored), the standardizer, and the full
-    checkpoint document for callers that need the recorded configuration.
-    A checkpoint whose architecture, seed, parameters or standardizer do not
-    fit together raises :class:`DataError` naming the path.
-    """
+    """The model, standardizer and whole document of a checkpoint; one whose
+    parts do not fit together raises :class:`DataError` naming the path."""
     doc = load_checkpoint(path)
     extras = doc["extras"] if doc["extras"] is not None else {}
     if not isinstance(extras, dict):
@@ -245,12 +238,9 @@ class KfoldResult:
 def run_kfold(ds: PixelDataset, specs: list[ArchitectureSpec],
               config: TrainConfig, k: int, outdir: str | None = None,
               dataset_label: str = "DATA") -> KfoldResult:
-    """K-fold cross-validation over one dataset for several variants.
-
-    Every variant sees the identical fold partition.  Fold ``i`` trains on
-    the other ``k - 1`` folds with seed ``config.seed + i`` and is scored on
-    fold ``i``; no pixels are held out beyond that.
-    """
+    """K-fold cross-validation of each variant on one fold partition: fold
+    ``i`` is scored after training on the other folds with seed
+    ``config.seed + i``, with no validation pixels."""
     ds.validate()
     if not specs:
         raise ConfigError("no architectures given")
@@ -267,20 +257,13 @@ def run_kfold(ds: PixelDataset, specs: list[ArchitectureSpec],
     values: dict[tuple[str, str], list[float]] = {
         (name, metric): [] for name in names for metric, _, _ in KFOLD_METRICS}
     all_idx = np.arange(len(ds))
+    no_val = np.array([], dtype=np.int64)
     for i, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
-        train_ds = ds.subset(train_idx)
-        test_ds = ds.subset(test_idx)
-        standardizer = Standardizer.fit(train_ds.feature_matrix())
-        feats = standardizer.transform(train_ds.feature_matrix())
         fold_config = replace(config, seed=config.seed + i)
-        # one set of targets per distinct thickness binning, not per variant
-        targets = {bins: LossTargets.from_dataset(train_ds, feats, bins)
-                   for bins in {tuple(spec.bins) for spec in specs}}
         for spec in specs:
-            model = build_model(spec, fold_config.seed)
-            train_model(model, targets[tuple(spec.bins)], fold_config)
-            _, report = evaluate_model(model, standardizer, test_ds)
+            report = _fit_and_score(ds, spec, fold_config, train_idx, no_val,
+                                    test_idx)[0].report
             reports[(spec.variant, i)] = report
             context = f"fold {i} of {spec.variant}"
             for metric, _, attr in KFOLD_METRICS:
@@ -311,18 +294,17 @@ def run_ablation(ds: PixelDataset, specs: list[ArchitectureSpec],
                  config: TrainConfig, plan: SplitPlan,
                  outdir: str | None = None, sensor_name: str = "FILE"
                  ) -> dict[str, RunResult]:
-    """Train each variant under the identical split and seed.
-
-    Per-variant artifacts land in ``<outdir>/<variant>/``; the comparison
-    table ``ablation.csv`` and a parameter-count manifest go in ``outdir``
-    itself.  A variant that fails aborts the run but leaves the artifacts
-    of the variants that already finished in place.
-    """
+    """Train each variant under one split and seed into
+    ``<outdir>/<variant>/``, then write ``ablation.csv`` and ``manifest.json``
+    to ``outdir``. An empty test split raises before any training; a failing
+    variant aborts the run, leaving the finished variants' artifacts."""
     if not specs:
         raise ConfigError("no architectures given")
     names = [s.variant for s in specs]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate variants in ablation")
+    if split_indices(len(ds), plan)[2].size == 0:
+        raise ConfigError("ablation requires a non-empty test split")
     results: dict[str, RunResult] = {}
     table_rows: list[tuple[str, int, EvalReport]] = []
     manifest: dict[str, dict] = {}
@@ -330,8 +312,6 @@ def run_ablation(ds: PixelDataset, specs: list[ArchitectureSpec],
         sub = os.path.join(outdir, spec.variant) if outdir is not None else None
         result = run_training(ds, spec, config, plan, outdir=sub,
                               sensor_name=sensor_name)
-        if result.report is None:
-            raise ConfigError("ablation requires a non-empty test split")
         results[spec.variant] = result
         table_rows.append((spec.variant, result.model.param_count(),
                            result.report))

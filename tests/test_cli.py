@@ -395,6 +395,16 @@ def test_ablate_duplicate_variant_exits_2(tmp_path, data_csv, capsys):
     assert rc == 2
 
 
+def test_ablate_empty_test_split_exits_2_before_training(tmp_path, data_csv,
+                                                         capsys):
+    out = tmp_path / "x"
+    rc = main(["ablate", "--data", data_csv, "--variants", "MT-CR,SEQ",
+               "--test-frac", "0", "--outdir", str(out), *FAST])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1 and err[0].startswith("error: ")
+    assert "test split" in err[0] and not os.path.exists(out)
+
+
 # ------------------------------------------------------------------ kfold + select
 
 def test_kfold_then_select_pipeline(tmp_path, data_csv, capsys):

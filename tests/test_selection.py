@@ -215,7 +215,10 @@ def test_read_grid_malformed(tmp_path):
     "model,dataset,metric,direction,mu,se\nm,d,ACC,higher,high,0.01\n",
     "model,dataset,metric,direction,mu,se\nm,d,ACC,higher,nan,0.01\n",
     "model,dataset,metric,direction,fold_1,fold_2\nm,d,ACC,higher,0.9,x\n",
-], ids=["direction", "field_count", "mu_text", "non_finite", "fold_text"])
+    "model,dataset,metric,direction,mu,se\nMT-CR,D,MSE,lower,0.5,-0.1\n",
+    "model,dataset,metric,direction,fold_1\nMT-CR,D,MSE,lower,0.5\n",
+], ids=["direction", "field_count", "mu_text", "non_finite", "fold_text",
+        "negative_se", "one_fold"])
 def test_read_grid_row_errors_name_the_file(tmp_path, text):
     p = tmp_path / "bad.csv"
     p.write_text(text)

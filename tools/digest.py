@@ -6,7 +6,7 @@ per variant and ``clip_norm`` setting, the SHA-256 of the trained weights,
 of its ``history*.csv`` text and of every ``Predictions`` field that
 ``models.predict`` gives on the validation pixels; then it runs a 2-epoch
 ``cloudmtl ablate`` of all six variants and a 2-fold, 2-epoch
-``cloudmtl kfold`` of its default variants and a ``cloudmtl train`` whose
+``cloudmtl kfold`` of all six variants and a ``cloudmtl train`` whose
 settings come from a ``--config`` file and flags, and prints for each one
 SHA-256 over every file the run writes, plus, for the kfold run, the SHA-256
 of the ``FoldStats`` that ``read_stats_grid`` reads from its
@@ -141,7 +141,8 @@ CLI_RUNS = (
     ("ablate", ["--epochs", "2", "--batch-size", "64", "--lr", "3e-3",
                 "--seed", "1"]),
     ("kfold", ["--k", "2", "--epochs", "2", "--batch-size", "64",
-               "--lr", "3e-3", "--seed", "1"]),
+               "--lr", "3e-3", "--seed", "1",
+               "--variants", ",".join(VARIANTS)]),
 )
 
 
