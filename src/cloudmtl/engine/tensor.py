@@ -2,7 +2,9 @@
 
 Each op reads its operands, returns a new ``Tensor`` and records the
 operands and a vector-Jacobian product (VJP) closure; under :func:`no_grad`
-it records nothing, with bitwise the same values. :func:`backward` walks the
+it records nothing, with bitwise the same values, and under
+:func:`row_threads` large ``dense`` and ``attention_mix`` results also
+split their rows over the usable CPUs, bitwise. :func:`backward` walks the
 recorded graph once in reverse topological order and adds each leaf's
 cotangent in place into its ``grad``, so repeated calls accumulate and a
 parameter's ``grad`` stays the view of its store's flat gradient vector.
@@ -21,7 +23,10 @@ Invariants:
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
+from contextvars import ContextVar, copy_context
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -30,22 +35,94 @@ from ..errors import DimensionError, StateError
 
 PROB_EPS = 1e-7
 
-#: whether ops record parents and VJPs; switched off by :func:`no_grad`
-_recording = True
+#: fewest float64 entries of a row-split op's work buffer per part: a part
+#: this small takes about as long as handing it to a thread (about 0.1 ms)
+SPLIT_MIN = 32_768
+
+#: ``dense`` splits only results whose width is a multiple of this: BLAS
+#: computes those in whole column tiles, alike for every row count, while a
+#: ragged edge tile (the OCI decoder's 243 = 15 * 16 + 3) takes a kernel
+#: picked by the row count, which rounds differently
+SPLIT_WIDTH = 16
+
+#: None while ops record parents and VJPs; under :func:`no_grad` the pair
+#: (executor or None, parts) that :func:`_split_rows` hands row slices to
+_mode: ContextVar[tuple | None] = ContextVar("cloudmtl_engine_mode", default=None)
+_SERIAL = (None, 1)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the parts :func:`row_threads` splits into."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1          # platforms without CPU affinity
 
 
 @contextmanager
 def no_grad() -> Iterator[None]:
     """Run ops without recording a graph; restores the previous mode on exit.
 
-    The mode is one module flag, so it holds for every thread of the process.
+    The mode is a context variable, so it holds in this thread (and in the
+    workers of :func:`row_threads`, which run in a copy of its context),
+    not in threads started elsewhere. Inside :func:`row_threads` it keeps
+    the executor.
     """
-    global _recording
-    previous, _recording = _recording, False
+    token = _mode.set(_mode.get() or _SERIAL)
     try:
         yield
     finally:
-        _recording = previous
+        _mode.reset(token)
+
+
+@contextmanager
+def row_threads() -> Iterator[None]:
+    """:func:`no_grad`, with ``dense`` and ``attention_mix`` results of at
+    least two ``SPLIT_MIN`` parts computed as row slices on a thread per
+    usable CPU: this thread computes the first slice, and every slice only
+    writes rows of buffers the op allocated here, so values are bitwise
+    unsplit ones. A nested call reuses the executor; with one usable CPU
+    no thread starts. The threads are joined on exit."""
+    mode = _mode.get()
+    cpus = 1 if mode and mode[0] else usable_cpus()
+    if cpus < 2:
+        with no_grad():
+            yield
+        return
+    # imported here, so that importing cloudmtl does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(cpus - 1) as pool:
+        token = _mode.set((pool, cpus))
+        try:
+            yield
+        finally:
+            _mode.reset(token)
+
+
+def _parts(n: int, work: int) -> int:
+    """Row slices for an op over ``n`` rows whose work buffer has ``work``
+    entries: 1 unless inside :func:`row_threads`, and at most one per
+    usable CPU, per ``SPLIT_MIN`` entries and per two rows (numpy
+    multiplies a one-row matrix as a vector)."""
+    mode = _mode.get()
+    return 1 if mode is None else min(mode[1], n // 2, work // SPLIT_MIN)
+
+
+def _split_rows(fill: Callable[[int, int], None], n: int, parts: int) -> None:
+    """``fill(lo, hi)`` over ``parts`` row ranges covering ``range(n)``, the
+    first in this thread and the rest on :func:`row_threads`' executor, each
+    in a copy of this context (so numpy's error state holds there). Every
+    worker is collected before this returns or raises."""
+    bounds = [n * i // parts for i in range(parts + 1)]
+    futures = [_mode.get()[0].submit(copy_context().run, fill, lo, hi)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        fill(0, bounds[1])
+    finally:
+        errors = [f.exception() for f in futures]
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 class Tensor:
@@ -62,7 +139,7 @@ class Tensor:
                  name: str | None = None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        if _recording:
+        if _mode.get() is None:
             self.parents, self.vjp = parents, vjp
         else:
             self.parents, self.vjp = (), None
@@ -182,15 +259,28 @@ def transpose(a) -> Tensor:
 
 def dense(x, w, b) -> Tensor:
     """Affine layer ``x @ w + b``, ``b`` broadcast across rows: one node,
-    bitwise ``add(matmul(x, w), b)``, with the bias added into the product.
+    bitwise ``add(matmul(x, w), b)``, with the bias added into the product;
+    split over rows under :func:`row_threads`.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if b.value.ndim != 1 or b.value.shape[0] != w.value.shape[1]:
         raise DimensionError(
             f"dense bias shape {b.value.shape} incompatible with weight {w.value.shape}")
     _check_matmul(x, w)
-    out_val = x.value @ w.value
-    out_val += b.value
+    xv, wv, bv = x.value, w.value, b.value
+    n, m = xv.shape[0], wv.shape[1]
+    parts = 1 if m % SPLIT_WIDTH else _parts(n, n * m)
+    if parts < 2:
+        out_val = xv @ wv
+        out_val += bv
+    else:
+        out_val = np.empty((n, m))
+
+        def rows(lo, hi):
+            np.matmul(xv[lo:hi], wv, out=out_val[lo:hi])
+            out_val[lo:hi] += bv
+
+        _split_rows(rows, n, parts)
 
     def vjp(g):
         return g @ w.value.T, x.value.T @ g, g.sum(axis=0)
@@ -391,14 +481,32 @@ def bmatvec(m, v) -> Tensor:
     return Tensor(out_val, (m, v), vjp)
 
 
+def _attention_rows(qv, kv, vv, finite: bool, y: np.ndarray, out: np.ndarray,
+                    lo: int, hi: int) -> None:
+    """Rows ``lo:hi`` of :func:`attention_mix`: scores into ``y``, mix into
+    ``out``. With finite ``q`` and ``k`` each score row's max comes from its
+    key row's extremes (exact: rounding a product by a fixed factor is
+    monotone); otherwise :func:`_row_max` scans the scores."""
+    q, k, ys = qv[lo:hi], kv[lo:hi], y[lo:hi]
+    np.einsum("ip,iq->ipq", q, k, out=ys)
+    if finite:
+        with np.errstate(over="ignore", under="ignore"):  # as silent as einsum
+            row_max = q * np.where(q >= 0.0, _row_max(k), -_row_max(-k))
+        row_max = row_max[:, :, None]
+    else:
+        row_max = _row_max(ys)
+    np.subtract(ys, row_max, out=ys)
+    np.exp(ys, out=ys)
+    np.divide(ys, ys.sum(axis=-1, keepdims=True), out=ys)
+    np.einsum("ipq,iq->ip", ys, vv[lo:hi], out=out[lo:hi])
+
+
 def attention_mix(q, k, v) -> Tensor:
     """Per-row attention (n, d), (n, e), (n, e) -> (n, d): one node, bitwise
-    ``bmatvec(softmax_rows(outer_rows(q, k)), v)``, scores built in one buffer.
-
-    With finite ``q`` and ``k`` each score row's max comes from its key row's
-    extremes (exact: rounding a product by a fixed factor is monotone);
-    otherwise :func:`_row_max` scans the scores.
-    """
+    ``bmatvec(softmax_rows(outer_rows(q, k)), v)``, scores built in one
+    buffer by :func:`_attention_rows`, split over rows under
+    :func:`row_threads`. Whether ``q`` and ``k`` are finite is decided once
+    over all rows."""
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     qv, kv, vv = q.value, k.value, v.value
     if qv.ndim != 2 or kv.ndim != 2 or kv.shape != vv.shape \
@@ -406,17 +514,15 @@ def attention_mix(q, k, v) -> Tensor:
         raise DimensionError(
             f"attention_mix expects (n,d),(n,e),(n,e), got {qv.shape}, "
             f"{kv.shape} and {vv.shape}")
-    y = np.einsum("ip,iq->ipq", qv, kv)
-    if kv.shape[1] and np.isfinite(qv).all() and np.isfinite(kv).all():
-        with np.errstate(over="ignore", under="ignore"):  # as silent as einsum
-            row_max = qv * np.where(qv >= 0.0, _row_max(kv), -_row_max(-kv))
-        row_max = row_max[:, :, None]
+    n, d, e = qv.shape[0], qv.shape[1], kv.shape[1]
+    finite = bool(e) and np.isfinite(qv).all() and np.isfinite(kv).all()
+    y, out_val = np.empty((n, d, e)), np.empty((n, d))
+    parts = _parts(n, y.size)
+    if parts < 2:
+        _attention_rows(qv, kv, vv, finite, y, out_val, 0, n)
     else:
-        row_max = _row_max(y)
-    np.subtract(y, row_max, out=y)
-    np.exp(y, out=y)
-    np.divide(y, y.sum(axis=-1, keepdims=True), out=y)
-    out_val = np.einsum("ipq,iq->ip", y, vv)
+        _split_rows(partial(_attention_rows, qv, kv, vv, finite, y, out_val),
+                    n, parts)
 
     def vjp(g):
         dm = np.einsum("ip,iq->ipq", g, vv)

@@ -1,9 +1,7 @@
 """Model variants, composite loss, prediction rules, and training loops."""
 
 from .config import (
-    ArchitectureSpec, VARIANTS, COMPLEXITY_ORDER, DEFAULT_BINS,
-    VARIANT_SEQ, VARIANT_CR, VARIANT_HCR, VARIANT_HCCR, VARIANT_HCCAR,
-    VARIANT_MLP,
+    ArchitectureSpec, VARIANTS, COMPLEXITY_ORDER, DEFAULT_BINS, VARIANT_SEQ,
 )
 from .network import Model, SequentialModel, ModelOutputs, build_model, cross_attention
 from .losses import LossTargets, LossBreakdown, compute_loss
@@ -17,8 +15,7 @@ from .training import (
 
 __all__ = [
     "ArchitectureSpec", "VARIANTS", "COMPLEXITY_ORDER", "DEFAULT_BINS",
-    "VARIANT_SEQ", "VARIANT_CR", "VARIANT_HCR", "VARIANT_HCCR",
-    "VARIANT_HCCAR", "VARIANT_MLP",
+    "VARIANT_SEQ",
     "Model", "SequentialModel", "ModelOutputs", "build_model", "cross_attention",
     "LossTargets", "LossBreakdown", "compute_loss",
     "Predictions", "predict", "predictions_from_outputs",

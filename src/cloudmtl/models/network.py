@@ -21,6 +21,7 @@ import numpy as np
 
 from .. import engine as E
 from ..engine import Tensor, ParamStore
+from ..engine.tensor import row_threads
 from ..errors import DimensionError
 from .config import ArchitectureSpec
 
@@ -44,12 +45,14 @@ class ModelOutputs:
 
 def forward_chunks(forward, n: int):
     """``forward(rows)`` on each ``INFER_CHUNK``-row slice of ``range(n)``
-    under :func:`engine.no_grad`, concatenated into a constant Tensor or
-    :class:`ModelOutputs` of constants (None stays None); an empty range
-    gets one empty call, and peak memory is one chunk's forward. Bitwise one
-    forward over all rows up to about 32k rows, where BLAS may pick other
-    kernels (an ulp)."""
-    with E.no_grad():
+    under :func:`engine.tensor.row_threads` (no graph; large ``dense`` and
+    ``attention_mix`` results split their rows over the usable CPUs, on
+    threads joined before return and shared with nested calls),
+    concatenated into a constant Tensor or :class:`ModelOutputs` of
+    constants (None stays None); an empty range gets one empty call, and
+    peak memory is one chunk's forward. Bitwise one forward over all rows up
+    to about 32k rows, where BLAS may pick other kernels (an ulp)."""
+    with row_threads():
         parts = [forward(slice(start, start + INFER_CHUNK))
                  for start in range(0, max(n, 1), INFER_CHUNK)]
     return _concat(parts)
