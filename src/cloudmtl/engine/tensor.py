@@ -45,6 +45,9 @@ SPLIT_MIN = 32_768
 #: picked by the row count, which rounds differently
 SPLIT_WIDTH = 16
 
+#: the variables OpenBLAS reads its thread count from, first set one wins
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 #: None while ops record parents and VJPs; under :func:`no_grad` the pair
 #: (executor or None, parts) that :func:`_split_rows` hands row slices to
 _mode: ContextVar[tuple | None] = ContextVar("cloudmtl_engine_mode", default=None)
@@ -52,10 +55,17 @@ _SERIAL = (None, 1)
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on: the parts :func:`row_threads` splits into."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1          # platforms without CPU affinity
+    """The parts :func:`row_threads` splits into: the CPUs this process may
+    run on, shared out among BLAS calls of ``BLAS_THREAD_VARS`` threads.
+    With none of those set BLAS takes every CPU, and its idle threads spin
+    on them, so one part (no thread) is fastest."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
 
 
 @contextmanager

@@ -157,7 +157,8 @@ def test_split_collects_every_worker_before_raising():
 
 # ------------------------------------------------------------ threads
 
-def test_concurrent_predicts_match_sequential_runs():
+def test_concurrent_predicts_match_sequential_runs(monkeypatch):
+    monkeypatch.setattr(tensor, "usable_cpus", lambda: 2)
     model = model_for()
     inputs = [np.random.default_rng(i).standard_normal(
         (INFER_CHUNK + 1000 + i, ABI_DIM)) for i in range(4)]
@@ -184,6 +185,25 @@ def test_concurrent_predicts_match_sequential_runs():
     # each thread's no_grad was its own: this thread still records
     a = E.constant(np.ones(3))
     assert E.add(a, a).vjp is not None
+
+
+@pytest.mark.parametrize("env, parts", [
+    ({}, 1),                                       # BLAS takes every CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OMP_NUM_THREADS": "one"}, 1),
+])
+def test_usable_cpus_leave_blas_threads_their_cpus(monkeypatch, env, parts):
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    for var in tensor.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert tensor.usable_cpus() == parts
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch):
