@@ -121,8 +121,9 @@ def load_checkpoint(path: str) -> dict:
     The returned dict has keys ``format_version``, ``architecture``,
     ``config``, ``extras`` and ``values`` (name -> ndarray). A file that is
     not UTF-8 JSON, or a parameter entry that is not an object with integer
-    ``rows``/``cols`` and as many finite values, raises :class:`DataError`
-    naming the path (and the parameter).
+    ``rows``/``cols``, as many finite values and an ``ndim`` of 2, or of 1
+    with one row, raises :class:`DataError` naming the path (and the
+    parameter).
     """
     if not os.path.exists(path):
         raise DataError(f"checkpoint file not found: {path}")
@@ -162,10 +163,9 @@ def load_checkpoint(path: str) -> dict:
                 f"{where} declares {rows}x{cols} but carries {vals.size} values")
         if not np.isfinite(vals).all():
             raise DataError(f"{where} has null or non-finite values")
-        if ndim == 1:
-            values[name] = vals.reshape(cols)
-        else:
-            values[name] = vals.reshape(rows, cols)
+        if ndim not in (1, 2) or ndim == 1 and rows != 1:
+            raise DataError(f"{where} declares ndim {ndim} for {rows}x{cols} values")
+        values[name] = vals.reshape((rows, cols)[-ndim:])
     return {
         "format_version": 1,
         "architecture": doc.get("architecture"),

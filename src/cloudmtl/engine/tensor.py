@@ -2,12 +2,12 @@
 
 Each op reads its operands, returns a new ``Tensor`` and records the
 operands and a vector-Jacobian product (VJP) closure; under :func:`no_grad`
-it records nothing, with bitwise the same values, and under
-:func:`row_threads` large ``dense`` and ``attention_mix`` results also
-split their rows over the usable CPUs, bitwise. :func:`backward` walks the
-recorded graph once in reverse topological order and adds each leaf's
-cotangent in place into its ``grad``, so repeated calls accumulate and a
-parameter's ``grad`` stays the view of its store's flat gradient vector.
+it records nothing, with bitwise the same values, and large ``dense`` and
+``attention_mix`` results split their rows over the usable CPUs, bitwise.
+:func:`backward` walks the recorded graph once in reverse topological order
+and adds each leaf's cotangent in place into its ``grad``, so repeated
+calls accumulate and a parameter's ``grad`` stays the view of its store's
+flat gradient vector.
 
 Invariants:
 
@@ -49,13 +49,12 @@ SPLIT_WIDTH = 16
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 #: None while ops record parents and VJPs; under :func:`no_grad` the pair
-#: (executor or None, parts) that :func:`_split_rows` hands row slices to
+#: (executor or None, usable CPUs) that :func:`_split_rows` reads
 _mode: ContextVar[tuple | None] = ContextVar("cloudmtl_engine_mode", default=None)
-_SERIAL = (None, 1)
 
 
 def usable_cpus() -> int:
-    """The parts :func:`row_threads` splits into: the CPUs this process may
+    """The row parts :func:`no_grad` splits into: the CPUs this process may
     run on, shared out among BLAS calls of ``BLAS_THREAD_VARS`` threads.
     With none of those set BLAS takes every CPU, and its idle threads spin
     on them, so one part (no thread) is fastest."""
@@ -72,59 +71,42 @@ def usable_cpus() -> int:
 def no_grad() -> Iterator[None]:
     """Run ops without recording a graph; restores the previous mode on exit.
 
-    The mode is a context variable, so it holds in this thread (and in the
-    workers of :func:`row_threads`, which run in a copy of its context),
-    not in threads started elsewhere. Inside :func:`row_threads` it keeps
-    the executor.
+    The outermost call opens a thread pool of one thread per usable CPU
+    but this one, if there are two or more, for :func:`_split_rows`; nested
+    calls reuse it, and its threads are joined on exit. The mode is a
+    context variable, so it holds in this thread (and in the pool's
+    workers, which run in a copy of its context), not in threads started
+    elsewhere.
     """
-    token = _mode.set(_mode.get() or _SERIAL)
+    mode = _mode.get()
+    cpus = 1 if mode else usable_cpus()
+    if cpus > 1:
+        # imported here, so that importing cloudmtl does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+        mode = (ThreadPoolExecutor(cpus - 1), cpus)
+    token = _mode.set(mode or (None, 1))
     try:
         yield
     finally:
         _mode.reset(token)
+        if cpus > 1:
+            mode[0].shutdown()
 
 
-@contextmanager
-def row_threads() -> Iterator[None]:
-    """:func:`no_grad`, with ``dense`` and ``attention_mix`` results of at
-    least two ``SPLIT_MIN`` parts computed as row slices on a thread per
-    usable CPU: this thread computes the first slice, and every slice only
-    writes rows of buffers the op allocated here, so values are bitwise
-    unsplit ones. A nested call reuses the executor; with one usable CPU
-    no thread starts. The threads are joined on exit."""
+def _split_rows(fill: Callable[[int, int], None], n: int, work: int) -> None:
+    """``fill(lo, hi)`` over row ranges covering ``range(n)``, for an op
+    whose work buffer has ``work`` entries: one range unless under
+    :func:`no_grad`, and at most one per usable CPU, per ``SPLIT_MIN``
+    entries and per two rows (numpy multiplies a one-row matrix as a
+    vector). The first range runs in this thread and the rest on the
+    pool, each in a copy of this context (so numpy's error state holds
+    there); every slice writes only rows of buffers the op allocated, so
+    values are bitwise unsplit ones. Every worker is collected before this
+    returns or raises."""
     mode = _mode.get()
-    cpus = 1 if mode and mode[0] else usable_cpus()
-    if cpus < 2:
-        with no_grad():
-            yield
-        return
-    # imported here, so that importing cloudmtl does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(cpus - 1) as pool:
-        token = _mode.set((pool, cpus))
-        try:
-            yield
-        finally:
-            _mode.reset(token)
-
-
-def _parts(n: int, work: int) -> int:
-    """Row slices for an op over ``n`` rows whose work buffer has ``work``
-    entries: 1 unless inside :func:`row_threads`, and at most one per
-    usable CPU, per ``SPLIT_MIN`` entries and per two rows (numpy
-    multiplies a one-row matrix as a vector)."""
-    mode = _mode.get()
-    return 1 if mode is None else min(mode[1], n // 2, work // SPLIT_MIN)
-
-
-def _split_rows(fill: Callable[[int, int], None], n: int, parts: int) -> None:
-    """``fill(lo, hi)`` over ``parts`` row ranges covering ``range(n)``, the
-    first in this thread and the rest on :func:`row_threads`' executor, each
-    in a copy of this context (so numpy's error state holds there). Every
-    worker is collected before this returns or raises."""
+    parts = 1 if mode is None else max(1, min(mode[1], n // 2, work // SPLIT_MIN))
     bounds = [n * i // parts for i in range(parts + 1)]
-    futures = [_mode.get()[0].submit(copy_context().run, fill, lo, hi)
+    futures = [mode[0].submit(copy_context().run, fill, lo, hi)
                for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         fill(0, bounds[1])
@@ -270,7 +252,8 @@ def transpose(a) -> Tensor:
 def dense(x, w, b) -> Tensor:
     """Affine layer ``x @ w + b``, ``b`` broadcast across rows: one node,
     bitwise ``add(matmul(x, w), b)``, with the bias added into the product;
-    split over rows under :func:`row_threads`.
+    split over rows under :func:`no_grad` when ``SPLIT_WIDTH`` divides the
+    width.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if b.value.ndim != 1 or b.value.shape[0] != w.value.shape[1]:
@@ -279,8 +262,7 @@ def dense(x, w, b) -> Tensor:
     _check_matmul(x, w)
     xv, wv, bv = x.value, w.value, b.value
     n, m = xv.shape[0], wv.shape[1]
-    parts = 1 if m % SPLIT_WIDTH else _parts(n, n * m)
-    if parts < 2:
+    if _mode.get() is None or m % SPLIT_WIDTH:
         out_val = xv @ wv
         out_val += bv
     else:
@@ -290,7 +272,7 @@ def dense(x, w, b) -> Tensor:
             np.matmul(xv[lo:hi], wv, out=out_val[lo:hi])
             out_val[lo:hi] += bv
 
-        _split_rows(rows, n, parts)
+        _split_rows(rows, n, n * m)
 
     def vjp(g):
         return g @ w.value.T, x.value.T @ g, g.sum(axis=0)
@@ -515,7 +497,7 @@ def attention_mix(q, k, v) -> Tensor:
     """Per-row attention (n, d), (n, e), (n, e) -> (n, d): one node, bitwise
     ``bmatvec(softmax_rows(outer_rows(q, k)), v)``, scores built in one
     buffer by :func:`_attention_rows`, split over rows under
-    :func:`row_threads`. Whether ``q`` and ``k`` are finite is decided once
+    :func:`no_grad`. Whether ``q`` and ``k`` are finite is decided once
     over all rows."""
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     qv, kv, vv = q.value, k.value, v.value
@@ -527,12 +509,8 @@ def attention_mix(q, k, v) -> Tensor:
     n, d, e = qv.shape[0], qv.shape[1], kv.shape[1]
     finite = bool(e) and np.isfinite(qv).all() and np.isfinite(kv).all()
     y, out_val = np.empty((n, d, e)), np.empty((n, d))
-    parts = _parts(n, y.size)
-    if parts < 2:
-        _attention_rows(qv, kv, vv, finite, y, out_val, 0, n)
-    else:
-        _split_rows(partial(_attention_rows, qv, kv, vv, finite, y, out_val),
-                    n, parts)
+    _split_rows(partial(_attention_rows, qv, kv, vv, finite, y, out_val),
+                n, y.size)
 
     def vjp(g):
         dm = np.einsum("ip,iq->ipq", g, vv)

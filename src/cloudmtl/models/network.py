@@ -21,7 +21,6 @@ import numpy as np
 
 from .. import engine as E
 from ..engine import Tensor, ParamStore
-from ..engine.tensor import row_threads
 from ..errors import DimensionError
 from .config import ArchitectureSpec
 
@@ -45,14 +44,16 @@ class ModelOutputs:
 
 def forward_chunks(forward, n: int):
     """``forward(rows)`` on each ``INFER_CHUNK``-row slice of ``range(n)``
-    under :func:`engine.tensor.row_threads` (no graph; large ``dense`` and
-    ``attention_mix`` results split their rows over the usable CPUs, on
-    threads joined before return and shared with nested calls),
+    under :func:`engine.no_grad` (no graph; large ``dense`` and
+    ``attention_mix`` results split their rows over the usable CPUs),
     concatenated into a constant Tensor or :class:`ModelOutputs` of
     constants (None stays None); an empty range gets one empty call, and
-    peak memory is one chunk's forward. Bitwise one forward over all rows up
-    to about 32k rows, where BLAS may pick other kernels (an ulp)."""
-    with row_threads():
+    peak memory is one chunk's forward. Up to ``INFER_CHUNK`` rows that is
+    bitwise one forward; beyond, it is the chunk forwards' rows, which
+    differ from one forward's by an ulp where BLAS picks its kernel by the
+    row count, as for a product whose width is not a whole number of
+    16-column tiles (the OCI decoder's 243)."""
+    with E.no_grad():
         parts = [forward(slice(start, start + INFER_CHUNK))
                  for start in range(0, max(n, 1), INFER_CHUNK)]
     return _concat(parts)

@@ -97,8 +97,9 @@ def _fit(params: ParamStore, forward, loss, train: LossTargets,
     """Train ``params`` on ``loss(forward(batch.x), batch) -> (total,
     LossBreakdown)``, one recorded forward per batch. Each epoch's
     validation runs ``forward`` by :func:`forward_chunks` and ``loss`` once
-    on the concatenated outputs: bitwise one forward's loss up to about 32k
-    rows, and the loss of the chunk forwards beyond, as predictions are."""
+    on the concatenated outputs: the loss of the chunk forwards, which is
+    one forward's only up to ``INFER_CHUNK`` rows (an OCI decoder's output
+    rounds by the row count)."""
     rng = np.random.default_rng(config.seed)
     state = AdamState()
     records: list[EpochRecord] = []

@@ -26,7 +26,8 @@ _LEAD = ["model", "dataset", "metric", "direction"]
 
 
 def display_quantum(text: str) -> float:
-    """Half the unit of the last printed digit of a decimal string."""
+    """Half the unit of the last printed digit of a decimal string; inf
+    past the float range, which :class:`FoldStats` rejects."""
     t = text.strip().lower()
     if not t:
         raise DataError("empty numeric field")
@@ -38,7 +39,7 @@ def display_quantum(text: str) -> float:
         except ValueError:
             raise DataError(f"malformed exponent in {text!r}") from None
     decimals = len(t.split(".", 1)[1]) if "." in t else 0
-    return 0.5 * 10.0 ** (exp - decimals)
+    return 0.5 * 10.0 ** (exp - decimals) if exp - decimals < 309 else math.inf
 
 
 def _direction(lower_better: bool) -> str:

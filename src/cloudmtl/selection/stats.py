@@ -23,8 +23,9 @@ from ..errors import ConfigError
 
 @dataclass(frozen=True)
 class FoldStats:
-    """One cell's statistics: frozen, and checked when built (``mu`` and
-    ``se`` finite, ``se`` and ``mu_quantum`` >= 0), else ConfigError."""
+    """One cell's statistics: frozen, and checked when built (``mu``, ``se``
+    and ``mu_quantum`` finite, ``se`` and ``mu_quantum`` >= 0), else
+    ConfigError."""
 
     model: str
     dataset: str
@@ -41,8 +42,8 @@ class FoldStats:
                 f"non-finite statistics for ({self.model}, {self.dataset}, "
                 f"{self.metric}): mu={self.mu}, se={self.se}")
         for name, value in (("se", self.se), ("mu_quantum", self.mu_quantum)):
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 def fold_stats(model: str, dataset: str, metric: str, lower_better: bool,

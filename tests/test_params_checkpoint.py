@@ -170,6 +170,8 @@ MALFORMED = [
     ("architecture null", _set("architecture", None, None), False),
     ("null value", _set_value(1, None), True),
     ("value 1e400", _set_value(2, "BIG"), True),
+    ("ndim 1 for a matrix", _set_entry("ndim", 1), True),
+    ("ndim 3", _set_entry("ndim", 3), True),
     ("standardizer mean too short", _short_mean, False),
     ("seed negative", _set("config", "seed", -2), False),
     ("architecture lacks variant",

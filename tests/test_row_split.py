@@ -32,18 +32,26 @@ parts = st.integers(min_value=2, max_value=4)
 
 def under_forward_chunks(op, cpus: int):
     """``op()``'s value computed inside ``forward_chunks`` with ``cpus``
-    usable CPUs, and whether its rows were split."""
-    split = []
+    usable CPUs, and whether its rows were split: whether some
+    ``_split_rows`` call ran ``fill`` two or more times."""
+    calls = []
 
-    def spy(fill, n, k):
-        split.append(k)
-        return split_rows(fill, n, k)
+    def spy(fill, n, work):
+        ranges = []
+        calls.append(ranges)
+
+        def counted(lo, hi):
+            ranges.append(lo)
+            return fill(lo, hi)
+
+        return split_rows(counted, n, work)
 
     split_rows = tensor._split_rows
     with mock.patch.object(tensor, "usable_cpus", lambda: cpus), \
             mock.patch.object(tensor, "_split_rows", spy):
         value = forward_chunks(lambda _rows: op(), 1).value
-    return value, bool(split)
+    counts = [len(ranges) for ranges in calls]
+    return value, max(counts, default=1) >= 2
 
 
 def expect_split(n: int, work: int, cpus: int) -> bool:
@@ -148,10 +156,9 @@ def test_split_collects_every_worker_before_raising():
         time.sleep(0.05)
         finished.set()
 
-    with mock.patch.object(tensor, "usable_cpus", lambda: 2), \
-            tensor.row_threads():
+    with mock.patch.object(tensor, "usable_cpus", lambda: 2), E.no_grad():
         with pytest.raises(FloatingPointError, match="first part"):
-            tensor._split_rows(fill, 10, 2)
+            tensor._split_rows(fill, 10, 2 * tensor.SPLIT_MIN)
         assert finished.is_set()
 
 

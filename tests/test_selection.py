@@ -217,8 +217,10 @@ def test_read_grid_malformed(tmp_path):
     "model,dataset,metric,direction,fold_1,fold_2\nm,d,ACC,higher,0.9,x\n",
     "model,dataset,metric,direction,mu,se\nMT-CR,D,MSE,lower,0.5,-0.1\n",
     "model,dataset,metric,direction,fold_1\nMT-CR,D,MSE,lower,0.5\n",
+    "model,dataset,metric,direction,mu,se\nMT-CR,D,MSE,lower,1e400,0.1\n",
+    "model,dataset,metric,direction,mu,se\nMT-CR,D,MSE,lower,0e400,0.1\n",
 ], ids=["direction", "field_count", "mu_text", "non_finite", "fold_text",
-        "negative_se", "one_fold"])
+        "negative_se", "one_fold", "huge_exponent", "huge_quantum"])
 def test_read_grid_row_errors_name_the_file(tmp_path, text):
     p = tmp_path / "bad.csv"
     p.write_text(text)
