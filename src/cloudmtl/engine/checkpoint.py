@@ -120,10 +120,10 @@ def load_checkpoint(path: str) -> dict:
 
     The returned dict has keys ``format_version``, ``architecture``,
     ``config``, ``extras`` and ``values`` (name -> ndarray). A file that is
-    not UTF-8 JSON, or a parameter entry that is not an object with integer
-    ``rows``/``cols``, as many finite values and an ``ndim`` of 2, or of 1
-    with one row, raises :class:`DataError` naming the path (and the
-    parameter).
+    not UTF-8 JSON, or a parameter entry that is not an object with positive
+    JSON integer ``rows``/``cols``, as many finite values and an integer
+    ``ndim`` of 2, or of 1 with one row, raises :class:`DataError` naming
+    the path (and the parameter).
     """
     if not os.path.exists(path):
         raise DataError(f"checkpoint file not found: {path}")
@@ -152,13 +152,15 @@ def load_checkpoint(path: str) -> dict:
         where = f"checkpoint {path}: parameter {name!r}"
         if not isinstance(name, str):
             raise DataError(f"{where}: name must be a string")
+        rows, cols, ndim = entry["rows"], entry["cols"], entry.get("ndim", 2)
+        for key, value in (("rows", rows), ("cols", cols), ("ndim", ndim)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DataError(f"{where}: {key} must be an integer, got {value!r}")
         try:
-            rows, cols = int(entry["rows"]), int(entry["cols"])
-            ndim = int(entry.get("ndim", 2))
             vals = np.asarray(entry["values"], dtype=np.float64)
         except (TypeError, ValueError) as e:
             raise DataError(f"{where}: {e}") from None
-        if min(rows, cols) < 0 or vals.size != rows * cols:
+        if min(rows, cols) < 1 or vals.size != rows * cols:
             raise DataError(
                 f"{where} declares {rows}x{cols} but carries {vals.size} values")
         if not np.isfinite(vals).all():

@@ -2,12 +2,10 @@
 
 Each op reads its operands, returns a new ``Tensor`` and records the
 operands and a vector-Jacobian product (VJP) closure; under :func:`no_grad`
-it records nothing, with bitwise the same values, and large ``dense`` and
-``attention_mix`` results split their rows over the usable CPUs, bitwise.
-:func:`backward` walks the recorded graph once in reverse topological order
-and adds each leaf's cotangent in place into its ``grad``, so repeated
-calls accumulate and a parameter's ``grad`` stays the view of its store's
-flat gradient vector.
+it records nothing, with bitwise the same values. :func:`backward` walks
+the recorded graph once in reverse topological order and adds each leaf's
+cotangent in place into its ``grad``, so repeated calls accumulate and a
+parameter's ``grad`` stays the view of its store's flat gradient vector.
 
 Invariants:
 
@@ -23,10 +21,8 @@ Invariants:
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from contextvars import ContextVar, copy_context
-from functools import partial
+from contextvars import ContextVar
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -35,86 +31,25 @@ from ..errors import DimensionError, StateError
 
 PROB_EPS = 1e-7
 
-#: fewest float64 entries of a row-split op's work buffer per part: a part
-#: this small takes about as long as handing it to a thread (about 0.1 ms)
-SPLIT_MIN = 32_768
+#: rows of the score tile that a graph-free :func:`attention_mix` reuses
+ATTENTION_TILE = 256
 
-#: ``dense`` splits only results whose width is a multiple of this: BLAS
-#: computes those in whole column tiles, alike for every row count, while a
-#: ragged edge tile (the OCI decoder's 243 = 15 * 16 + 3) takes a kernel
-#: picked by the row count, which rounds differently
-SPLIT_WIDTH = 16
-
-#: the variables OpenBLAS reads its thread count from, first set one wins
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-#: None while ops record parents and VJPs; under :func:`no_grad` the pair
-#: (executor or None, usable CPUs) that :func:`_split_rows` reads
-_mode: ContextVar[tuple | None] = ContextVar("cloudmtl_engine_mode", default=None)
-
-
-def usable_cpus() -> int:
-    """The row parts :func:`no_grad` splits into: the CPUs this process may
-    run on, shared out among BLAS calls of ``BLAS_THREAD_VARS`` threads.
-    With none of those set BLAS takes every CPU, and its idle threads spin
-    on them, so one part (no thread) is fastest."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
-    return 1
+#: whether ops record parents and VJPs; switched off by :func:`no_grad`
+_recording: ContextVar[bool] = ContextVar("cloudmtl_engine_recording", default=True)
 
 
 @contextmanager
 def no_grad() -> Iterator[None]:
     """Run ops without recording a graph; restores the previous mode on exit.
 
-    The outermost call opens a thread pool of one thread per usable CPU
-    but this one, if there are two or more, for :func:`_split_rows`; nested
-    calls reuse it, and its threads are joined on exit. The mode is a
-    context variable, so it holds in this thread (and in the pool's
-    workers, which run in a copy of its context), not in threads started
-    elsewhere.
+    The mode is a context variable, so it holds in this thread and in
+    threads run in a copy of its context, not in threads started elsewhere.
     """
-    mode = _mode.get()
-    cpus = 1 if mode else usable_cpus()
-    if cpus > 1:
-        # imported here, so that importing cloudmtl does not pay for it
-        from concurrent.futures import ThreadPoolExecutor
-        mode = (ThreadPoolExecutor(cpus - 1), cpus)
-    token = _mode.set(mode or (None, 1))
+    token = _recording.set(False)
     try:
         yield
     finally:
-        _mode.reset(token)
-        if cpus > 1:
-            mode[0].shutdown()
-
-
-def _split_rows(fill: Callable[[int, int], None], n: int, work: int) -> None:
-    """``fill(lo, hi)`` over row ranges covering ``range(n)``, for an op
-    whose work buffer has ``work`` entries: one range unless under
-    :func:`no_grad`, and at most one per usable CPU, per ``SPLIT_MIN``
-    entries and per two rows (numpy multiplies a one-row matrix as a
-    vector). The first range runs in this thread and the rest on the
-    pool, each in a copy of this context (so numpy's error state holds
-    there); every slice writes only rows of buffers the op allocated, so
-    values are bitwise unsplit ones. Every worker is collected before this
-    returns or raises."""
-    mode = _mode.get()
-    parts = 1 if mode is None else max(1, min(mode[1], n // 2, work // SPLIT_MIN))
-    bounds = [n * i // parts for i in range(parts + 1)]
-    futures = [mode[0].submit(copy_context().run, fill, lo, hi)
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        fill(0, bounds[1])
-    finally:
-        errors = [f.exception() for f in futures]
-    for error in errors:
-        if error is not None:
-            raise error
+        _recording.reset(token)
 
 
 class Tensor:
@@ -131,7 +66,7 @@ class Tensor:
                  name: str | None = None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        if _mode.get() is None:
+        if _recording.get():
             self.parents, self.vjp = parents, vjp
         else:
             self.parents, self.vjp = (), None
@@ -251,28 +186,15 @@ def transpose(a) -> Tensor:
 
 def dense(x, w, b) -> Tensor:
     """Affine layer ``x @ w + b``, ``b`` broadcast across rows: one node,
-    bitwise ``add(matmul(x, w), b)``, with the bias added into the product;
-    split over rows under :func:`no_grad` when ``SPLIT_WIDTH`` divides the
-    width.
+    bitwise ``add(matmul(x, w), b)``, with the bias added into the product.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if b.value.ndim != 1 or b.value.shape[0] != w.value.shape[1]:
         raise DimensionError(
             f"dense bias shape {b.value.shape} incompatible with weight {w.value.shape}")
     _check_matmul(x, w)
-    xv, wv, bv = x.value, w.value, b.value
-    n, m = xv.shape[0], wv.shape[1]
-    if _mode.get() is None or m % SPLIT_WIDTH:
-        out_val = xv @ wv
-        out_val += bv
-    else:
-        out_val = np.empty((n, m))
-
-        def rows(lo, hi):
-            np.matmul(xv[lo:hi], wv, out=out_val[lo:hi])
-            out_val[lo:hi] += bv
-
-        _split_rows(rows, n, n * m)
+    out_val = x.value @ w.value
+    out_val += b.value
 
     def vjp(g):
         return g @ w.value.T, x.value.T @ g, g.sum(axis=0)
@@ -473,32 +395,31 @@ def bmatvec(m, v) -> Tensor:
     return Tensor(out_val, (m, v), vjp)
 
 
-def _attention_rows(qv, kv, vv, finite: bool, y: np.ndarray, out: np.ndarray,
-                    lo: int, hi: int) -> None:
-    """Rows ``lo:hi`` of :func:`attention_mix`: scores into ``y``, mix into
-    ``out``. With finite ``q`` and ``k`` each score row's max comes from its
-    key row's extremes (exact: rounding a product by a fixed factor is
-    monotone); otherwise :func:`_row_max` scans the scores."""
-    q, k, ys = qv[lo:hi], kv[lo:hi], y[lo:hi]
-    np.einsum("ip,iq->ipq", q, k, out=ys)
+def _attention_rows(q, k, v, finite: bool, y: np.ndarray, out: np.ndarray) -> None:
+    """One block of rows of :func:`attention_mix`: scores into ``y``, mix
+    into ``out``. With finite ``q`` and ``k`` each score row's max comes
+    from its key row's extremes (exact: rounding a product by a fixed factor
+    is monotone); otherwise :func:`_row_max` scans the scores."""
+    np.einsum("ip,iq->ipq", q, k, out=y)
     if finite:
         with np.errstate(over="ignore", under="ignore"):  # as silent as einsum
             row_max = q * np.where(q >= 0.0, _row_max(k), -_row_max(-k))
         row_max = row_max[:, :, None]
     else:
-        row_max = _row_max(ys)
-    np.subtract(ys, row_max, out=ys)
-    np.exp(ys, out=ys)
-    np.divide(ys, ys.sum(axis=-1, keepdims=True), out=ys)
-    np.einsum("ipq,iq->ip", ys, vv[lo:hi], out=out[lo:hi])
+        row_max = _row_max(y)
+    np.subtract(y, row_max, out=y)
+    np.exp(y, out=y)
+    np.divide(y, y.sum(axis=-1, keepdims=True), out=y)
+    np.einsum("ipq,iq->ip", y, v, out=out)
 
 
 def attention_mix(q, k, v) -> Tensor:
     """Per-row attention (n, d), (n, e), (n, e) -> (n, d): one node, bitwise
-    ``bmatvec(softmax_rows(outer_rows(q, k)), v)``, scores built in one
-    buffer by :func:`_attention_rows`, split over rows under
-    :func:`no_grad`. Whether ``q`` and ``k`` are finite is decided once
-    over all rows."""
+    ``bmatvec(softmax_rows(outer_rows(q, k)), v)``. The recording op builds
+    all (n, d, e) scores in one buffer, which its VJP reads; under
+    :func:`no_grad` they are built ``ATTENTION_TILE`` rows at a time in one
+    reused tile. Whether ``q`` and ``k`` are finite is decided once over all
+    rows."""
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     qv, kv, vv = q.value, k.value, v.value
     if qv.ndim != 2 or kv.ndim != 2 or kv.shape != vv.shape \
@@ -508,9 +429,12 @@ def attention_mix(q, k, v) -> Tensor:
             f"{kv.shape} and {vv.shape}")
     n, d, e = qv.shape[0], qv.shape[1], kv.shape[1]
     finite = bool(e) and np.isfinite(qv).all() and np.isfinite(kv).all()
-    y, out_val = np.empty((n, d, e)), np.empty((n, d))
-    _split_rows(partial(_attention_rows, qv, kv, vv, finite, y, out_val),
-                n, y.size)
+    tile = n if _recording.get() else min(n, ATTENTION_TILE)
+    y, out_val = np.empty((tile, d, e)), np.empty((n, d))
+    for lo in range(0, n, max(tile, 1)):
+        hi = min(n, lo + tile)
+        _attention_rows(qv[lo:hi], kv[lo:hi], vv[lo:hi], finite, y[:hi - lo],
+                        out_val[lo:hi])
 
     def vjp(g):
         dm = np.einsum("ip,iq->ipq", g, vv)

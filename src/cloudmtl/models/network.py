@@ -15,6 +15,9 @@ vector theta1 with the auxiliary one theta2, per pixel i, unscaled:
 
 from __future__ import annotations
 
+import os
+import threading
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,6 +30,12 @@ from .config import ArchitectureSpec
 
 #: rows per forward in :func:`forward_chunks`
 INFER_CHUNK = 2048
+
+#: the variables OpenBLAS reads its thread count from, first set one wins
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+#: whether this context runs inside :func:`forward_chunks`
+_in_chunks: ContextVar[bool] = ContextVar("cloudmtl_in_chunks", default=False)
 
 
 @dataclass
@@ -42,20 +51,65 @@ class ModelOutputs:
     x_recon: Tensor | None = None
 
 
+def usable_cpus() -> int:
+    """The chunks :func:`forward_chunks` runs at once: the CPUs this process
+    may run on, shared out among BLAS calls of ``BLAS_THREAD_VARS`` threads.
+    With none of those set BLAS takes every CPU, and its idle threads spin
+    on them, so one chunk at a time (no thread) is fastest."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
 def forward_chunks(forward, n: int):
     """``forward(rows)`` on each ``INFER_CHUNK``-row slice of ``range(n)``
-    under :func:`engine.no_grad` (no graph; large ``dense`` and
-    ``attention_mix`` results split their rows over the usable CPUs),
-    concatenated into a constant Tensor or :class:`ModelOutputs` of
-    constants (None stays None); an empty range gets one empty call, and
-    peak memory is one chunk's forward. Up to ``INFER_CHUNK`` rows that is
-    bitwise one forward; beyond, it is the chunk forwards' rows, which
+    under :func:`engine.no_grad`, concatenated into a constant Tensor or
+    :class:`ModelOutputs` of constants (None stays None); an empty range
+    gets one empty call.
+
+    This thread and ``usable_cpus() - 1`` more take chunks in increasing
+    order, each in a copy of this context (so numpy's error state holds
+    there), so peak memory is one chunk's forward per usable CPU; a call
+    made inside a chunk runs its chunks in its own thread. Every thread is
+    joined before this returns or raises; an error is the lowest failing
+    chunk's, the one a serial loop raises. Up to ``INFER_CHUNK`` rows that
+    is bitwise one forward; beyond, it is the chunk forwards' rows, which
     differ from one forward's by an ulp where BLAS picks its kernel by the
     row count, as for a product whose width is not a whole number of
     16-column tiles (the OCI decoder's 243)."""
-    with E.no_grad():
-        parts = [forward(slice(start, start + INFER_CHUNK))
-                 for start in range(0, max(n, 1), INFER_CHUNK)]
+    starts = range(0, max(n, 1), INFER_CHUNK)
+    parts, errors = [None] * len(starts), {}
+    lock, chunks = threading.Lock(), iter(range(len(starts)))
+
+    def run_chunks():             # in a copy of the caller's context
+        _in_chunks.set(True)
+        with E.no_grad():
+            while not errors:
+                with lock:
+                    i = next(chunks, None)
+                if i is None:
+                    return
+                try:
+                    parts[i] = forward(slice(starts[i], starts[i] + INFER_CHUNK))
+                except BaseException as error:  # raised after the joins
+                    errors[i] = error
+
+    workers = 1 if _in_chunks.get() else min(usable_cpus(), len(starts))
+    threads = [threading.Thread(target=copy_context().run, args=(run_chunks,))
+               for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    try:
+        copy_context().run(run_chunks)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
     return _concat(parts)
 
 

@@ -7,6 +7,10 @@ file is for another machine. A change that means to move outputs
 regenerates the file, and its diff shows which digest lines moved:
 
     PYTHONPATH=src python3 tests/test_digest.py > tools/digest.expected
+
+The digest runs with one BLAS thread, so ``usable_cpus()`` counts every
+CPU, and on a machine with two or more its multi-chunk forwards run their
+chunks on threads.
 """
 
 import ctypes
@@ -49,7 +53,8 @@ def run_digest() -> list[str]:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "digest.py")],
-                         env={**os.environ, "PYTHONPATH": path},
+                         env={**os.environ, "PYTHONPATH": path,
+                              "OPENBLAS_NUM_THREADS": "1"},
                          capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()

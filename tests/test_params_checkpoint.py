@@ -141,6 +141,13 @@ def _set_entry(key, value):
     return edit
 
 
+def _convert_entry(key, convert):
+    def edit(doc):
+        entry = doc["parameters"][0]
+        entry[key] = convert(entry[key])
+    return edit
+
+
 def _ragged(doc):
     entry = doc["parameters"][0]
     entry["values"] = [entry["values"][:3], entry["values"][3:4]]
@@ -164,6 +171,16 @@ MALFORMED = [
     ("values not a list", _set_entry("values", "abc"), True),
     ("ragged values", _ragged, True),
     ("rows not a number", _set_entry("rows", "x"), True),
+    # shape fields must be JSON integers, not truncated floats or bools
+    ("rows 1e400", _set_entry("rows", "BIG"), True),
+    ("rows a numeric string", _convert_entry("rows", str), True),
+    ("rows a whole float", _convert_entry("rows", float), True),
+    ("rows true", _set_entry("rows", True), True),
+    ("cols 1.5", _set_entry("cols", 1.5), True),
+    ("ndim 2.0", _set_entry("ndim", 2.0), True),
+    ("zero cols of 2**70 rows",
+     lambda doc: doc["parameters"][0].update(rows=2**70, cols=0, values=[]),
+     True),
     ("seed not a number", _set("config", "seed", "a"), False),
     ("entry not an object", lambda doc: doc["parameters"].__setitem__(0, 5),
      False),

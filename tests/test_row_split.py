@@ -1,13 +1,14 @@
-"""Row-split ops: under ``forward_chunks``, ``dense`` and ``attention_mix``
-compute row slices of their results on threads, bitwise the recorded ops,
-with the threads joined before the call returns and memory kept flat."""
+"""A scene's rows split over threads: ``forward_chunks`` runs whole
+``INFER_CHUNK``-row chunks at the same time, one per usable CPU, bitwise the
+one-CPU result, with every thread joined before the call returns and memory
+kept flat; graph-free ``attention_mix`` builds its scores in a reused tile,
+bitwise the recorded op."""
 
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
-from concurrent import futures
 from unittest import mock
 
 import numpy as np
@@ -19,43 +20,21 @@ from cloudmtl import engine as E
 from cloudmtl import workflow
 from cloudmtl.data import Standardizer, generate_dataset, get_sensor
 from cloudmtl.engine import tensor
-from cloudmtl.models import ArchitectureSpec, build_model, predict
+from cloudmtl.models import VARIANTS, ArchitectureSpec, build_model, predict
+from cloudmtl.models import network
 from cloudmtl.models.network import INFER_CHUNK, forward_chunks
 
 ABI_DIM, OCI_DIM = 16, 243
 SPLIT = settings(max_examples=100, deadline=None)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-rows = st.integers(min_value=1, max_value=5000)
-parts = st.integers(min_value=2, max_value=4)
+cpu_counts = st.integers(min_value=2, max_value=4)
+EDGE_ROWS = (1, INFER_CHUNK - 1, INFER_CHUNK + 1, 3 * INFER_CHUNK + 7)
 
 
-def under_forward_chunks(op, cpus: int):
-    """``op()``'s value computed inside ``forward_chunks`` with ``cpus``
-    usable CPUs, and whether its rows were split: whether some
-    ``_split_rows`` call ran ``fill`` two or more times."""
-    calls = []
-
-    def spy(fill, n, work):
-        ranges = []
-        calls.append(ranges)
-
-        def counted(lo, hi):
-            ranges.append(lo)
-            return fill(lo, hi)
-
-        return split_rows(counted, n, work)
-
-    split_rows = tensor._split_rows
-    with mock.patch.object(tensor, "usable_cpus", lambda: cpus), \
-            mock.patch.object(tensor, "_split_rows", spy):
-        value = forward_chunks(lambda _rows: op(), 1).value
-    counts = [len(ranges) for ranges in calls]
-    return value, max(counts, default=1) >= 2
-
-
-def expect_split(n: int, work: int, cpus: int) -> bool:
-    return min(cpus, n // 2, work // tensor.SPLIT_MIN) >= 2
+def with_cpus(cpus: int, fn):
+    with mock.patch.object(network, "usable_cpus", lambda: cpus):
+        return fn()
 
 
 def model_for(variant="MT-HCCAR", input_dim=ABI_DIM, seed=3):
@@ -69,25 +48,47 @@ def prediction_bytes(pred) -> list[bytes]:
         "score_clear", "score_liquid", "score_ice")]
 
 
-# ------------------------------------------------------------ bitwise ops
+def output_bytes(outputs) -> dict:
+    return {name: None if t is None else (t.value.shape, t.value.tobytes())
+            for name, t in vars(outputs).items()}
+
+
+# ------------------------------------------------------------ bitwise
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("input_dim", [ABI_DIM, OCI_DIM])
+def test_chunk_threads_are_bitwise_one_cpu(variant, input_dim):
+    model = model_for(variant, input_dim)
+    X = np.random.default_rng(7).standard_normal((max(EDGE_ROWS), input_dim))
+    runs = {
+        "infer": lambda n: model.infer(X[:n]),
+        "train": lambda n: forward_chunks(
+            lambda rows: model.forward(X[:n][rows], train_mode=True), n),
+    }
+    for mode, run in runs.items():
+        for n in EDGE_ROWS:
+            want = output_bytes(with_cpus(1, lambda: run(n)))
+            for cpus in (2, 3, 4):
+                got = output_bytes(with_cpus(cpus, lambda: run(n)))
+                assert got == want, (mode, n, cpus)
+
 
 @SPLIT
-@given(n=rows, k=st.integers(1, OCI_DIM), m=st.integers(1, OCI_DIM),
-       cpus=parts, seed=seeds)
-@example(n=4095, k=ABI_DIM, m=16, cpus=2, seed=0)   # one row short of a split
-@example(n=4096, k=ABI_DIM, m=16, cpus=2, seed=0)
-@example(n=269, k=OCI_DIM, m=OCI_DIM, cpus=2, seed=1)
-@example(n=4097, k=OCI_DIM, m=128, cpus=3, seed=2)
+@given(n=st.integers(1, 3 * INFER_CHUNK + 7), k=st.integers(1, OCI_DIM),
+       m=st.integers(1, OCI_DIM), cpus=cpu_counts, seed=seeds)
+@example(n=INFER_CHUNK + 1, k=ABI_DIM, m=16, cpus=2, seed=0)
+@example(n=3 * INFER_CHUNK + 7, k=OCI_DIM, m=OCI_DIM, cpus=3, seed=1)
 def test_dense_split_is_bitwise_the_recorded_op(n, k, m, cpus, seed):
+    # each chunk's graph-free dense is the recorded op on the same rows
     rng = np.random.default_rng(seed)
     x, w, b = (rng.standard_normal((n, k)), rng.standard_normal((k, m)),
                rng.standard_normal(m))
-    want = E.dense(x, w, b)
-    assert want.vjp is not None
-    got, split = under_forward_chunks(lambda: E.dense(x, w, b), cpus)
-    assert split == (m % tensor.SPLIT_WIDTH == 0
-                     and expect_split(n, n * m, cpus))
-    assert got.tobytes() == want.value.tobytes()
+    want = np.concatenate([E.dense(x[i:i + INFER_CHUNK], w, b).value
+                           for i in range(0, n, INFER_CHUNK)])
+    got = with_cpus(cpus, lambda: forward_chunks(
+        lambda rows: E.dense(x[rows], w, b), n))
+    assert got.vjp is None
+    assert got.value.tobytes() == want.tobytes()
 
 
 def _attention_operands(n, d, e, seed, bad, where):
@@ -112,21 +113,24 @@ def _outcome(op):
 
 
 @SPLIT
-@given(n=rows, d=st.integers(1, 24), e=st.integers(1, 24), cpus=parts,
+@given(n=st.integers(1, 1100), d=st.integers(1, 24), e=st.integers(1, 24),
+       tile=st.sampled_from([1, 2, 7, 64, tensor.ATTENTION_TILE]),
        seed=seeds, bad=st.sampled_from([None, np.inf, -np.inf, np.nan]),
        where=st.sampled_from("qk"), raise_invalid=st.booleans())
-@example(n=255, d=16, e=16, cpus=2, seed=0, bad=None, where="q",
-         raise_invalid=False)                           # one row short
-@example(n=2049, d=16, e=16, cpus=2, seed=0, bad=np.inf, where="q",
-         raise_invalid=False)
-@example(n=2049, d=16, e=16, cpus=3, seed=0, bad=np.inf, where="q",
+@example(n=tensor.ATTENTION_TILE - 1, d=16, e=16, tile=tensor.ATTENTION_TILE,
+         seed=0, bad=None, where="q", raise_invalid=False)
+@example(n=tensor.ATTENTION_TILE + 1, d=16, e=16, tile=tensor.ATTENTION_TILE,
+         seed=0, bad=np.inf, where="q", raise_invalid=False)
+@example(n=4 * tensor.ATTENTION_TILE + 1, d=16, e=16,
+         tile=tensor.ATTENTION_TILE, seed=0, bad=np.inf, where="q",
          raise_invalid=True)
-@example(n=4999, d=16, e=16, cpus=2, seed=1, bad=np.nan, where="k",
-         raise_invalid=True)
+@example(n=1027, d=16, e=16, tile=tensor.ATTENTION_TILE, seed=1, bad=np.nan,
+         where="k", raise_invalid=True)
 def test_attention_mix_split_is_bitwise_the_recorded_op(
-        n, d, e, cpus, seed, bad, where, raise_invalid):
-    # finiteness is decided once over all rows, so every part takes the
-    # same row-max branch; numpy's error state holds in the workers
+        n, d, e, tile, seed, bad, where, raise_invalid):
+    # the graph-free op builds its scores ``tile`` rows at a time; finiteness
+    # is decided once over all rows, so every tile takes the same row-max
+    # branch
     q, k, v = _attention_operands(n, d, e, seed, bad, where)
     invalid = "raise" if raise_invalid else "warn"
 
@@ -136,39 +140,63 @@ def test_attention_mix_split_is_bitwise_the_recorded_op(
         assert out.vjp is not None
         return out.value.tobytes()
 
-    def split():
-        def op():
-            with np.errstate(invalid=invalid):
-                return E.attention_mix(q, k, v)
-        value, was_split = under_forward_chunks(op, cpus)
-        assert was_split == expect_split(n, n * d * e, cpus)
-        return value.tobytes()
+    def tiled():
+        with np.errstate(invalid=invalid), E.no_grad(), \
+                mock.patch.object(tensor, "ATTENTION_TILE", tile):
+            return E.attention_mix(q, k, v).value.tobytes()
 
-    assert _outcome(split) == _outcome(recorded)
+    assert _outcome(tiled) == _outcome(recorded)
 
 
-def test_split_collects_every_worker_before_raising():
-    finished = threading.Event()
+def test_split_collects_every_worker_before_raising(monkeypatch):
+    # chunks 0-2 are in flight at once: chunk 1 fails first, chunk 0 later,
+    # and chunk 2 finishes last; the serial loop would raise chunk 0's error
+    monkeypatch.setattr(network, "usable_cpus", lambda: 3)
+    in_flight, finished, started = threading.Barrier(3, timeout=30), \
+        threading.Event(), []
 
-    def fill(lo, hi):
-        if lo == 0:
-            raise FloatingPointError("first part")
-        time.sleep(0.05)
+    def forward(rows):
+        i = rows.start // INFER_CHUNK
+        started.append(i)
+        in_flight.wait()
+        if i == 0:
+            time.sleep(0.05)
+            raise FloatingPointError("chunk 0")
+        if i == 1:
+            raise ValueError("chunk 1")
+        time.sleep(0.1)
         finished.set()
 
-    with mock.patch.object(tensor, "usable_cpus", lambda: 2), E.no_grad():
-        with pytest.raises(FloatingPointError, match="first part"):
-            tensor._split_rows(fill, 10, 2 * tensor.SPLIT_MIN)
-        assert finished.is_set()
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="chunk 0"):
+        forward_chunks(forward, 4 * INFER_CHUNK)
+    assert finished.is_set()
+    assert sorted(started) == [0, 1, 2]       # no chunk after a failure
+    assert threading.active_count() == before
+
+
+def test_chunk_threads_keep_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(network, "usable_cpus", lambda: 3)
+    in_flight, seen = threading.Barrier(3, timeout=30), []
+
+    def forward(rows):
+        in_flight.wait()                      # three threads, one chunk each
+        seen.append(np.geterr()["invalid"])
+        return E.constant(np.ones((1, 1)))
+
+    with np.errstate(invalid="raise"):
+        forward_chunks(forward, 3 * INFER_CHUNK)
+    assert seen == ["raise"] * 3
 
 
 # ------------------------------------------------------------ threads
 
 def test_concurrent_predicts_match_sequential_runs(monkeypatch):
-    monkeypatch.setattr(tensor, "usable_cpus", lambda: 2)
+    # four callers with three chunk threads each: more threads than cores
+    monkeypatch.setattr(network, "usable_cpus", lambda: 3)
     model = model_for()
     inputs = [np.random.default_rng(i).standard_normal(
-        (INFER_CHUNK + 1000 + i, ABI_DIM)) for i in range(4)]
+        (2 * INFER_CHUNK + 1000 + i, ABI_DIM)) for i in range(4)]
     want = [prediction_bytes(predict(model, X)) for X in inputs]
     got = [None] * len(inputs)
 
@@ -205,12 +233,12 @@ def test_concurrent_predicts_match_sequential_runs(monkeypatch):
     ({"OMP_NUM_THREADS": "one"}, 1),
 ])
 def test_usable_cpus_leave_blas_threads_their_cpus(monkeypatch, env, parts):
-    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    for var in tensor.BLAS_THREAD_VARS:
+    monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    for var in network.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert tensor.usable_cpus() == parts
+    assert network.usable_cpus() == parts
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch):
@@ -224,11 +252,11 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(E, "dense", spy)
     before = threading.active_count()
-    monkeypatch.setattr(tensor, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(network, "usable_cpus", lambda: 2)
     two = prediction_bytes(predict(model, X))
     assert max(seen) == before + 1
     seen.clear()
-    monkeypatch.setattr(tensor, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(network, "usable_cpus", lambda: 1)
     one = prediction_bytes(predict(model, X))
     assert set(seen) == {before}
     assert one == two
@@ -236,18 +264,33 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
 
 
 def test_nested_forward_chunks_share_one_executor(monkeypatch):
-    # evaluate_model's chunk loop calls Model.infer, itself a chunk loop
+    # a forward_chunks call inside a chunk (evaluate_model's chunk loop
+    # calls Model.infer, itself a chunk loop) runs inline: only the
+    # outermost call starts threads
     made = []
 
-    class Counted(futures.ThreadPoolExecutor):
+    class Counted(threading.Thread):
         def __init__(self, *args, **kwargs):
             made.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", Counted)
-    monkeypatch.setattr(tensor, "usable_cpus", lambda: 2)
-    ds = generate_dataset(get_sensor("ABI"), 2 * INFER_CHUNK + 37, seed=31)
+    monkeypatch.setattr(network.threading, "Thread", Counted)
+    monkeypatch.setattr(network, "usable_cpus", lambda: 4)
     before = threading.active_count()
+    inner_threads = []
+
+    def outer(rows):
+        inner_threads.append(threading.active_count())
+        return forward_chunks(lambda r: E.constant(np.ones((len(range(
+            3 * INFER_CHUNK)[r]), 1))), 3 * INFER_CHUNK)
+
+    out = forward_chunks(outer, 2 * INFER_CHUNK)
+    assert out.value.shape == (6 * INFER_CHUNK, 1)
+    assert len(made) == 1                    # the outer call's one worker
+    assert max(inner_threads) <= before + 1
+    made.clear()
+    monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+    ds = generate_dataset(get_sensor("ABI"), 2 * INFER_CHUNK + 37, seed=31)
     workflow.evaluate_model(model_for(), Standardizer.fit(ds.feature_matrix()), ds)
     assert len(made) == 1
     assert threading.active_count() == before
@@ -261,7 +304,7 @@ def test_split_scene_scoring_memory_stays_flat(monkeypatch):
     model = model_for()
     peaks = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(tensor, "usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(network, "usable_cpus", lambda cpus=cpus: cpus)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
