@@ -281,8 +281,8 @@ def test_nested_forward_chunks_share_one_executor(monkeypatch):
 
     def outer(rows):
         inner_threads.append(threading.active_count())
-        return forward_chunks(lambda r: E.constant(np.ones((len(range(
-            3 * INFER_CHUNK)[r]), 1))), 3 * INFER_CHUNK)
+        return forward_chunks(lambda r: E.constant(np.ones((INFER_CHUNK, 1))),
+                              3 * INFER_CHUNK)
 
     out = forward_chunks(outer, 2 * INFER_CHUNK)
     assert out.value.shape == (6 * INFER_CHUNK, 1)
