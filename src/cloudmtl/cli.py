@@ -1,8 +1,8 @@
 """Command-line interface: gen-data, train, ablate, kfold, select.
 
-Every command is deterministic given its flags; artifacts carry no
-timestamps.  Exit codes: 0 success, 2 configuration/data/usage error,
-1 runtime or numeric failure.
+Every command runs at one BLAS thread, whatever the shell sets, so it is
+deterministic given its flags; artifacts carry no timestamps.  Exit codes:
+0 success, 2 configuration/data/usage error, 1 runtime or numeric failure.
 
 Flags shared by the training-style commands may also be supplied through
 ``--config experiment.json`` holding any of the keys ``architecture``,
@@ -26,6 +26,7 @@ from .data import SplitPlan, generate_dataset, get_sensor, load_csv, save_csv
 from .engine import TrainConfig, dumps_deterministic
 from .errors import CloudMtlError, ConfigError, DataError
 from .models import COMPLEXITY_ORDER, VARIANTS, ArchitectureSpec
+from .models.network import one_blas_thread
 from .selection import compute_selection, read_stats_grid, render_table, write_fold_values_csv
 from . import workflow
 
@@ -290,16 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, DataError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        with one_blas_thread():
+            return args.func(args)
     except (CloudMtlError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, (ConfigError, DataError)) else 1
 
 
 if __name__ == "__main__":

@@ -15,10 +15,13 @@ vector theta1 with the auxiliary one theta2, per pixel i, unscaled:
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -30,9 +33,6 @@ from .config import ArchitectureSpec
 
 #: rows per forward in :func:`forward_chunks`
 INFER_CHUNK = 2048
-
-#: the variables OpenBLAS reads its thread count from, first set one wins
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 #: whether this context runs inside :func:`forward_chunks`
 _in_chunks: ContextVar[bool] = ContextVar("cloudmtl_in_chunks", default=False)
@@ -51,18 +51,37 @@ class ModelOutputs:
     x_recon: Tensor | None = None
 
 
+@cache
+def _openblas():
+    """numpy's OpenBLAS thread-count getter and setter, found on first use."""
+    get, put = ctypes.CFUNCTYPE(ctypes.c_int), ctypes.CFUNCTYPE(None, ctypes.c_int)
+    with suppress(OSError), open("/proc/self/maps") as f:
+        for lib in sorted({line.split()[-1] for line in f if "openblas" in line.lower()}):
+            for name in ("scipy_openblas_%s_num_threads64_",
+                         "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+                if hasattr(dll := ctypes.CDLL(lib), name % "get"):
+                    return get((name % "get", dll)), put((name % "set", dll))
+    return lambda: os.cpu_count() or 1, lambda threads: None  # BLAS on every CPU
+
+
 def usable_cpus() -> int:
-    """The chunks :func:`forward_chunks` runs at once: the CPUs this process
-    may run on, shared out among BLAS calls of ``BLAS_THREAD_VARS`` threads.
-    With none of those set BLAS takes every CPU, and its idle threads spin
-    on them, so one chunk at a time (no thread) is fastest."""
+    """The chunks :func:`forward_chunks` runs at once: this process's CPUs
+    over the live BLAS thread count, whose idle threads spin on them."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
-    return 1
+    return max(1, cpus // _openblas()[0]())
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block at one BLAS thread, then restore the caller's count."""
+    get, put = _openblas()
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def forward_chunks(forward, n: int):

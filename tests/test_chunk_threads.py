@@ -4,11 +4,16 @@ one-CPU result, with every thread joined before the call returns and memory
 kept flat; graph-free ``attention_mix`` builds its scores in a reused tile,
 bitwise the recorded op."""
 
+import functools
+import io
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cloudmtl
 from cloudmtl import engine as E
 from cloudmtl import workflow
 from cloudmtl.data import Standardizer, generate_dataset, get_sensor
@@ -78,7 +84,7 @@ def test_chunk_threads_are_bitwise_one_cpu(variant, input_dim):
        m=st.integers(1, OCI_DIM), cpus=cpu_counts, seed=seeds)
 @example(n=INFER_CHUNK + 1, k=ABI_DIM, m=16, cpus=2, seed=0)
 @example(n=3 * INFER_CHUNK + 7, k=OCI_DIM, m=OCI_DIM, cpus=3, seed=1)
-def test_dense_split_is_bitwise_the_recorded_op(n, k, m, cpus, seed):
+def test_dense_chunks_are_bitwise_the_recorded_op(n, k, m, cpus, seed):
     # each chunk's graph-free dense is the recorded op on the same rows
     rng = np.random.default_rng(seed)
     x, w, b = (rng.standard_normal((n, k)), rng.standard_normal((k, m)),
@@ -126,7 +132,7 @@ def _outcome(op):
          raise_invalid=True)
 @example(n=1027, d=16, e=16, tile=tensor.ATTENTION_TILE, seed=1, bad=np.nan,
          where="k", raise_invalid=True)
-def test_attention_mix_split_is_bitwise_the_recorded_op(
+def test_attention_mix_tiles_are_bitwise_the_recorded_op(
         n, d, e, tile, seed, bad, where, raise_invalid):
     # the graph-free op builds its scores ``tile`` rows at a time; finiteness
     # is decided once over all rows, so every tile takes the same row-max
@@ -148,7 +154,7 @@ def test_attention_mix_split_is_bitwise_the_recorded_op(
     assert _outcome(tiled) == _outcome(recorded)
 
 
-def test_split_collects_every_worker_before_raising(monkeypatch):
+def test_chunk_threads_join_before_raising_the_lowest_error(monkeypatch):
     # chunks 0-2 are in flight at once: chunk 1 fails first, chunk 0 later,
     # and chunk 2 finishes last; the serial loop would raise chunk 0's error
     monkeypatch.setattr(network, "usable_cpus", lambda: 3)
@@ -222,23 +228,36 @@ def test_concurrent_predicts_match_sequential_runs(monkeypatch):
     assert E.add(a, a).vjp is not None
 
 
-@pytest.mark.parametrize("env, parts", [
-    ({}, 1),                                       # BLAS takes every CPU
-    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "3"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
-    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-    ({"OMP_NUM_THREADS": "one"}, 1),
+@pytest.mark.parametrize("count, parts", [
+    (1, 4), (2, 2), (3, 1), (8, 1),
+    (4, 1),                                        # BLAS on every CPU
+    (None, 1),                                     # no OpenBLAS found
 ])
-def test_usable_cpus_leave_blas_threads_their_cpus(monkeypatch, env, parts):
+def test_usable_cpus_leave_the_live_blas_threads_their_cpus(
+        monkeypatch, count, parts):
     monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    for var in network.BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(network.os, "cpu_count", lambda: 4)
+    if count is None:        # the real lookup, in a /proc/self/maps without it
+        monkeypatch.setattr(network, "open", lambda *a: io.StringIO(""),
+                            raising=False)
+        monkeypatch.setattr(network, "_openblas",
+                            functools.cache(network._openblas.__wrapped__))
+    else:
+        monkeypatch.setattr(network, "_openblas", lambda: (lambda: count, None))
     assert network.usable_cpus() == parts
+
+
+def test_blas_lookup_runs_once_and_not_at_import():
+    code = ("import cloudmtl.cli; from cloudmtl.models import network as n; "
+            "print(n._openblas.cache_info().misses); "
+            "[n.usable_cpus() for _ in range(100)]; "
+            "print(n._openblas.cache_info().misses)")
+    src = os.pathsep.join(filter(None, [
+        str(Path(cloudmtl.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "1"]
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch):
@@ -263,7 +282,7 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_nested_forward_chunks_share_one_executor(monkeypatch):
+def test_nested_forward_chunks_run_inline(monkeypatch):
     # a forward_chunks call inside a chunk (evaluate_model's chunk loop
     # calls Model.infer, itself a chunk loop) runs inline: only the
     # outermost call starts threads
@@ -298,7 +317,7 @@ def test_nested_forward_chunks_share_one_executor(monkeypatch):
 
 # ------------------------------------------------------------ memory
 
-def test_split_scene_scoring_memory_stays_flat(monkeypatch):
+def test_chunk_threads_keep_scene_scoring_memory_flat(monkeypatch):
     ds = generate_dataset(get_sensor("ABI"), 50_000, seed=32)
     std = Standardizer.fit(ds.feature_matrix())
     model = model_for()

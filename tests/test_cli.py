@@ -1,16 +1,21 @@
 """Command-line workflows: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cloudmtl import workflow
+import cloudmtl
+from cloudmtl import cli, workflow
 from cloudmtl.cli import main
 from cloudmtl.data import SensorConfig, SplitPlan, generate_dataset, get_sensor, save_csv
 from cloudmtl.engine import TrainConfig
-from cloudmtl.models import ArchitectureSpec
+from cloudmtl.models import ArchitectureSpec, network
 from cloudmtl.selection import write_summary_csv
 
 from reference_grid import EXPECTED_P1SE, reference_grid
@@ -65,6 +70,63 @@ def test_missing_required_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "--sensor", "ABI"])   # no --n/--out
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------------ BLAS threads
+
+def test_commands_run_at_one_blas_thread_and_restore_the_callers(
+        tmp_path, monkeypatch, capsys):
+    get, put = network._openblas()
+    before = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        seen = []
+
+        def spy(real):
+            def counted(*args, **kwargs):
+                seen.append(get())
+                return real(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(cli, "generate_dataset", spy(cli.generate_dataset))
+        monkeypatch.setattr(cli, "load_csv", spy(cli.load_csv))
+        assert main(["gen-data", "--sensor", "ABI", "--n", "50",
+                     "--out", str(tmp_path / "abi.csv")]) == 0
+        assert (seen, get()) == ([1], 2)
+        assert main(["train", "--data", str(tmp_path / "missing.csv"),
+                     "--outdir", str(tmp_path / "run")]) == 2
+        assert (seen, get()) == ([1, 1], 2)
+    finally:
+        put(before)
+
+
+def test_artifacts_do_not_depend_on_the_shells_blas_threads(tmp_path):
+    # the OCI decoder's 243-wide products round by the BLAS thread count
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(cloudmtl.__file__).parents[1]), env.get("PYTHONPATH")]))
+    commands = (["gen-data", "--sensor", "OCI", "--n", "1000", "--seed", "5",
+                 "--out", "data.csv"],
+                ["train", "--data", "data.csv", "--epochs", "1", "--seed", "0",
+                 "--outdir", "run"])
+    trees = {}
+    for threads in (None, "1", "2"):
+        cwd = tmp_path / f"threads-{threads}"
+        cwd.mkdir()
+        blas = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "cloudmtl.cli", *argv],
+                           cwd=cwd, env={**env, **blas}, check=True,
+                           capture_output=True, timeout=600)
+        trees[threads] = {
+            str(f.relative_to(cwd)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(cwd.rglob("*")) if f.is_file()}
+    assert "run/checkpoint.json" in trees[None]
+    assert trees["1"] == trees[None]
+    assert trees["2"] == trees[None]
 
 
 # ------------------------------------------------------------------ train
