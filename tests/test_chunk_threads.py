@@ -1,8 +1,9 @@
 """A scene's rows split over threads: ``forward_chunks`` runs whole
-``INFER_CHUNK``-row chunks at the same time, one per usable CPU, bitwise the
-one-CPU result, with every thread joined before the call returns and memory
-kept flat; graph-free ``attention_mix`` builds its scores in a reused tile,
-bitwise the recorded op."""
+``INFER_CHUNK``-row chunks at the same time, one per usable CPU (the CPUs
+over the live BLAS thread count), bitwise the one-CPU result, with every
+thread joined before the call returns and memory kept flat; graph-free
+``attention_mix`` builds its scores in a reused tile, bitwise the recorded
+op."""
 
 import functools
 import io

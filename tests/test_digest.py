@@ -8,9 +8,13 @@ regenerates the file, and its diff shows which digest lines moved:
 
     PYTHONPATH=src python3 tests/test_digest.py > tools/digest.expected
 
-The digest runs with one BLAS thread, so ``usable_cpus()`` counts every
-CPU, and on a machine with two or more its multi-chunk forwards run their
-chunks on threads.
+The digest runs with ``OPENBLAS_NUM_THREADS=1``, so ``usable_cpus()`` counts
+every CPU, and on a machine with two or more its multi-chunk forwards run
+their chunks on threads. The CLI pins one BLAS thread itself, but the
+digest's library lines (the trained weights and the OCI ``predict`` and
+``evaluate`` lines) run at the caller's BLAS thread count, which also
+decides how a product rounds where its width is not a whole number of
+kernel tiles, so the variable stays.
 """
 
 import ctypes
