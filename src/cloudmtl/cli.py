@@ -195,7 +195,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                                     outdir=args.outdir, sensor_name=ds.sensor.name)
     for spec in specs:
         r = results[spec.variant]
-        print(f"{spec.variant}: params={r.model.param_count()} "
+        print(f"{spec.variant}: params={r.model.params.param_count()} "
               f"acc_bi={r.report.acc_bi:.4f} mse={_fmt_opt(r.report.mse_all)}")
     print(f"comparison table: {os.path.join(args.outdir, 'ablation.csv')}")
     return 0

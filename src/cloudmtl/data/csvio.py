@@ -29,11 +29,11 @@ from typing import Callable
 import numpy as np
 
 from ..atomic import atomic_write
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from .dataset import FLOAT_COLUMNS, PixelDataset, LABEL_CLEAR, LABEL_NAMES
 from .sensors import (
     ANCILLARY_FEATURES, GEOMETRY_FEATURES, SURFACE_TYPES, SensorConfig,
-    get_sensor, sensor_names,
+    get_sensor, sensor_names, validate_sensor,
 )
 
 _FIXED_LEAD = ["pixel_id", *ANCILLARY_FEATURES, "surface_type", *GEOMETRY_FEATURES]
@@ -125,6 +125,10 @@ def _check_header(header: list[str], path: str,
     if not band_cols or not all(c.startswith("refl_") for c in band_cols):
         raise DataError(f"{path}: reflectance columns missing or misnamed")
     file_sensor = _sensor_from_header(band_cols, path)
+    try:
+        validate_sensor(file_sensor)
+    except ConfigError as e:
+        raise DataError(f"{path}: {e}") from None
     if sensor is not None:
         if file_sensor.band_centers_nm != sensor.band_centers_nm:
             raise DataError(

@@ -84,5 +84,6 @@ def validate_sensor(cfg: SensorConfig) -> None:
     centers = np.asarray(cfg.band_centers_nm, dtype=np.float64)
     if centers.ndim != 1 or centers.size == 0:
         raise ConfigError(f"sensor {cfg.name!r} has no bands")
-    if not np.all(np.diff(centers) > 0):
-        raise ConfigError(f"sensor {cfg.name!r} band centers are not strictly increasing")
+    if not (np.isfinite(centers).all() and np.all(np.diff(centers) > 0)):
+        raise ConfigError(
+            f"sensor {cfg.name!r} band centers are not finite and strictly increasing")

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import DataError
 from .config import ArchitectureSpec
-from .network import Model, ModelOutputs
+from .network import Model, ModelOutputs, checked_input, forward_chunks
 from ..data.dataset import LABEL_CLEAR, LABEL_LIQUID, LABEL_ICE
 
 
@@ -94,5 +94,7 @@ def predictions_from_outputs(outputs: ModelOutputs, spec: ArchitectureSpec
 
 
 def predict(model: Model, X: np.ndarray) -> Predictions:
-    """Chunked inference (hard gating, no graph), then the decision rules."""
-    return predictions_from_outputs(model.infer(X), model.spec)
+    """Chunked eval-mode forwards (hard gating, no graph), then the rules."""
+    X = checked_input(X, model.spec.input_dim)
+    return predictions_from_outputs(
+        forward_chunks(lambda rows: model.forward(X[rows]), len(X)), model.spec)

@@ -2,8 +2,8 @@
 
 Every variant returns a :class:`ModelOutputs` of graph tensors: the mask
 pair ``u_cloud``/``u_clear``, the phase pair ``u_liquid``/``u_ice`` (each
-clamped into (0, 1)), the log10 thickness ``y_cot_hat``, and optionally the
-(n, 3) thickness-bin softmax ``aux_probs`` and the reconstruction
+clamped into (0, 1)), the log10 thickness ``y_cot_hat``, and in train mode
+the (n, 3) thickness-bin softmax ``aux_probs`` and the reconstruction
 ``x_recon``. Hierarchical variants gate the phase branch by the pre-clamp
 cloud probability (soft) or by ``u_cloud >= threshold`` (hard, and always
 at inference). MT-HCCAR's cross attention refines the regression hidden
@@ -19,7 +19,7 @@ import ctypes
 import os
 import threading
 from contextlib import contextmanager, suppress
-from contextvars import ContextVar, copy_context
+from contextvars import copy_context
 from dataclasses import dataclass, fields
 from functools import cache
 
@@ -33,9 +33,6 @@ from .config import ArchitectureSpec
 
 #: rows per forward in :func:`forward_chunks`
 INFER_CHUNK = 2048
-
-#: whether this context runs inside :func:`forward_chunks`
-_in_chunks: ContextVar[bool] = ContextVar("cloudmtl_in_chunks", default=False)
 
 
 @dataclass
@@ -92,20 +89,18 @@ def forward_chunks(forward, n: int):
 
     This thread and ``usable_cpus() - 1`` more take chunks in increasing
     order, each in a copy of this context (so numpy's error state holds
-    there), so peak memory is one chunk's forward per usable CPU; a call
-    made inside a chunk runs its chunks in its own thread. Every thread is
-    joined before this returns or raises; an error is the lowest failing
-    chunk's, the one a serial loop raises. Up to ``INFER_CHUNK`` rows that
-    is bitwise one forward; beyond, it is the chunk forwards' rows, which
-    differ from one forward's by an ulp where BLAS picks its kernel by the
-    row count, as for a product whose width is not a whole number of
-    16-column tiles (the OCI decoder's 243)."""
+    there), so peak memory is one chunk's forward per usable CPU. Every
+    thread is joined before this returns or raises; an error is the lowest
+    failing chunk's, the one a serial loop raises. Up to ``INFER_CHUNK``
+    rows that is bitwise one forward; beyond, it is the chunk forwards'
+    rows, which differ from one forward's by an ulp where BLAS picks its
+    kernel by the row count, as for a product whose width is not a whole
+    number of 16-column tiles (the OCI decoder's 243)."""
     starts = range(0, max(n, 1), INFER_CHUNK)
     parts, errors = [None] * len(starts), {}
     lock, chunks = threading.Lock(), iter(range(len(starts)))
 
     def run_chunks():             # in a copy of the caller's context
-        _in_chunks.set(True)
         with E.no_grad():
             while not errors:
                 with lock:
@@ -117,9 +112,8 @@ def forward_chunks(forward, n: int):
                 except BaseException as error:  # raised after the joins
                     errors[i] = error
 
-    workers = 1 if _in_chunks.get() else min(usable_cpus(), len(starts))
     threads = [threading.Thread(target=copy_context().run, args=(run_chunks,))
-               for _ in range(workers - 1)]
+               for _ in range(min(usable_cpus(), len(starts)) - 1)]
     for t in threads:
         t.start()
     try:
@@ -185,6 +179,14 @@ def _chain(x: Tensor, params: ParamStore, prefix: str, n_layers: int,
     return h
 
 
+def checked_input(X, input_dim: int) -> np.ndarray:
+    """``X`` as a float64 array, which must be (n, ``input_dim``)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != input_dim:
+        raise DimensionError(f"input has shape {X.shape}, expected (n, {input_dim})")
+    return X
+
+
 class Model:
     """A built variant: spec + parameters + forward."""
 
@@ -192,27 +194,11 @@ class Model:
         self.spec = spec
         self.params = params
 
-    def param_count(self) -> int:
-        return self.params.param_count()
-
-    # ----- forward ------------------------------------------------------
-
-    def _input(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.spec.input_dim:
-            raise DimensionError(
-                f"input has shape {X.shape}, expected (n, {self.spec.input_dim})")
-        return X
-
     def forward(self, X: np.ndarray, train_mode: bool = False) -> ModelOutputs:
-        return self._forward(X, train_mode, full=True)
-
-    def _forward(self, X: np.ndarray, train_mode: bool, full: bool) -> ModelOutputs:
-        """``forward``; ``full=False`` skips what only the losses read (the
-        decoder, the aux output layer and softmax): ``x_recon`` and
-        ``aux_probs`` are None, the other fields unchanged."""
+        """Outputs on standardized features. Eval mode is inference: a hard
+        gate, and no decoder or aux output layer, so no x_recon or aux_probs."""
         spec, ps = self.spec, self.params
-        x = E.constant(self._input(X))
+        x = E.constant(checked_input(X, spec.input_dim))
 
         if spec.single_hidden:
             h = E.relu(E.dense(x, ps["hidden.w"], ps["hidden.b"]))
@@ -226,7 +212,7 @@ class Model:
         n_enc = len(spec.encoder_widths)
         z = _chain(x, ps, "encoder", n_enc, final_relu=True)
         x_recon = None
-        if spec.has_decoder and full:
+        if spec.has_decoder and train_mode:
             x_recon = _chain(z, ps, "decoder", n_enc, final_relu=False)
 
         if spec.hierarchical:
@@ -258,10 +244,10 @@ class Model:
             u_liquid, u_ice = E.col(cls_u, 2), E.col(cls_u, 3)
 
         aux_probs = theta2 = None
-        if spec.aux_enabled and (full or spec.attention_enabled):
+        if spec.aux_enabled and (train_mode or spec.attention_enabled):
             # attention reads the aux hidden vector even when aux_probs is skipped
             theta2 = _chain(z, ps, "aux_head", len(spec.head_hidden), final_relu=True)
-            if full:
+            if train_mode:
                 aux_logits = E.dense(theta2, ps["aux_head_out.w"], ps["aux_head_out.b"])
                 aux_probs = E.softmax_rows(aux_logits)
 
@@ -276,14 +262,6 @@ class Model:
         return ModelOutputs(
             u_cloud=u_cloud, u_clear=u_clear, u_liquid=u_liquid, u_ice=u_ice,
             y_cot_hat=y_cot, aux_probs=aux_probs, x_recon=x_recon)
-
-    def infer(self, X: np.ndarray) -> ModelOutputs:
-        """Inference-mode outputs by :func:`forward_chunks`, with
-        ``aux_probs`` and ``x_recon`` None: bitwise ``forward(X)`` up to
-        ``INFER_CHUNK`` rows."""
-        X = self._input(X)
-        return forward_chunks(
-            lambda rows: self._forward(X[rows], False, full=False), len(X))
 
 
 class SequentialModel(Model):
@@ -312,9 +290,8 @@ class SequentialModel(Model):
         out = E.dense(h, ps["out.w"], ps["out.b"])
         return E.col(out, 0) if self.STAGES[net] == 1 else E.clamped_sigmoid(out)
 
-    def _forward(self, X: np.ndarray, train_mode: bool, full: bool) -> ModelOutputs:
-        # the three stage outputs are all predictions read, so ``full`` is moot
-        X = self._input(X)
+    def forward(self, X: np.ndarray, train_mode: bool = False) -> ModelOutputs:
+        X = checked_input(X, self.spec.input_dim)
         mask_u = self.stage_output("mask_net", X)
         phase_u = self.stage_output("phase_net", X)
         return ModelOutputs(

@@ -62,13 +62,23 @@ def _check_feature_dim(ds: PixelDataset, spec: ArchitectureSpec) -> None:
             f"architecture expects input_dim={spec.input_dim}")
 
 
+def _check_specs(ds: PixelDataset, specs: list[ArchitectureSpec]) -> list[str]:
+    """The variants of ``specs``: one or more, distinct, each fitting ``ds``."""
+    names = [s.variant for s in specs]
+    if not names or len(set(names)) != len(names):
+        raise ConfigError(f"need one or more distinct variants, got {names}")
+    for spec in specs:
+        _check_feature_dim(ds, spec)
+    return names
+
+
 def evaluate_model(model: Model, standardizer: Standardizer,
                    ds: PixelDataset) -> tuple[Predictions, EvalReport]:
     """Predictions on ``ds`` and their report, standardized and inferred one
     ``INFER_CHUNK`` of pixels at a time: bitwise ``models.predict`` on the
     standardized whole-scene features, with no such matrix built."""
     _check_feature_dim(ds, model.spec)
-    outputs = forward_chunks(lambda rows: model.infer(
+    outputs = forward_chunks(lambda rows: model.forward(
         standardizer.transform(ds.subset(rows).feature_matrix())), len(ds))
     pred = predictions_from_outputs(outputs, model.spec)
     del outputs
@@ -242,13 +252,7 @@ def run_kfold(ds: PixelDataset, specs: list[ArchitectureSpec],
     ``i`` is scored after training on the other folds with seed
     ``config.seed + i``, with no validation pixels."""
     ds.validate()
-    if not specs:
-        raise ConfigError("no architectures given")
-    names = [s.variant for s in specs]
-    if len(set(names)) != len(names):
-        raise ConfigError("duplicate variants in k-fold run")
-    for spec in specs:
-        _check_feature_dim(ds, spec)
+    names = _check_specs(ds, specs)
     folds = kfold_indices(len(ds), k, config.seed)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
@@ -296,13 +300,10 @@ def run_ablation(ds: PixelDataset, specs: list[ArchitectureSpec],
                  ) -> dict[str, RunResult]:
     """Train each variant under one split and seed into
     ``<outdir>/<variant>/``, then write ``ablation.csv`` and ``manifest.json``
-    to ``outdir``. An empty test split raises before any training; a failing
-    variant aborts the run, leaving the finished variants' artifacts."""
-    if not specs:
-        raise ConfigError("no architectures given")
-    names = [s.variant for s in specs]
-    if len(set(names)) != len(names):
-        raise ConfigError("duplicate variants in ablation")
+    to ``outdir``. A bad variant list or an empty test split raises before
+    any training; a failing variant aborts the run, leaving the finished
+    variants' artifacts."""
+    _check_specs(ds, specs)
     if split_indices(len(ds), plan)[2].size == 0:
         raise ConfigError("ablation requires a non-empty test split")
     results: dict[str, RunResult] = {}
@@ -313,10 +314,10 @@ def run_ablation(ds: PixelDataset, specs: list[ArchitectureSpec],
         result = run_training(ds, spec, config, plan, outdir=sub,
                               sensor_name=sensor_name)
         results[spec.variant] = result
-        table_rows.append((spec.variant, result.model.param_count(),
-                           result.report))
+        count = result.model.params.param_count()
+        table_rows.append((spec.variant, count, result.report))
         manifest[spec.variant] = {
-            "param_count": result.model.param_count(),
+            "param_count": count,
             "eval": result.report.to_dict(),
         }
     if outdir is not None:

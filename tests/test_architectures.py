@@ -31,12 +31,12 @@ def test_param_counts_exact_small_config():
         "MLP-BASELINE": 16 * 10 + 10 + 10 * 5 + 5,
     }
     for variant, want in expected.items():
-        got = build_model(small(variant), seed=0).param_count()
+        got = build_model(small(variant), seed=0).params.param_count()
         assert got == want, f"{variant}: {got} != {want}"
 
 
 def test_param_counts_strictly_increase_along_complexity():
-    counts = [build_model(small(v), seed=0).param_count()
+    counts = [build_model(small(v), seed=0).params.param_count()
               for v in ("MT-CR", "MT-HCR", "MT-HCCR", "MT-HCCAR")]
     assert counts == sorted(counts)
     assert len(set(counts)) == 4
@@ -46,7 +46,7 @@ def test_mlp_count_formula():
     for m, k in ((16, 5), (20, 5), (243, 5)):
         model = build_model(
             ArchitectureSpec(variant="MLP-BASELINE", input_dim=m), seed=0)
-        assert model.param_count() == m * 10 + 10 + 10 * k + k
+        assert model.params.param_count() == m * 10 + 10 + 10 * k + k
 
 
 def test_attention_params_are_the_only_difference():
@@ -107,7 +107,10 @@ def test_output_shapes_and_flags():
             ("SEQ", False, False), ("MT-CR", False, True),
             ("MT-HCR", False, True), ("MT-HCCR", True, True),
             ("MT-HCCAR", True, True), ("MLP-BASELINE", False, False)):
-        out = build_model(small(variant), seed=1).forward(X)
+        model = build_model(small(variant), seed=1)
+        eval_out = model.forward(X)
+        assert eval_out.aux_probs is None and eval_out.x_recon is None
+        out = model.forward(X, train_mode=True)
         for u in (out.u_cloud, out.u_clear, out.u_liquid, out.u_ice,
                   out.y_cot_hat):
             assert u.value.shape == (9,)
@@ -227,7 +230,7 @@ def test_zero_attention_collapses_to_plain_variant():
     hccr = build_model(small("MT-HCCR"), seed=0)
     shared = {n: hccar.params[n].value.copy() for n in hccr.params.names()}
     hccr.params.load_values(shared)
-    a, b = hccar.forward(X), hccr.forward(X)
+    a, b = hccar.forward(X, train_mode=True), hccr.forward(X, train_mode=True)
     np.testing.assert_array_equal(a.y_cot_hat.value, b.y_cot_hat.value)
     np.testing.assert_array_equal(a.u_cloud.value, b.u_cloud.value)
     np.testing.assert_array_equal(a.aux_probs.value, b.aux_probs.value)

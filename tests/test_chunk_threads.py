@@ -68,7 +68,8 @@ def test_chunk_threads_are_bitwise_one_cpu(variant, input_dim):
     model = model_for(variant, input_dim)
     X = np.random.default_rng(7).standard_normal((max(EDGE_ROWS), input_dim))
     runs = {
-        "infer": lambda n: model.infer(X[:n]),
+        "eval": lambda n: forward_chunks(
+            lambda rows: model.forward(X[:n][rows]), n),
         "train": lambda n: forward_chunks(
             lambda rows: model.forward(X[:n][rows], train_mode=True), n),
     }
@@ -283,10 +284,9 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_nested_forward_chunks_run_inline(monkeypatch):
-    # a forward_chunks call inside a chunk (evaluate_model's chunk loop
-    # calls Model.infer, itself a chunk loop) runs inline: only the
-    # outermost call starts threads
+def test_evaluate_model_starts_one_worker_at_two_cpus(monkeypatch):
+    # evaluate_model runs one chunk loop: at 2 usable CPUs it starts one
+    # thread beside the caller's, whatever the chunk count
     made = []
 
     class Counted(threading.Thread):
@@ -295,20 +295,7 @@ def test_nested_forward_chunks_run_inline(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(network.threading, "Thread", Counted)
-    monkeypatch.setattr(network, "usable_cpus", lambda: 4)
     before = threading.active_count()
-    inner_threads = []
-
-    def outer(rows):
-        inner_threads.append(threading.active_count())
-        return forward_chunks(lambda r: E.constant(np.ones((INFER_CHUNK, 1))),
-                              3 * INFER_CHUNK)
-
-    out = forward_chunks(outer, 2 * INFER_CHUNK)
-    assert out.value.shape == (6 * INFER_CHUNK, 1)
-    assert len(made) == 1                    # the outer call's one worker
-    assert max(inner_threads) <= before + 1
-    made.clear()
     monkeypatch.setattr(network, "usable_cpus", lambda: 2)
     ds = generate_dataset(get_sensor("ABI"), 2 * INFER_CHUNK + 37, seed=31)
     workflow.evaluate_model(model_for(), Standardizer.fit(ds.feature_matrix()), ds)

@@ -15,6 +15,7 @@ from cloudmtl import cli, workflow
 from cloudmtl.cli import main
 from cloudmtl.data import SensorConfig, SplitPlan, generate_dataset, get_sensor, save_csv
 from cloudmtl.engine import TrainConfig
+from cloudmtl.errors import ConfigError
 from cloudmtl.models import ArchitectureSpec, network
 from cloudmtl.selection import write_summary_csv
 
@@ -553,6 +554,24 @@ def test_select_missing_grid_exits_2(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------ workflow
+
+@pytest.mark.parametrize("run", ["ablation", "kfold"])
+@pytest.mark.parametrize("variants", [
+    [], [("MT-CR", 16), ("MT-CR", 16)], [("MT-CR", 16), ("MT-HCR", 17)]],
+    ids=["empty", "duplicate", "wrong-width"])
+def test_variant_list_checked_before_any_training(tmp_path, run, variants):
+    # ABI data has 16 features; nothing is trained or written on a bad list
+    ds = generate_dataset(get_sensor("ABI"), 200, seed=30)
+    specs = [ArchitectureSpec(variant=v, input_dim=d, encoder_widths=(8, 4),
+                              head_hidden=(4,)) for v, d in variants]
+    cfg, out = TrainConfig(lr=1e-3, epochs=1, batch_size=64, seed=0), tmp_path / "x"
+    with pytest.raises(ConfigError):
+        if run == "ablation":
+            workflow.run_ablation(ds, specs, cfg, SplitPlan(), outdir=str(out))
+        else:
+            workflow.run_kfold(ds, specs, cfg, 4, outdir=str(out))
+    assert not (out / "MT-CR").exists() and not out.exists()
+
 
 def test_kfold_rows_have_identical_partition():
     """Both variants must be scored on the same folds: their per-fold

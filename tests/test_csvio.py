@@ -20,6 +20,7 @@ from cloudmtl.data import (
     load_csv, save_csv,
 )
 from cloudmtl import models, workflow
+from cloudmtl.cli import main
 from cloudmtl.errors import DataError
 from cloudmtl.metrics import EvalReport
 from cloudmtl.selection import read_stats_grid, write_fold_values_csv
@@ -120,6 +121,30 @@ def test_band_count_mismatch_rejected(tmp_path):
     save_csv(ds, path)
     with pytest.raises(DataError):
         load_csv(path, sensor=get_sensor("VIIRS"))
+
+
+BAD_BANDS = [["refl_600", "refl_500"], ["refl_500", "refl_500"], ["refl_nan"],
+             ["refl_inf", "refl_500"]]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["fast", "row-by-row"])
+@pytest.mark.parametrize("bands", BAD_BANDS, ids=map(",".join, BAD_BANDS))
+def test_band_centers_must_be_finite_and_increasing(tmp_path, bands, quoted,
+                                                    capsys):
+    # the ABI file's six band columns cut to len(bands) and renamed
+    lines = _lines()
+    first = lines[0].split(",").index("refl_471")
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        cells[first:first + 6] = bands if i == 0 else cells[first:first + len(bands)]
+        lines[i] = ",".join(cells)
+    if quoted:
+        _quoted_cells(lines)
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    kind, message = assert_same_outcome(path)
+    assert kind == "DataError" and message.startswith(f"{path}: ")
+    assert "band centers are not finite and strictly increasing" in message
+    assert main(["train", "--data", path, "--outdir", str(tmp_path / "o")]) == 2
 
 
 def test_missing_file_reported():

@@ -1,6 +1,8 @@
-"""Graph-free evaluation: ``engine.no_grad`` and the chunked ``Model.infer``."""
+"""Graph-free evaluation: ``engine.no_grad``, eval-mode ``Model.forward``
+(inference), ``forward_chunks`` over it, ``predict`` and ``evaluate_model``."""
 
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,8 +15,10 @@ from cloudmtl.models import (
     VARIANTS, ArchitectureSpec, LossTargets, build_model, compute_loss,
     predict, predictions_from_outputs,
 )
+from cloudmtl.errors import DimensionError
 from cloudmtl.metrics import evaluate_predictions
-from cloudmtl.models.network import INFER_CHUNK
+from cloudmtl.models import network
+from cloudmtl.models.network import INFER_CHUNK, forward_chunks
 
 ABI_DIM, OCI_DIM = 16, 243
 FIELDS = ("u_cloud", "u_clear", "u_liquid", "u_ice", "y_cot_hat")
@@ -42,6 +46,11 @@ def assert_bitwise(a: dict, b: dict):
 
 def recorded(t):
     return t.parents != () or t.vjp is not None
+
+
+def infer(model, X):
+    """Eval-mode forwards over ``X``'s rows by ``forward_chunks``."""
+    return forward_chunks(lambda rows: model.forward(X[rows]), len(X))
 
 
 # ---------------------------------------------------------------- no_grad
@@ -90,7 +99,10 @@ def test_training_after_infer_gets_the_same_gradients():
     for warm in (False, True):
         model = build_model(spec, seed=3)
         if warm:
-            model.infer(features(2 * INFER_CHUNK + 1))
+            X = features(2 * INFER_CHUNK + 1)
+            model.forward(X)
+            infer(model, X)
+            predict(model, X)
         model.params.zero_grads()
         total, _ = compute_loss(model.forward(targets.x, train_mode=True),
                                 targets, spec, model.params)
@@ -105,13 +117,18 @@ def test_training_after_infer_gets_the_same_gradients():
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("input_dim", [ABI_DIM, OCI_DIM])
 def test_infer_is_forward_within_one_chunk(variant, input_dim):
+    # eval mode is inference: no aux_probs or x_recon, recorded or not
     model = model_for(variant, input_dim)
     for n in (0, 1, 37, INFER_CHUNK):
         X = features(n, input_dim, seed=n)
-        out = model.infer(X)
-        assert out.aux_probs is None and out.x_recon is None
+        ref = model.forward(X)
+        out = infer(model, X)
+        for o in (ref, out):
+            assert o.aux_probs is None and o.x_recon is None
         assert not any(recorded(getattr(out, f)) for f in FIELDS)
-        assert_bitwise(values(model.forward(X, train_mode=False)), values(out))
+        assert_bitwise(values(ref), values(out))
+        assert_bitwise(dataclasses.asdict(predict(model, X)),
+                       dataclasses.asdict(predictions_from_outputs(ref, model.spec)))
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -127,7 +144,7 @@ def test_infer_runs_only_the_layers_predictions_read(variant, monkeypatch):
         return dense(x, w, b)
 
     monkeypatch.setattr(E, "dense", spy)
-    model.infer(features(10))
+    model.forward(features(10))
     layers = {name.rsplit(".", 1)[0] for name in model.params.names()
               if name.endswith(".b")}
     skipped = {layer for layer in layers
@@ -143,7 +160,10 @@ def test_infer_is_concatenated_chunk_forwards(variant):
     chunks = [values(model.forward(X[i:i + INFER_CHUNK], train_mode=False))
               for i in range(0, len(X), INFER_CHUNK)]
     want = {f: np.concatenate([c[f] for c in chunks]) for f in FIELDS}
-    assert_bitwise(want, values(model.infer(X)))
+    assert_bitwise(want, values(infer(model, X)))
+    outputs = network.ModelOutputs(**{f: E.constant(want[f]) for f in FIELDS})
+    assert_bitwise(dataclasses.asdict(predict(model, X)), dataclasses.asdict(
+        predictions_from_outputs(outputs, model.spec)))
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -167,7 +187,7 @@ def test_infer_peak_memory_is_bounded():
     model, X = model_for("MT-HCCAR"), features(200_000)
     tracemalloc.start()
     try:
-        model.infer(X)
+        infer(model, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -201,3 +221,47 @@ def test_evaluate_model_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_predict_rejects_inputs_that_are_not_rows_of_features(monkeypatch):
+    model, calls = model_for("MT-HCCAR"), []
+    forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda X: calls.append(X) or forward(X))
+    for X in (np.float64(1.0), np.zeros(ABI_DIM), np.zeros((3, ABI_DIM + 1))):
+        with pytest.raises(DimensionError, match="expected"):
+            predict(model, X)
+    assert calls == []
+
+
+# ------------------------------------------------- one chunk loop per call
+
+def _scorers():
+    ds = generate_dataset(get_sensor("ABI"), 3 * INFER_CHUNK + 5, seed=33)
+    std = Standardizer.fit(ds.feature_matrix())
+    return {"evaluate_model": lambda m: workflow.evaluate_model(m, std, ds),
+            "predict": lambda m: predict(m, std.transform(ds.feature_matrix()))}
+
+
+@pytest.mark.parametrize("scorer", ["evaluate_model", "predict"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_scoring_enters_no_grad_once_per_worker(scorer, cpus, monkeypatch):
+    # one chunk loop per call: no chunk runs a loop (and a no_grad) of its own
+    entered, no_grad = [], E.no_grad
+    monkeypatch.setattr(E, "no_grad", lambda: entered.append(1) or no_grad())
+    monkeypatch.setattr(network, "usable_cpus", lambda: cpus)
+    _scorers()[scorer](model_for("MT-HCCAR"))
+    assert len(entered) == cpus
+
+
+def test_evaluate_model_builds_predictions_once_in_the_calling_thread(monkeypatch):
+    # a speed probe on predictions_from_outputs must not land in chunk threads
+    threads, build = [], workflow.predictions_from_outputs
+
+    def spy(outputs, spec):
+        threads.append(threading.current_thread())
+        return build(outputs, spec)
+
+    monkeypatch.setattr(workflow, "predictions_from_outputs", spy)
+    monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+    _scorers()["evaluate_model"](model_for("MT-HCCAR"))
+    assert threads == [threading.current_thread()]
