@@ -13,11 +13,10 @@ from cloudmtl import workflow
 from cloudmtl.data import Standardizer, generate_dataset, get_sensor
 from cloudmtl.models import (
     VARIANTS, ArchitectureSpec, LossTargets, build_model, compute_loss,
-    predict, predictions_from_outputs,
+    network, predict, predictions_from_outputs,
 )
 from cloudmtl.errors import DimensionError
 from cloudmtl.metrics import evaluate_predictions
-from cloudmtl.models import network
 from cloudmtl.models.network import INFER_CHUNK, forward_chunks
 
 ABI_DIM, OCI_DIM = 16, 243
