@@ -31,3 +31,9 @@ def atomic_write(path: str) -> Iterator[IO[str]]:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_text(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` by :func:`atomic_write`."""
+    with atomic_write(path) as f:
+        f.write(text)

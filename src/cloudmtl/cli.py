@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .atomic import atomic_write
+from .atomic import write_text
 from .data import SplitPlan, generate_dataset, get_sensor, load_csv, save_csv
 from .engine import TrainConfig, dumps_deterministic
 from .errors import CloudMtlError, ConfigError, DataError
@@ -146,6 +146,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     priors = tuple(args.priors)
     ds = generate_dataset(sensor, args.n, args.seed, priors=priors,
                           noise_sd=args.noise_sd)
+    os.makedirs(os.path.dirname(args.out) or os.curdir, exist_ok=True)
     save_csv(ds, args.out)
     sidecar = {
         "sensor": sensor.name,
@@ -156,8 +157,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         "bands": len(sensor.band_centers_nm),
         "feature_dim": ds.feature_dim,
     }
-    with atomic_write(args.out + ".config.json") as f:
-        f.write(dumps_deterministic(sidecar) + "\n")
+    write_text(args.out + ".config.json", dumps_deterministic(sidecar) + "\n")
     counts = ds.class_counts()
     print(f"wrote {args.out}: n={len(ds)} bands={ds.n_bands} "
           f"features={ds.feature_dim}")
@@ -232,10 +232,8 @@ def cmd_select(args: argparse.Namespace) -> int:
     scores_json = dumps_deterministic(scores.to_dict()) + "\n"
     table = render_table(scores, grid)
     os.makedirs(args.out, exist_ok=True)
-    with atomic_write(os.path.join(args.out, "scores.json")) as f:
-        f.write(scores_json)
-    with atomic_write(os.path.join(args.out, "table.txt")) as f:
-        f.write(table)
+    write_text(os.path.join(args.out, "scores.json"), scores_json)
+    write_text(os.path.join(args.out, "table.txt"), table)
     print(table, end="")
     return 0
 

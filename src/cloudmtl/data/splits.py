@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import ConfigError, check_number, from_doc
+from ..errors import ConfigError, check_number, from_doc, require
 
 
 @dataclass(frozen=True)
@@ -30,17 +30,16 @@ class SplitPlan:
 
     def __post_init__(self) -> None:
         check_number("split seed", self.seed, integer=True)
-        if self.seed < 0:
-            raise ConfigError(f"split seed must be >= 0, got {self.seed}")
-        fracs = [(f.name, getattr(self, f.name)) for f in fields(self)
-                 if f.name != "seed"]
-        for name, frac in fracs:
-            check_number(f"{name} fraction", frac)
-            if not 0.0 <= frac <= 1.0:
-                raise ConfigError(f"{name} fraction must be in [0, 1], got {frac}")
-        total = sum(frac for _, frac in fracs)
-        if total > 1.0 + 1e-12:
-            raise ConfigError(f"split fractions sum to {total}, which exceeds 1")
+        fracs = {f"{f.name} fraction": getattr(self, f.name)
+                 for f in fields(self) if f.name != "seed"}
+        for name, frac in fracs.items():
+            check_number(name, frac)
+        total = sum(fracs.values())
+        require(("split seed", self.seed >= 0, ">= 0", self.seed),
+                *((name, 0.0 <= frac <= 1.0, "in [0, 1]", frac)
+                  for name, frac in fracs.items()),
+                ("the split fractions' sum", total <= 1.0 + 1e-12, "<= 1",
+                 total))
 
     @classmethod
     def from_dict(cls, d: dict) -> "SplitPlan":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, check_number
+from ..errors import check_number, require
 from .dataset import (
     PixelDataset, LABEL_CLEAR, LABEL_LIQUID, LABEL_ICE,
     COT_LOG10_MIN, COT_LOG10_MAX,
@@ -58,20 +58,15 @@ def generate_dataset(sensor: SensorConfig, n: int, seed: int,
     probabilities ``priors`` (non-negative, summing to 1) and per-band noise
     sd ``noise_sd``; the reflectance is built in place in two buffers. Bad
     arguments raise :class:`ConfigError`."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
     check_number("seed", seed, integer=True)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    priors_arr = np.asarray(priors, dtype=np.float64)
-    if priors_arr.shape != (3,):
-        raise ConfigError(f"priors must have 3 entries, got {priors_arr.shape}")
-    if not (np.all(priors_arr >= 0) and abs(priors_arr.sum() - 1.0) <= 1e-9):
-        raise ConfigError(
-            f"priors must be non-negative and sum to 1, got {priors!r}")
     check_number("noise_sd", noise_sd)
-    if noise_sd < 0:
-        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
+    priors_arr = np.asarray(priors, dtype=np.float64)
+    require(("n", n >= 1, ">= 1", n),
+            ("seed", seed >= 0, ">= 0", seed),
+            ("priors", priors_arr.shape == (3,), "3 numbers", priors),
+            ("priors", np.all(priors_arr >= 0) and abs(priors_arr.sum() - 1.0) <= 1e-9,
+             "non-negative and sum to 1", priors),
+            ("noise_sd", noise_sd >= 0, ">= 0", noise_sd))
 
     rng = np.random.default_rng(seed)
     label = rng.choice(3, size=n, p=priors_arr).astype(np.int64)

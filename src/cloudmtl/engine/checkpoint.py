@@ -3,8 +3,8 @@
 Floats are rendered with 17 significant digits (``%.17g``), which round-trips
 every float64 exactly, and the document layout is fully deterministic, so
 saving the same state twice yields byte-identical files. Parameter entries
-record name, rows, cols, a bias flag, and the row-major value list; biases
-are stored with rows=1 and restored as 1-D vectors.
+record name, rows, cols, a bias flag (true for a 1-D parameter), and the
+row-major value list; biases are stored with rows=1 and restored as 1-D.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from ..atomic import atomic_write
+from ..atomic import write_text
 from ..errors import DataError, NumericError
 from .params import ParamStore
 
@@ -100,7 +100,7 @@ def save_checkpoint(path: str, params: ParamStore,
             "ndim": v.ndim,
             "rows": rows,
             "cols": cols,
-            "bias": params.is_bias(name),
+            "bias": v.ndim == 1,
             "values": v.reshape(-1).tolist(),
         })
     doc = {
@@ -110,9 +110,7 @@ def save_checkpoint(path: str, params: ParamStore,
         "extras": extras,
         "parameters": entries,
     }
-    text = dumps_deterministic(doc)
-    with atomic_write(path) as f:
-        f.write(text)
+    write_text(path, dumps_deterministic(doc))
 
 
 def load_checkpoint(path: str) -> dict:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ..errors import (ConfigError, NumericError, StateError, check_fields,
-                      from_doc)
+from ..errors import NumericError, StateError, check_fields, from_doc, require
 from .params import ParamStore
 
 
@@ -36,19 +35,15 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name, ok, rule in (
-                ("lr", self.lr > 0, "positive"),
-                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
-                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
-                ("eps", self.eps > 0, "positive"),
+        require(("lr", self.lr > 0, "positive", self.lr),
+                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)", self.beta1),
+                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)", self.beta2),
+                ("eps", self.eps > 0, "positive", self.eps),
                 ("clip_norm", self.clip_norm is None or self.clip_norm > 0,
-                 "positive or None"),
-                ("batch_size", self.batch_size >= 1, ">= 1"),
-                ("epochs", self.epochs >= 0, ">= 0"),
-                ("seed", self.seed >= 0, ">= 0")):
-            if not ok:
-                raise ConfigError(
-                    f"{name} must be {rule}, got {getattr(self, name)}")
+                 "positive or None", self.clip_norm),
+                ("batch_size", self.batch_size >= 1, ">= 1", self.batch_size),
+                ("epochs", self.epochs >= 0, ">= 0", self.epochs),
+                ("seed", self.seed >= 0, ">= 0", self.seed))
 
     #: the check run when built, which a frozen instance always passes again
     validate = __post_init__

@@ -2,8 +2,8 @@
 
 A :class:`ParamStore` owns the leaf tensors of a model. Names are unique,
 insertion-ordered, and flat (dotted paths by convention, e.g.
-``encoder.0.w``). Bias parameters are flagged at registration so weight-only
-penalties (lasso) can skip them without parsing names.
+``encoder.0.w``). A parameter's role comes from its shape: weights are 2-D
+and biases 1-D, so weight-only penalties (lasso) read the 2-D ones.
 
 Every ``grad`` is a view of the store's one flat gradient vector (see
 :meth:`ParamStore.flat_grad`), the only gradient the optimizer reads.
@@ -19,6 +19,9 @@ import numpy as np
 from ..errors import ConfigError, StateError
 from .tensor import Tensor
 
+#: most values a store holds: 256 MiB, about 1 GiB with grads and Adam moments
+MAX_PARAMS = 2**25
+
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform init on [-a, a] with a = sqrt(6 / (fan_in + fan_out))."""
@@ -29,39 +32,44 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 
 class ParamStore:
-    """Ordered mapping name -> leaf Tensor, with bias bookkeeping."""
+    """Ordered mapping name -> leaf Tensor."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._bias_names: set[str] = set()
         # built by flat_grad, dropped when a parameter is registered
         self._grad_flat: np.ndarray | None = None
         self._grad_views: list[np.ndarray] = []
 
-    def add(self, name: str, value: np.ndarray, bias: bool = False) -> Tensor:
+    def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._params:
             raise StateError(f"parameter {name!r} already registered")
         t = Tensor(np.asarray(value, dtype=np.float64), name=name)
         t.grad = np.zeros_like(t.value)
         self._params[name] = t
         self._grad_flat = None
-        if bias:
-            self._bias_names.add(name)
         return t
+
+    def add_weight(self, name: str, rng: np.random.Generator,
+                   fan_in: int, fan_out: int) -> Tensor:
+        """Register a glorot weight; one that takes the store past
+        ``MAX_PARAMS`` values raises :class:`ConfigError` before drawing."""
+        if self.param_count() + fan_in * fan_out > MAX_PARAMS:
+            raise ConfigError(f"{name} ({fan_in} x {fan_out}) takes the model "
+                              f"past MAX_PARAMS = {MAX_PARAMS} values")
+        return self.add(name, glorot_uniform(rng, fan_in, fan_out))
 
     def add_dense(self, name: str, rng: np.random.Generator,
                   fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
         """Register a weight (glorot) + zero bias pair under name.w / name.b."""
-        w = self.add(f"{name}.w", glorot_uniform(rng, fan_in, fan_out))
-        b = self.add(f"{name}.b", np.zeros(fan_out), bias=True)
+        w = self.add_weight(f"{name}.w", rng, fan_in, fan_out)
+        b = self.add(f"{name}.b", np.zeros(fan_out))
         return w, b
 
     def alias(self, prefix: str, store: "ParamStore") -> None:
         """Register every tensor of ``store`` as ``prefix.<name>``.
 
-        The tensors are shared, not copied, and keep their bias flags. A
-        full name that is already registered raises before anything is
-        added.
+        The tensors are shared, not copied. A full name that is already
+        registered raises before anything is added.
         """
         full = {f"{prefix}.{name}": name for name in store._params}
         taken = sorted(n for n in full if n in self._params)
@@ -69,8 +77,6 @@ class ParamStore:
             raise StateError(f"parameters {taken} already registered")
         for n, name in full.items():
             self._params[n] = store._params[name]
-            if name in store._bias_names:
-                self._bias_names.add(n)
         self._grad_flat = None
 
     def __getitem__(self, name: str) -> Tensor:
@@ -94,12 +100,9 @@ class ParamStore:
     def tensors(self) -> list[Tensor]:
         return list(self._params.values())
 
-    def is_bias(self, name: str) -> bool:
-        return name in self._bias_names
-
     def weight_tensors(self) -> list[Tensor]:
-        """All non-bias parameters (the lasso penalty's domain)."""
-        return [t for n, t in self._params.items() if n not in self._bias_names]
+        """The 2-D parameters (the lasso penalty's domain)."""
+        return [t for t in self._params.values() if t.value.ndim == 2]
 
     def param_count(self) -> int:
         return sum(t.value.size for t in self._params.values())

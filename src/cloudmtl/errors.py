@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the package, and the checked reader
-that builds a config dataclass from a JSON document.
+"""Exception taxonomy shared across the package, the one setting check,
+and the checked reader that builds a config dataclass from a JSON document.
 
 The CLI maps these onto exit codes: configuration/data/usage problems exit
 with 2, runtime numeric failures with 1 (see cli.main).
@@ -57,6 +57,14 @@ def check_number(field: str, value, integer: bool = False) -> None:
     if not ok:
         what = "an integer" if integer else "a finite number"
         raise ConfigError(f"{field} must be {what}, got {value!r}")
+
+
+def require(*rules) -> None:
+    """Raise :class:`ConfigError` ``"<name> must be <rule>, got <value!r>"``
+    for the first rule ``(name, ok, rule, value)`` whose ``ok`` is false."""
+    for name, ok, rule, value in rules:
+        if not ok:
+            raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
 def _check_value(field: str, value, kind) -> None:

@@ -14,15 +14,15 @@ MT-HCCAR       MT-HCCR plus cross-attention between the regression
 MLP-BASELINE   one hidden layer of 10 units, 5 outputs
 =============  =====================================================
 
-Each variant's structure comes from its row of ``_VARIANT_FLAGS``, so no
-other module compares variant names; the flags are not free knobs.
+Variants take their structure from ``_VARIANT_FLAGS`` (not free knobs) and
+SEQ its stages from ``SEQ_STAGES``; no other module compares their names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
-from ..errors import ConfigError, check_fields, from_doc
+from ..errors import check_fields, from_doc, require
 
 VARIANT_SEQ = "SEQ"
 VARIANT_CR = "MT-CR"
@@ -50,6 +50,16 @@ COMPLEXITY_ORDER = (VARIANT_CR, VARIANT_HCR, VARIANT_HCCR, VARIANT_HCCAR)
 
 DEFAULT_BINS = (-1.5, 0.0, 1.0, 2.5)
 
+#: SEQ's subnets in build and training order -> (LossBreakdown field of its
+#: loss term, LossTargets labels of its probability columns; None for the
+#: log10-thickness net). A net's output width is its label count, else 1;
+#: the first net is the mask net, whose cloudy pixels the later nets train on.
+SEQ_STAGES = {
+    "mask_net": ("l_cmask", ("l_cloud", "l_clear")),
+    "phase_net": ("l_cphase", ("l_liquid", "l_ice")),
+    "cot_net": ("l_reg", None),
+}
+
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
@@ -70,31 +80,25 @@ class ArchitectureSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.variant not in _VARIANT_FLAGS:
-            raise ConfigError(
-                f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        if not self.encoder_widths or any(w < 1 for w in self.encoder_widths):
-            raise ConfigError(f"encoder_widths must be positive, got {self.encoder_widths}")
-        if any(a <= b for a, b in zip(self.encoder_widths, self.encoder_widths[1:])):
-            raise ConfigError(
-                f"encoder_widths must be strictly decreasing, got {self.encoder_widths}")
-        if not self.head_hidden or any(w < 1 for w in self.head_hidden):
-            raise ConfigError(f"head_hidden must be positive, got {self.head_hidden}")
-        if self.gating_mode not in ("soft", "hard"):
-            raise ConfigError(f"gating_mode must be soft or hard, got {self.gating_mode!r}")
-        if self.reg_norm not in ("sum", "mean"):
-            raise ConfigError(f"reg_norm must be sum or mean, got {self.reg_norm!r}")
-        if self.lasso_lambda < 0:
-            raise ConfigError(f"lasso_lambda must be >= 0, got {self.lasso_lambda}")
-        if not (0.0 < self.threshold < 1.0):
-            raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if len(self.bins) != 4 or any(a >= b for a, b in zip(self.bins, self.bins[1:])):
-            raise ConfigError(
-                f"bins must be 4 strictly increasing edges, got {self.bins}")
-        if self.mlp_hidden < 1:
-            raise ConfigError(f"mlp_hidden must be >= 1, got {self.mlp_hidden}")
+        widths, hidden, bins = self.encoder_widths, self.head_hidden, self.bins
+        require(
+            ("variant", self.variant in _VARIANT_FLAGS, f"one of {VARIANTS}",
+             self.variant),
+            ("input_dim", self.input_dim >= 1, ">= 1", self.input_dim),
+            ("encoder_widths", widths and min(widths) >= 1 and all(
+                a > b for a, b in zip(widths, widths[1:])),
+             "positive and strictly decreasing", widths),
+            ("head_hidden", hidden and min(hidden) >= 1, "positive", hidden),
+            ("gating_mode", self.gating_mode in ("soft", "hard"),
+             "soft or hard", self.gating_mode),
+            ("reg_norm", self.reg_norm in ("sum", "mean"), "sum or mean",
+             self.reg_norm),
+            ("lasso_lambda", self.lasso_lambda >= 0, ">= 0", self.lasso_lambda),
+            ("threshold", 0.0 < self.threshold < 1.0, "in (0, 1)",
+             self.threshold),
+            ("bins", len(bins) == 4 and all(a < b for a, b in zip(bins, bins[1:])),
+             "4 strictly increasing edges", bins),
+            ("mlp_hidden", self.mlp_hidden >= 1, ">= 1", self.mlp_hidden))
 
     # capability flags
     @property

@@ -19,8 +19,8 @@ with ``l_hc = l_cmask + l_cphase`` and ``l_car = l_reg + l_caux``:
   truly-cloudy pixels (``reg_norm="mean"`` divides by their count).
 * ``l_caux``   thickness-bin cross entropy, summed over truly-cloudy pixels.
 * ``l_rec``    reconstruction MSE over every pixel and input feature.
-* ``l_lasso``  lasso_lambda times the L1 norm of all weight (non-bias)
-  parameters.
+* ``l_lasso``  lasso_lambda times the L1 norm of all 2-D (weight)
+  parameters; the 1-D biases are left out.
 
 Components a variant lacks (no decoder, no aux head) are an exact 0.0.
 Every probability entering a logarithm is clamped to ``[1e-7, 1 - 1e-7]``.
@@ -37,7 +37,7 @@ from .. import engine as E
 from ..data.dataset import LABEL_ICE, LABEL_LIQUID
 from ..engine import Tensor, ParamStore
 from ..errors import DimensionError
-from .config import ArchitectureSpec
+from .config import SEQ_STAGES, ArchitectureSpec
 from .network import ModelOutputs
 from .inference import thickness_onehot
 
@@ -159,7 +159,7 @@ def cloudy_abs_error(y_hat: Tensor, targets: LossTargets,
 
 
 def lasso_penalty(params: ParamStore | None, lam: float) -> Tensor:
-    """``lam`` times the L1 norm of every weight (non-bias) parameter; an
+    """``lam`` times the L1 norm of every 2-D (weight) parameter; an
     exact 0.0 if ``params`` is None, ``lam`` is 0 or there are no weights."""
     weights = params.weight_tensors() if params is not None and lam > 0 else []
     if not weights:
@@ -225,22 +225,13 @@ def compute_loss(outputs: ModelOutputs, targets: LossTargets,
     return total, breakdown
 
 
-# sequential stage -> (breakdown field of its term, LossTargets label
-# attributes of its two probability columns; None for the regression stage)
-_STAGES = {
-    "mask_net": ("l_cmask", ("l_cloud", "l_clear")),
-    "phase_net": ("l_cphase", ("l_liquid", "l_ice")),
-    "cot_net": ("l_reg", None),
-}
-
-
 def stage_loss(net: str, out: Tensor, targets: LossTargets,
                spec: ArchitectureSpec,
                params: ParamStore | None) -> tuple[Tensor, LossBreakdown]:
     """Loss of one SEQ stage on its subnet's output ``out``: two mean binary
     cross entropies (mask, phase stages) or :func:`cloudy_abs_error` (COT),
     plus the lasso over ``params``. Other breakdown fields are 0.0."""
-    field, labels = _STAGES[net]
+    field, labels = SEQ_STAGES[net]
     if labels is None:
         term = cloudy_abs_error(out, targets, spec.reg_norm)
     else:

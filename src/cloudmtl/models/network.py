@@ -28,7 +28,7 @@ import numpy as np
 from .. import engine as E
 from ..engine import Tensor, ParamStore
 from ..errors import DimensionError
-from .config import ArchitectureSpec
+from .config import SEQ_STAGES, ArchitectureSpec
 
 
 #: rows per forward in :func:`forward_chunks`
@@ -267,12 +267,8 @@ class Model:
 class SequentialModel(Model):
     """Three independent networks (mask, phase, COT) behind the Model API:
     each a trunk of the encoder widths plus a task head. ``params`` aliases
-    the subnet tensors under ``mask_net.``/``phase_net.``/``cot_net.``
-    prefixes; sequential training steps each subnet's own store."""
-
-    #: subnet -> output width; a one-column output is the log10 thickness
-    STAGES = {"mask_net": 2, "phase_net": 2, "cot_net": 1}
-    SUBNETS = tuple(STAGES)
+    the subnet tensors under their ``SEQ_STAGES`` names as prefixes;
+    sequential training steps each subnet's own store."""
 
     def __init__(self, spec: ArchitectureSpec, merged: ParamStore,
                  subnet_params: dict[str, ParamStore]):
@@ -288,16 +284,16 @@ class SequentialModel(Model):
                    final_relu=True)
         h = _chain(h, ps, "head", len(self.spec.head_hidden), final_relu=True)
         out = E.dense(h, ps["out.w"], ps["out.b"])
-        return E.col(out, 0) if self.STAGES[net] == 1 else E.clamped_sigmoid(out)
+        return (E.col(out, 0) if SEQ_STAGES[net][1] is None
+                else E.clamped_sigmoid(out))
 
     def forward(self, X: np.ndarray, train_mode: bool = False) -> ModelOutputs:
         X = checked_input(X, self.spec.input_dim)
-        mask_u = self.stage_output("mask_net", X)
-        phase_u = self.stage_output("phase_net", X)
-        return ModelOutputs(
-            u_cloud=E.col(mask_u, 0), u_clear=E.col(mask_u, 1),
-            u_liquid=E.col(phase_u, 0), u_ice=E.col(phase_u, 1),
-            y_cot_hat=self.stage_output("cot_net", X))
+        cols = []                  # in stage order, ModelOutputs' first fields
+        for net, (_, labels) in SEQ_STAGES.items():
+            out = self.stage_output(net, X)
+            cols += [E.col(out, j) for j in range(len(labels))] if labels else [out]
+        return ModelOutputs(*cols)
 
 
 def build_model(spec: ArchitectureSpec, seed: int) -> Model:
@@ -313,11 +309,11 @@ def build_model(spec: ArchitectureSpec, seed: int) -> Model:
     head_widths = [spec.latent_dim, *spec.head_hidden]
     if spec.sequential:
         subnets = {}
-        for net, out_dim in SequentialModel.STAGES.items():
+        for net, (_, labels) in SEQ_STAGES.items():
             sub = subnets[net] = ParamStore()
             _add_chain(sub, rng, "trunk", widths)
             _add_chain(sub, rng, "head", head_widths)
-            sub.add_dense("out", rng, head_widths[-1], out_dim)
+            sub.add_dense("out", rng, head_widths[-1], len(labels) if labels else 1)
             ps.alias(net, sub)
         return SequentialModel(spec, ps, subnets)
 
@@ -334,5 +330,5 @@ def build_model(spec: ArchitectureSpec, seed: int) -> Model:
     if spec.attention_enabled:
         d = spec.attention_dim
         for w_name in ("attn.wq", "attn.wk", "attn.wv", "attn.wz"):
-            ps.add(w_name, E.glorot_uniform(rng, d, d))
+            ps.add_weight(w_name, rng, d, d)
     return Model(spec, ps)

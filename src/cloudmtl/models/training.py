@@ -32,6 +32,7 @@ from ..engine import (
 from ..data.csvio import csv_text
 from ..errors import ConfigError
 from .losses import LossTargets, compute_loss, stage_loss
+from .config import SEQ_STAGES
 from .network import Model, SequentialModel, forward_chunks
 
 
@@ -124,9 +125,9 @@ def _fit(params: ParamStore, forward, loss, train: LossTargets,
 
 
 def _stage_subset(model: SequentialModel, targets: LossTargets) -> np.ndarray:
-    """Pixels for the phase/COT stages: predicted-cloudy intersect cloudy."""
+    """Later stages' pixels: called cloudy by the first, and truly cloudy."""
     u_cloud = forward_chunks(
-        lambda rows: model.stage_output("mask_net", targets.x[rows]),
+        lambda rows: model.stage_output(next(iter(SEQ_STAGES)), targets.x[rows]),
         len(targets)).value[:, 0]
     idx = np.flatnonzero((u_cloud >= model.spec.threshold) & targets.cloudy)
     if idx.size == 0:
@@ -139,7 +140,7 @@ def _train_sequential(model: SequentialModel, train_targets: LossTargets,
                       ) -> TrainResult:
     histories: dict[str, list[EpochRecord]] = {}
     train, val = train_targets, val_targets
-    for net in SequentialModel.SUBNETS:
+    for i, net in enumerate(SEQ_STAGES):
         if len(train) == 0:
             raise ConfigError(f"sequential stage {net} has no training pixels")
         histories[net] = _fit(model.subnet_params[net],
@@ -147,7 +148,7 @@ def _train_sequential(model: SequentialModel, train_targets: LossTargets,
                               partial(stage_loss, net, spec=model.spec,
                                       params=model.subnet_params[net]),
                               train, val, config)
-        if net == "mask_net":
+        if i == 0:
             train = train_targets.take(_stage_subset(model, train_targets))
             if val_targets is not None and len(val_targets):
                 val = val_targets.take(_stage_subset(model, val_targets))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from ..atomic import atomic_write
+from ..atomic import write_text
 from ..data.csvio import csv_text, read_csv_file
 from ..errors import ConfigError, DataError
 from .stats import FoldStats, fold_stats
@@ -107,10 +107,9 @@ def write_fold_values_csv(path: str, rows: list[tuple[str, str, str, bool, list[
     if any(len(r[4]) != k for r in rows):
         raise DataError("fold counts differ across rows")
     header = _LEAD + [f"fold_{i + 1}" for i in range(k)]
-    with atomic_write(path) as f:
-        f.write(csv_text([header, *(
-            (model, dataset, metric, _direction(lower), *map(float, values))
-            for model, dataset, metric, lower, values in rows)]))
+    write_text(path, csv_text([header, *(
+        (model, dataset, metric, _direction(lower), *map(float, values))
+        for model, dataset, metric, lower, values in rows)]))
 
 
 def _format_mu(mu: float, quantum: float) -> str:
@@ -129,10 +128,9 @@ def _format_mu(mu: float, quantum: float) -> str:
 
 
 def write_summary_csv(path: str, grid: list[FoldStats]) -> None:
-    with atomic_write(path) as f:
-        f.write(csv_text([_LEAD + ["mu", "se"], *(
-            (s.model, s.dataset, s.metric, _direction(s.lower_better),
-             _format_mu(s.mu, s.mu_quantum), float(s.se)) for s in grid)]))
+    write_text(path, csv_text([_LEAD + ["mu", "se"], *(
+        (s.model, s.dataset, s.metric, _direction(s.lower_better),
+         _format_mu(s.mu, s.mu_quantum), float(s.se)) for s in grid)]))
 
 
 def render_table(scores: SelectionScores, grid: list[FoldStats]) -> str:

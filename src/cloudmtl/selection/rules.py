@@ -30,7 +30,7 @@ def _order_index(order: Sequence[str]) -> dict[str, int]:
 
 def _validate_group(group: Sequence[FoldStats], order_idx: dict[str, int]) -> None:
     if not group:
-        raise ConfigError("one_se_select needs at least one model's statistics")
+        raise ConfigError("one_se_rule needs at least one model's statistics")
     key = (group[0].dataset, group[0].metric, group[0].lower_better)
     seen: set[str] = set()
     for s in group:
@@ -60,14 +60,3 @@ def one_se_rule(group: Sequence[FoldStats], complexity_order: Sequence[str]
     # best is always a member of its own region
     return best, min(members, key=lambda s: order_idx[s.model])
 
-
-def best_model(group: Sequence[FoldStats], complexity_order: Sequence[str]
-               ) -> FoldStats:
-    """The best-mean entry; mean ties resolve to the simplest model."""
-    return one_se_rule(group, complexity_order)[0]
-
-
-def one_se_select(group: Sequence[FoldStats], complexity_order: Sequence[str]
-                  ) -> str:
-    """Name of the simplest model within one SE of the best mean."""
-    return one_se_rule(group, complexity_order)[1].model

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ class FoldStats:
             raise ConfigError(
                 f"non-finite statistics for ({self.model}, {self.dataset}, "
                 f"{self.metric}): mu={self.mu}, se={self.se}")
-        for name, value in (("se", self.se), ("mu_quantum", self.mu_quantum)):
-            if not 0 <= value < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        require(("se", 0 <= self.se < math.inf, "finite and >= 0", self.se),
+                ("mu_quantum", 0 <= self.mu_quantum < math.inf,
+                 "finite and >= 0", self.mu_quantum))
 
 
 def fold_stats(model: str, dataset: str, metric: str, lower_better: bool,

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_text
 from .data import (
     PixelDataset,
     SplitPlan,
@@ -113,11 +113,6 @@ def resolved_config(spec: ArchitectureSpec, config: TrainConfig,
     return doc
 
 
-def _write_text(path: str, text: str) -> None:
-    with atomic_write(path) as f:
-        f.write(text)
-
-
 def _history_filename(key: str) -> str:
     return "history.csv" if key == "model" else f"history_{key}.csv"
 
@@ -172,7 +167,7 @@ def run_training(ds: PixelDataset, spec: ArchitectureSpec, config: TrainConfig,
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
         doc = resolved_config(spec, config, plan, sensor_name, data_source)
-        _write_text(os.path.join(outdir, CONFIG_NAME),
+        write_text(os.path.join(outdir, CONFIG_NAME),
                     dumps_deterministic(doc) + "\n")
         save_checkpoint(
             os.path.join(outdir, CHECKPOINT_NAME), result.model.params,
@@ -180,13 +175,13 @@ def run_training(ds: PixelDataset, spec: ArchitectureSpec, config: TrainConfig,
             extras={"standardizer": result.standardizer.to_dict(),
                     "sensor": sensor_name})
         for key, records in result.train_result.histories.items():
-            _write_text(os.path.join(outdir, _history_filename(key)),
+            write_text(os.path.join(outdir, _history_filename(key)),
                         history_csv(records))
         if result.report is not None:
-            _write_text(os.path.join(outdir, EVAL_NAME),
+            write_text(os.path.join(outdir, EVAL_NAME),
                         result.report.to_json() + "\n")
         if dump_scatter and pred is not None:
-            _write_text(os.path.join(outdir, SCATTER_NAME),
+            write_text(os.path.join(outdir, SCATTER_NAME),
                         scatter_csv(pred, ds.subset(test_idx)))
     return result
 
@@ -274,7 +269,7 @@ def run_kfold(ds: PixelDataset, specs: list[ArchitectureSpec],
                 values[(spec.variant, metric)].append(
                     _report_cell(report, attr, context))
             if outdir is not None:
-                _write_text(
+                write_text(
                     os.path.join(outdir, f"eval_{spec.variant}_fold{i}.json"),
                     report.to_json() + "\n")
 
@@ -321,8 +316,8 @@ def run_ablation(ds: PixelDataset, specs: list[ArchitectureSpec],
             "eval": result.report.to_dict(),
         }
     if outdir is not None:
-        _write_text(os.path.join(outdir, "ablation.csv"),
+        write_text(os.path.join(outdir, "ablation.csv"),
                     ablation_csv(table_rows))
-        _write_text(os.path.join(outdir, "manifest.json"),
+        write_text(os.path.join(outdir, "manifest.json"),
                     dumps_deterministic(manifest) + "\n")
     return results

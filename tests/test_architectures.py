@@ -1,6 +1,8 @@
 """Variant construction, parameter counting, and forward-pass identities."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +86,25 @@ def test_spec_validation():
         ArchitectureSpec(variant="MT-CR", input_dim=16, threshold=1.5)
     with pytest.raises(ConfigError):
         ArchitectureSpec(variant="MT-CR", input_dim=16, bins=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("variant,width,named,peak_mb", [
+    ("MT-HCCAR", {"head_hidden": (10**20,)}, "mask_head.0.w", 1),
+    ("MLP-BASELINE", {"mlp_hidden": 10**20}, "hidden.w", 1),
+    # 4 heads of 32 x 6000 and 6000 x out, with grads (about 14 MB) first
+    ("MT-HCCAR", {"head_hidden": (6000,)}, "attn.wq", 32),
+], ids=["head_hidden", "mlp_hidden", "attention"])
+def test_build_model_bounds_its_size_before_allocating(variant, width, named,
+                                                       peak_mb):
+    spec = ArchitectureSpec(variant=variant, input_dim=16, **width)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)} .*MAX_PARAMS"):
+            build_model(spec, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_mb * 2**20
 
 
 def test_spec_dict_round_trip():

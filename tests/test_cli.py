@@ -67,6 +67,17 @@ def test_gen_data_unknown_sensor_exits_2(tmp_path, capsys):
     assert "XYZ" in err and "error:" in err
 
 
+def test_gen_data_creates_the_parent_of_out(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "new" / "dir" / "d.csv"
+    assert main(["gen-data", "--sensor", "ABI", "--n", "20", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert out.is_file() and Path(f"{out}.config.json").is_file()
+    monkeypatch.chdir(tmp_path)                    # a bare file name
+    assert main(["gen-data", "--sensor", "ABI", "--n", "20", "--seed", "1",
+                 "--out", "d.csv"]) == 0
+    assert read_bytes(tmp_path / "d.csv") == read_bytes(out)
+
+
 def test_missing_required_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "--sensor", "ABI"])   # no --n/--out
@@ -351,6 +362,13 @@ OUT_OF_RANGE_CASES = [
     ("config architecture.lasso_lambda 10**400",
      ["train", {"architecture": {"lasso_lambda": 10**400}}], "lasso_lambda"),
     ("config train.lr 10**400", ["train", {"train": {"lr": 10**400}}], "lr"),
+    ("train --encoder-widths 10**20,4",
+     ["train", "--encoder-widths", "100000000000000000000,4"], "encoder.0.w"),
+    ("train --head-hidden 10**20",
+     ["train", "--head-hidden", "100000000000000000000"], "mask_head.0.w"),
+    ("train MLP --mlp-hidden 10**20",
+     ["train", "--variant", "MLP-BASELINE", "--mlp-hidden",
+      "100000000000000000000"], "hidden.w"),
     ("select --weights 1e308 twice",
      ["select", "--weights", "ACC_bi=1e308,MSE=1e308"], "weights"),
 ]

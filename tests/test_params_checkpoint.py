@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
+import cloudmtl.engine as E
 from cloudmtl import workflow
 from cloudmtl.data import Standardizer
 from cloudmtl.engine import ParamStore, glorot_uniform, load_checkpoint, save_checkpoint
-from cloudmtl.errors import DataError, NumericError, StateError
-from cloudmtl.models import ArchitectureSpec, build_model
+from cloudmtl.engine import params as params_module
+from cloudmtl.errors import ConfigError, DataError, NumericError, StateError
+from cloudmtl.models import VARIANTS, ArchitectureSpec, build_model
+from cloudmtl.models.losses import lasso_penalty
 
 
 def test_duplicate_name_rejected():
@@ -43,6 +46,39 @@ def test_bias_excluded_from_weight_tensors():
     names = {t.name for t in ps.weight_tensors()}
     assert "layer.w" in names
     assert "layer.b" not in names
+
+
+def test_add_weight_checks_the_store_size_before_drawing(monkeypatch):
+    monkeypatch.setattr(params_module, "MAX_PARAMS", 20)
+    rng = np.random.default_rng(0)
+    ps = ParamStore()
+    ps.add_weight("a", rng, 4, 5)                  # exactly at the bound
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="^b \\(1 x 1\\) .*MAX_PARAMS = 20"):
+        ps.add_weight("b", rng, 1, 1)
+    assert ps.names() == ["a"] and rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_parameter_roles_follow_shape(tmp_path, variant):
+    """In every variant the 1-D parameters are exactly the dense biases: the
+    checkpoint flags them, and the lasso reads the 2-D parameters alone."""
+    spec = ArchitectureSpec(variant=variant, input_dim=6, encoder_widths=(5, 4),
+                            head_hidden=(3,))
+    ps = build_model(spec, seed=0).params
+    path = str(tmp_path / "ckpt.json")
+    save_checkpoint(path, ps)
+    entries = json.loads(open(path).read())["parameters"]
+    assert [e["bias"] for e in entries] == [e["ndim"] == 1 for e in entries]
+    assert ({e["name"] for e in entries if e["bias"]}
+            == {n for n in ps.names() if n.endswith(".b")})
+    weights = [t for t in ps.tensors() if t.value.ndim == 2]
+    assert list(map(id, ps.weight_tensors())) == list(map(id, weights))
+    ps.zero_grads()
+    E.backward(lasso_penalty(ps, 1.0))
+    for name, t in ps.items():
+        expected = np.sign(t.value) if t.value.ndim == 2 else np.zeros_like(t.value)
+        assert np.array_equal(t.grad, expected), name
 
 
 def test_glorot_bounds_and_determinism():
@@ -102,17 +138,17 @@ def test_load_values_validates_names_and_shapes():
     ps.load_values(good)  # unchanged set loads fine
 
 
-def test_alias_shares_tensors_and_bias_flags():
+def test_alias_shares_tensors():
     rng = np.random.default_rng(4)
     sub = ParamStore()
     sub.add_dense("layer", rng, 3, 2)
     merged = ParamStore()
-    merged.add("own", np.ones(2))
+    merged.add("own", np.ones((1, 2)))
     merged.alias("net", sub)
     assert merged.names() == ["own", "net.layer.w", "net.layer.b"]
     assert merged["net.layer.w"] is sub["layer.w"]
     assert merged["net.layer.b"] is sub["layer.b"]
-    assert merged.is_bias("net.layer.b") and not merged.is_bias("net.layer.w")
+    # the merged store's weights are its 2-D tensors: the bias is skipped
     assert [t.name for t in merged.weight_tensors()] == ["own", "layer.w"]
 
 

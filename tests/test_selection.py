@@ -7,8 +7,8 @@ import pytest
 
 from cloudmtl.errors import ConfigError, DataError
 from cloudmtl.selection import (
-    FoldStats, best_model, compute_selection, display_quantum, fold_stats,
-    one_se_select, read_stats_grid, render_table,
+    FoldStats, compute_selection, display_quantum, fold_stats,
+    one_se_rule, read_stats_grid, render_table,
     write_fold_values_csv, write_summary_csv,
 )
 
@@ -52,41 +52,41 @@ def test_fold_stats_validation():
 
 def test_best_model_tie_goes_to_simplest():
     group = [fs("MT-HCCAR", 0.98, 0.001), fs("MT-CR", 0.98, 0.002)]
-    assert best_model(group, ORDER).model == "MT-CR"
+    assert one_se_rule(group, ORDER)[0].model == "MT-CR"
 
 
 def test_one_se_picks_simpler_model_inside_region():
     group = [fs("MT-CR", 0.969, 0.0008), fs("MT-HCR", 0.984, 0.0007),
              fs("MT-HCCAR", 0.985, 0.0011)]
     # best 0.985 +- 0.0011 includes 0.984 but not 0.969
-    assert one_se_select(group, ORDER) == "MT-HCR"
+    assert one_se_rule(group, ORDER)[1].model == "MT-HCR"
 
 
 def test_one_se_lower_better():
     group = [fs("MT-CR", 0.055, 0.003, metric="MSE", lower=True),
              fs("MT-HCR", 0.034, 0.0006, metric="MSE", lower=True),
              fs("MT-HCCAR", 0.027, 0.0005, metric="MSE", lower=True)]
-    assert one_se_select(group, ORDER) == "MT-HCCAR"
+    assert one_se_rule(group, ORDER)[1].model == "MT-HCCAR"
 
 
 def test_one_se_quantum_widens_candidate_interval():
     group = [fs("MT-CR", 0.9845, 0.0), fs("MT-HCCAR", 0.9851, 0.0003)]
-    assert one_se_select(group, ORDER) == "MT-HCCAR"  # 0.9845 < 0.9848
+    assert one_se_rule(group, ORDER)[1].model == "MT-HCCAR"   # 0.9845 < 0.9848
     widened = [fs("MT-CR", 0.9845, 0.0, quantum=5e-4),
                fs("MT-HCCAR", 0.9851, 0.0003)]
-    assert one_se_select(widened, ORDER) == "MT-CR"   # within own quantum
+    assert one_se_rule(widened, ORDER)[1].model == "MT-CR"   # within own quantum
 
 
 def test_one_se_group_validation():
     with pytest.raises(ConfigError):
-        one_se_select([], ORDER)
+        one_se_rule([], ORDER)
     with pytest.raises(ConfigError):
-        one_se_select([fs("MT-CR", 0.9, 0.01), fs("MT-CR", 0.8, 0.01)], ORDER)
+        one_se_rule([fs("MT-CR", 0.9, 0.01), fs("MT-CR", 0.8, 0.01)], ORDER)
     with pytest.raises(ConfigError):
-        one_se_select([fs("UNKNOWN", 0.9, 0.01)], ORDER)
+        one_se_rule([fs("UNKNOWN", 0.9, 0.01)], ORDER)
     with pytest.raises(ConfigError):
-        one_se_select([fs("MT-CR", 0.9, 0.01),
-                       fs("MT-HCR", 0.8, 0.01, dataset="OTHER")], ORDER)
+        one_se_rule([fs("MT-CR", 0.9, 0.01),
+                     fs("MT-HCR", 0.8, 0.01, dataset="OTHER")], ORDER)
 
 
 # ------------------------------------------------------------ reference grid
@@ -96,7 +96,7 @@ def test_reference_grid_cell_winners():
     scores = compute_selection(grid, ORDER)
     for (dataset, metric), winner in EXPECTED_WINNERS.items():
         group = [s for s in grid if s.dataset == dataset and s.metric == metric]
-        assert one_se_select(group, ORDER) == winner, (dataset, metric)
+        assert one_se_rule(group, ORDER)[1].model == winner, (dataset, metric)
         for model in MODELS:
             expected = 1 if model == winner else 0
             assert scores.psi_cell[(model, dataset, metric)] == expected

@@ -14,6 +14,7 @@ from cloudmtl.models import (
     ArchitectureSpec, LossTargets, SequentialModel, build_model, compute_loss,
     history_csv, train_model,
 )
+from cloudmtl.models.config import SEQ_STAGES
 from cloudmtl.models.losses import stage_loss
 from cloudmtl.models.network import INFER_CHUNK
 from cloudmtl.models.training import HISTORY_COLUMNS, EpochRecord, _stage_subset
@@ -188,7 +189,8 @@ def unchunked_fit(params, loss_fn, train, val, config):
 
 def unchunked_stage_subset(model, targets):
     with no_grad():
-        u_cloud = model.stage_output("mask_net", targets.x).value[:, 0]
+        u_cloud = model.stage_output(next(iter(SEQ_STAGES)),
+                                     targets.x).value[:, 0]
     idx = np.flatnonzero((u_cloud >= model.spec.threshold) & targets.cloudy)
     return idx if idx.size else np.flatnonzero(targets.cloudy)
 
@@ -201,14 +203,14 @@ def unchunked_train(model, train, config, val):
         return {"model": unchunked_fit(model.params, loss_fn, train, val,
                                        config)}
     histories, train_all, val_all = {}, train, val
-    for net in SequentialModel.SUBNETS:
+    for i, net in enumerate(SEQ_STAGES):
         def loss_fn(batch, net=net):
             out = model.stage_output(net, batch.x)
             return stage_loss(net, out, batch, model.spec,
                               model.subnet_params[net])
         histories[net] = unchunked_fit(model.subnet_params[net], loss_fn,
                                        train, val, config)
-        if net == "mask_net":
+        if i == 0:
             train = train_all.take(unchunked_stage_subset(model, train_all))
             val = val_all.take(unchunked_stage_subset(model, val_all))
     return histories

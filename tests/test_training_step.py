@@ -18,6 +18,7 @@ from cloudmtl.models import (
     VARIANTS, ArchitectureSpec, LossTargets, SequentialModel, build_model,
     compute_loss,
 )
+from cloudmtl.models.config import SEQ_STAGES
 from cloudmtl.models.losses import stage_loss
 
 
@@ -30,7 +31,7 @@ def small_store() -> ParamStore:
     rng = np.random.default_rng(0)
     ps = ParamStore()
     for name, shape in {"a.w": (3, 4), "a.b": (4,), "c": (2, 2), "s": ()}.items():
-        ps.add(name, rng.normal(size=shape), bias=name.endswith(".b"))
+        ps.add(name, rng.normal(size=shape))
     return ps
 
 
@@ -205,7 +206,7 @@ def test_graph_size_of_one_training_step(variant):
     model = build_model(spec, seed=2)
     if isinstance(model, SequentialModel):
         sizes = []
-        for net in SequentialModel.SUBNETS:
+        for net in SEQ_STAGES:
             params = model.subnet_params[net]
             total, _ = stage_loss(net, model.stage_output(net, targets.x),
                                   targets, spec, params)
