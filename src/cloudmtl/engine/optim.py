@@ -18,6 +18,9 @@ import numpy as np
 from ..errors import NumericError, StateError, check_fields, from_doc, require
 from .params import ParamStore
 
+#: most epochs a run may ask for; a larger count would never end
+MAX_EPOCHS = 10**6
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -42,7 +45,8 @@ class TrainConfig:
                 ("clip_norm", self.clip_norm is None or self.clip_norm > 0,
                  "positive or None", self.clip_norm),
                 ("batch_size", self.batch_size >= 1, ">= 1", self.batch_size),
-                ("epochs", self.epochs >= 0, ">= 0", self.epochs),
+                ("epochs", 0 <= self.epochs <= MAX_EPOCHS,
+                 f"in [0, MAX_EPOCHS = {MAX_EPOCHS}]", self.epochs),
                 ("seed", self.seed >= 0, ">= 0", self.seed))
 
     #: the check run when built, which a frozen instance always passes again

@@ -3,15 +3,19 @@
 Each op reads its operands, returns a new ``Tensor`` and records the
 operands and a vector-Jacobian product (VJP) closure; under :func:`no_grad`
 it records nothing, with bitwise the same values. :func:`backward` walks
-the recorded graph once in reverse topological order and adds each leaf's
-cotangent in place into its ``grad``, so repeated calls accumulate and a
-parameter's ``grad`` stays the view of its store's flat gradient vector.
+the recorded interior nodes once in reverse topological order and adds
+each leaf cotangent in place into the leaf's ``grad`` as it arrives, so
+repeated calls accumulate and a parameter's ``grad`` stays the view of its
+store's flat gradient vector.
 
 Invariants:
 
 * all values are float64 arrays (scalars are 0-d arrays);
 * no forward or VJP writes an operand or a cotangent it is handed; an op
   may build its own fresh result in place;
+* a node's cotangents sum in a fixed order: its consumers' reverse DFS
+  post-order. Into a zero ``grad``, adding them one by one is bitwise
+  adding their sum once (``(0 + a) + b == 0 + (a + b)``, signed zeros too);
 * a fused node (``dense``, ``l1_norm``, ``attention_mix``) gives bitwise
   the value and cotangents of the chain of ops its docstring names;
 * softmax subtracts the row max, so every finite row sums to 1;
@@ -60,7 +64,7 @@ class Tensor:
     allocates it, or a parameter's ``ParamStore`` binds it.
     """
 
-    __slots__ = ("value", "grad", "parents", "vjp", "name")
+    __slots__ = ("value", "grad", "parents", "vjp", "name", "_cotangent")
 
     def __init__(self, value, parents: tuple = (), vjp: Callable | None = None,
                  name: str | None = None):
@@ -71,6 +75,7 @@ class Tensor:
         else:
             self.parents, self.vjp = (), None
         self.name = name
+        self._cotangent = None  # backward's mark (False), then pending cotangent
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -305,15 +310,14 @@ def l1_norm(tensors: Sequence) -> Tensor:
 
 def reduce_sum(x) -> Tensor:
     x = _wrap(x)
-    return Tensor(x.value.sum(), (x,),
-                  lambda g: (np.broadcast_to(g, x.value.shape).copy(),))
+    return Tensor(x.value.sum(), (x,), lambda g: (np.full(x.value.shape, g),))
 
 
 def reduce_mean(x) -> Tensor:
     x = _wrap(x)
     denom = x.value.size
     return Tensor(x.value.mean(), (x,),
-                  lambda g: (np.broadcast_to(g / denom, x.value.shape).copy(),))
+                  lambda g: (np.full(x.value.shape, g / denom),))
 
 
 def _row_max(v: np.ndarray) -> np.ndarray:
@@ -489,30 +493,48 @@ def as_column(x) -> Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
+    """``root`` and the interior nodes it reaches, parents before children
+    (DFS post-order), each marked reached by ``_cotangent = False``."""
     order: list[Tensor] = []
-    seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node._cotangent is not None:
             continue
-        seen.add(id(node))
+        node._cotangent = False
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p.vjp is not None and p._cotangent is None:
                 stack.append((p, False))
-    return order  # parents before children
+    return order
+
+
+def _receive(node: Tensor, g: np.ndarray) -> None:
+    """Add a leaf's cotangent into its ``grad``; sum an interior node's into
+    a new pending array (``g`` may be another node's, so never in place)."""
+    if node.vjp is None:
+        if node.grad is None:
+            node.grad = np.zeros_like(node.value)
+        np.add(node.grad, g, out=node.grad)
+    else:
+        prev = node._cotangent
+        node._cotangent = g if prev is False else prev + g
 
 
 def backward(root: Tensor, upstream=None) -> None:
     """Add d(root)/d(leaf) in place into ``grad`` of every leaf reached (a
-    node whose ``vjp`` is None); intermediate nodes keep ``grad = None``.
+    node whose ``vjp`` is None), one cotangent at a time as it arrives;
+    interior nodes keep ``grad = None``.
 
-    ``upstream`` seeds root's cotangent (default ones). Raises StateError if
-    ``root`` is not a Tensor, DimensionError if ``upstream``'s shape differs.
+    Interior nodes run in reverse DFS post-order; each holds its pending
+    cotangent in ``_cotangent`` until its turn, and none is left there on
+    return or raise. Starting from a zero ``grad``, the arrivals' sum is
+    bitwise the one-add-per-leaf of their sum. ``upstream`` seeds root's
+    cotangent (default ones). Raises StateError if ``root`` is not a
+    Tensor, DimensionError if ``upstream``'s shape differs.
     """
     if not isinstance(root, Tensor):
         raise StateError(
@@ -525,21 +547,16 @@ def backward(root: Tensor, upstream=None) -> None:
             raise DimensionError(
                 f"upstream gradient shape {seed.shape} does not match "
                 f"value shape {root.value.shape}")
-
     order = _topo_order(root)
-    cotangent: dict[int, np.ndarray] = {id(root): seed}
-    for node in reversed(order):
-        g = cotangent.pop(id(node), None)
-        if g is None:
-            continue
-        if node.vjp is None:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.value)
-            np.add(node.grad, g, out=node.grad)
-            continue
-        parent_grads = node.vjp(g)
-        for parent, pg in zip(node.parents, parent_grads):
-            if pg is None:
+    try:
+        _receive(root, seed)
+        for node in reversed(order):
+            g, node._cotangent = node._cotangent, None
+            if g is False:       # no cotangent arrived, or root is a leaf
                 continue
-            prev = cotangent.get(id(parent))
-            cotangent[id(parent)] = pg if prev is None else prev + pg
+            for parent, pg in zip(node.parents, node.vjp(g)):
+                if pg is not None:
+                    _receive(parent, pg)
+    finally:
+        for node in order:
+            node._cotangent = None

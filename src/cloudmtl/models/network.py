@@ -69,16 +69,28 @@ def usable_cpus() -> int:
     return max(1, cpus // _openblas()[0]())
 
 
+#: [blocks inside :func:`one_blas_thread`, the count the first one saved]
+_blas_holders = [0, 0]
+_blas_lock = threading.Lock()
+
+
 @contextmanager
 def one_blas_thread():
-    """Run the block at one BLAS thread, then restore the caller's count."""
+    """Run the block at one BLAS thread. Blocks may overlap, in any threads:
+    the first to enter saves the caller's count, the last to leave restores it."""
     get, put = _openblas()
-    before = get()
-    put(1)
+    with _blas_lock:
+        if not _blas_holders[0]:
+            _blas_holders[1] = get()
+            put(1)
+        _blas_holders[0] += 1
     try:
         yield
     finally:
-        put(before)
+        with _blas_lock:
+            _blas_holders[0] -= 1
+            if not _blas_holders[0]:
+                put(_blas_holders[1])
 
 
 def forward_chunks(forward, n: int):

@@ -249,6 +249,59 @@ def test_usable_cpus_leave_the_live_blas_threads_their_cpus(
     assert network.usable_cpus() == parts
 
 
+@pytest.mark.parametrize("first_out", [0, 1])
+def test_overlapping_one_blas_thread_blocks_restore_the_callers_count(
+        monkeypatch, first_out):
+    count = [2]                 # a fake BLAS: no real BLAS thread starts
+    monkeypatch.setattr(network, "_openblas", lambda: (
+        lambda: count[0], lambda n: count.__setitem__(0, n)))
+    inside = [threading.Event(), threading.Event()]
+    leave = [threading.Event(), threading.Event()]
+
+    def hold(i):
+        with network.one_blas_thread():
+            inside[i].set()
+            leave[i].wait(timeout=60)
+
+    threads = [threading.Thread(target=hold, args=(i,)) for i in (0, 1)]
+    for t, entered in zip(threads, inside):
+        t.start()
+        assert entered.wait(timeout=60) and count == [1]
+    leave[first_out].set()
+    threads[first_out].join(timeout=60)
+    assert count == [1]          # the other block is still inside
+    leave[1 - first_out].set()
+    threads[1 - first_out].join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert count == [2] and network._blas_holders[0] == 0
+
+
+def test_one_blas_thread_holds_one_thread_under_many_overlapping_blocks(
+        monkeypatch):
+    count, inside = [2], []
+    monkeypatch.setattr(network, "_openblas", lambda: (
+        lambda: count[0], lambda n: count.__setitem__(0, n)))
+
+    def hold():
+        for _ in range(200):
+            with network.one_blas_thread():
+                time.sleep(0)            # lets the other threads in
+                inside.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert inside == [1] * 1600 and count == [2]
+
+
 def test_blas_lookup_runs_once_and_not_at_import():
     code = ("import cloudmtl.cli; from cloudmtl.models import network as n; "
             "print(n._openblas.cache_info().misses); "

@@ -369,6 +369,8 @@ OUT_OF_RANGE_CASES = [
     ("train MLP --mlp-hidden 10**20",
      ["train", "--variant", "MLP-BASELINE", "--mlp-hidden",
       "100000000000000000000"], "hidden.w"),
+    ("train --epochs 10**400", ["train", "--epochs", "1" + "0" * 400],
+     "epochs"),
     ("select --weights 1e308 twice",
      ["select", "--weights", "ACC_bi=1e308,MSE=1e308"], "weights"),
 ]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cloudmtl.data import SplitPlan
 from cloudmtl.engine import TrainConfig
+from cloudmtl.engine.optim import MAX_EPOCHS
 from cloudmtl.errors import ConfigError
 from cloudmtl.models import VARIANTS, ArchitectureSpec
 from cloudmtl.selection import FoldStats
@@ -108,6 +109,13 @@ def test_float_field_rejects_an_integer_beyond_float64():
                                     "lasso_lambda": 10**400})
     with pytest.raises(ConfigError, match="lr must be a finite"):
         TrainConfig.from_dict({"lr": 10**400})
+
+
+def test_epochs_are_bounded():
+    assert TrainConfig.from_dict({"epochs": MAX_EPOCHS}).epochs == MAX_EPOCHS
+    for epochs in (MAX_EPOCHS + 1, 10**400, -1):
+        with pytest.raises(ConfigError, match="^epochs must be in .*MAX_EPOCHS"):
+            TrainConfig.from_dict({"epochs": epochs})
 
 
 def test_negative_seeds_are_rejected():

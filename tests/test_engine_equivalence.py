@@ -25,8 +25,10 @@ from cloudmtl.data import Standardizer, generate_dataset, get_sensor
 from cloudmtl.engine import AdamState, ParamStore, TrainConfig, optimizer_step
 from cloudmtl.errors import NumericError, StateError
 from cloudmtl.models import (
-    ArchitectureSpec, LossTargets, ModelOutputs, build_model, losses, train_model,
+    VARIANT_SEQ, VARIANTS, ArchitectureSpec, LossTargets, ModelOutputs,
+    build_model, losses, train_model,
 )
+from cloudmtl.models.config import SEQ_STAGES
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=6)
@@ -223,6 +225,115 @@ def test_backward_keeps_grad_on_leaves_only():
     E.backward(out)
     assert h.grad is None and out.grad is None
     assert x.grad is not None and w.grad is not None and b.grad is not None
+
+
+# ---------------------------------------------------------------------------
+# backward against the dict-and-DFS walk it replaced
+
+
+def reference_backward(root):
+    """The former walk: every node, leaves included, in DFS post-order; the
+    cotangents in an ``id()``-keyed dict; each leaf's cotangents summed
+    first and added once into its ``grad``."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node.parents if id(p) not in seen)
+    cotangent = {id(root): np.ones_like(root.value)}
+    for node in reversed(order):
+        g = cotangent.pop(id(node), None)
+        if g is None:
+            continue
+        if node.vjp is None:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.value)
+            np.add(node.grad, g, out=node.grad)
+            continue
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if pg is not None:
+                prev = cotangent.get(id(parent))
+                cotangent[id(parent)] = pg if prev is None else prev + pg
+
+
+def graph_nodes(root):
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node.parents)
+    return list(nodes.values())
+
+
+def assert_backward_is_the_reference(root, params):
+    """Both walks from zeroed grads on one graph give the same leaf bytes."""
+    leaves = [t for t in graph_nodes(root) if t.vjp is None]
+    assert len(leaves) < len(graph_nodes(root))
+    grads = []
+    for walk in (E.backward, reference_backward):
+        params.zero_grads()
+        for t in leaves:
+            if not any(t is p for _, p in params.items()):
+                t.grad = None
+        walk(root)
+        grads.append([t.grad.copy() for t in leaves])
+    assert all(same_bytes(a, b) for a, b in zip(*grads))
+
+
+def _one_batch(variant):
+    ds = generate_dataset(get_sensor("ABI"), 200, seed=25)
+    feats = Standardizer.fit(ds.feature_matrix()).transform(ds.feature_matrix())
+    # with the lasso every weight gets two cotangents, its dense's and l1's
+    spec = ArchitectureSpec(variant=variant, input_dim=feats.shape[1],
+                            lasso_lambda=1e-2)
+    batch = LossTargets.from_dataset(ds, feats, spec.bins).take(np.arange(64))
+    return build_model(spec, seed=7), batch
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_matches_the_dict_walk_on_a_training_step(variant):
+    model, batch = _one_batch(variant)
+    total, _ = losses.compute_loss(model.forward(batch.x, train_mode=True),
+                                   batch, model.spec, model.params)
+    assert_backward_is_the_reference(total, model.params)
+
+
+@pytest.mark.parametrize("net", SEQ_STAGES)
+def test_backward_matches_the_dict_walk_on_each_seq_stage(net):
+    model, batch = _one_batch(VARIANT_SEQ)
+    params = model.subnet_params[net]
+    total, _ = losses.stage_loss(net, model.stage_output(net, batch.x), batch,
+                                 model.spec, params)
+    assert_backward_is_the_reference(total, params)
+
+
+def test_a_raising_vjp_leaves_no_pending_cotangent():
+    x = E.constant(np.array([[0.5, -1.5], [2.0, -0.25]]))
+    a = E.mul(x, x)
+    b = E.relu(a)
+    out = E.reduce_sum(E.add(a, b))
+    vjp = b.vjp
+
+    def fail(g):
+        raise NumericError("vjp failed")
+
+    b.vjp = fail           # by b's turn, add has left a cotangent on a
+    with pytest.raises(NumericError, match="vjp failed"):
+        E.backward(out)
+    assert all(t._cotangent is None for t in graph_nodes(out))
+    assert x.grad is None
+    b.vjp = vjp
+    E.backward(out)        # a left mark would skip its node here
+    ref = E.constant(x.value.copy())
+    reference_backward(E.reduce_sum(E.add(E.mul(ref, ref), E.relu(E.mul(ref, ref)))))
+    assert same_bytes(x.grad, ref.grad)
 
 
 # ---------------------------------------------------------------------------
