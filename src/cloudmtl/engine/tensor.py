@@ -526,15 +526,12 @@ def _receive(node: Tensor, g: np.ndarray) -> None:
 
 def backward(root: Tensor, upstream=None) -> None:
     """Add d(root)/d(leaf) in place into ``grad`` of every leaf reached (a
-    node whose ``vjp`` is None), one cotangent at a time as it arrives;
-    interior nodes keep ``grad = None``.
+    node whose ``vjp`` is None) as each cotangent arrives; interior nodes
+    keep ``grad = None`` and hold a pending ``_cotangent`` only until their
+    turn, none left on return or raise.
 
-    Interior nodes run in reverse DFS post-order; each holds its pending
-    cotangent in ``_cotangent`` until its turn, and none is left there on
-    return or raise. Starting from a zero ``grad``, the arrivals' sum is
-    bitwise the one-add-per-leaf of their sum. ``upstream`` seeds root's
-    cotangent (default ones). Raises StateError if ``root`` is not a
-    Tensor, DimensionError if ``upstream``'s shape differs.
+    ``upstream`` seeds root's cotangent (default ones). Raises StateError if
+    ``root`` is not a Tensor, DimensionError if ``upstream``'s shape differs.
     """
     if not isinstance(root, Tensor):
         raise StateError(
