@@ -53,9 +53,6 @@ def _emit(obj: Any, out: list[str], indent: int) -> None:
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
         # Flat numeric lists stay on one line; nested structures get newlines.
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             parts = [_fmt_float(v) if isinstance(v, float) else str(v) for v in obj]

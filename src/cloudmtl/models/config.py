@@ -14,13 +14,14 @@ MT-HCCAR       MT-HCCR plus cross-attention between the regression
 MLP-BASELINE   one hidden layer of 10 units, 5 outputs
 =============  =====================================================
 
-Variants take their structure from ``_VARIANT_FLAGS`` (not free knobs) and
-SEQ its stages from ``SEQ_STAGES``; no other module compares their names.
+Variants take their structure from ``VariantFlags`` (not free knobs) and SEQ
+its stages from ``SEQ_STAGES``; no other module compares their names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 from ..errors import check_fields, from_doc, require
 
@@ -31,16 +32,30 @@ VARIANT_HCCR = "MT-HCCR"
 VARIANT_HCCAR = "MT-HCCAR"
 VARIANT_MLP = "MLP-BASELINE"
 
-# name -> (hierarchical, aux head, attention, encoder-decoder,
-#          phase outputs conditional on cloudy, three sequential subnets,
-#          one hidden layer)
-_VARIANT_FLAGS: dict[str, tuple[bool, ...]] = {
-    VARIANT_SEQ: (False, False, False, False, True, True, False),
-    VARIANT_CR: (False, False, False, True, False, False, False),
-    VARIANT_HCR: (True, False, False, True, True, False, False),
-    VARIANT_HCCR: (True, True, False, True, True, False, False),
-    VARIANT_HCCAR: (True, True, True, True, True, False, False),
-    VARIANT_MLP: (False, False, False, False, False, False, True),
+
+class VariantFlags(NamedTuple):
+    """The components a variant switches on."""
+
+    hierarchical: bool = False
+    aux_enabled: bool = False
+    attention_enabled: bool = False
+    has_decoder: bool = False
+    conditional_phase: bool = False  # phase probabilities given cloudy
+    sequential: bool = False
+    single_hidden: bool = False
+
+
+_VARIANT_FLAGS = {
+    VARIANT_SEQ: VariantFlags(conditional_phase=True, sequential=True),
+    VARIANT_CR: VariantFlags(has_decoder=True),
+    VARIANT_HCR: VariantFlags(hierarchical=True, has_decoder=True,
+                              conditional_phase=True),
+    VARIANT_HCCR: VariantFlags(hierarchical=True, has_decoder=True,
+                               conditional_phase=True, aux_enabled=True),
+    VARIANT_HCCAR: VariantFlags(hierarchical=True, has_decoder=True,
+                                conditional_phase=True, aux_enabled=True,
+                                attention_enabled=True),
+    VARIANT_MLP: VariantFlags(single_hidden=True),
 }
 
 VARIANTS = tuple(_VARIANT_FLAGS)
@@ -100,44 +115,9 @@ class ArchitectureSpec:
              "4 strictly increasing edges", bins),
             ("mlp_hidden", self.mlp_hidden >= 1, ">= 1", self.mlp_hidden))
 
-    # capability flags
     @property
-    def hierarchical(self) -> bool:
-        return _VARIANT_FLAGS[self.variant][0]
-
-    @property
-    def aux_enabled(self) -> bool:
-        return _VARIANT_FLAGS[self.variant][1]
-
-    @property
-    def attention_enabled(self) -> bool:
-        return _VARIANT_FLAGS[self.variant][2]
-
-    @property
-    def has_decoder(self) -> bool:
-        return _VARIANT_FLAGS[self.variant][3]
-
-    @property
-    def conditional_phase(self) -> bool:
-        """Phase outputs are probabilities given cloudy (hierarchical
-        variants and SEQ), not joint ones."""
-        return _VARIANT_FLAGS[self.variant][4]
-
-    @property
-    def sequential(self) -> bool:
-        return _VARIANT_FLAGS[self.variant][5]
-
-    @property
-    def single_hidden(self) -> bool:
-        return _VARIANT_FLAGS[self.variant][6]
-
-    @property
-    def latent_dim(self) -> int:
-        return self.encoder_widths[-1]
-
-    @property
-    def attention_dim(self) -> int:
-        return self.head_hidden[-1]
+    def flags(self) -> VariantFlags:
+        return _VARIANT_FLAGS[self.variant]
 
     def to_dict(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v

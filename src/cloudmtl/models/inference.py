@@ -69,6 +69,7 @@ class Predictions:
 
 def predictions_from_outputs(outputs: ModelOutputs, spec: ArchitectureSpec
                              ) -> Predictions:
+    """The decision rules on ``outputs``, whose arrays the scores share."""
     u_cloud = outputs.u_cloud.value
     u_clear = outputs.u_clear.value
     u_liquid = outputs.u_liquid.value
@@ -76,21 +77,17 @@ def predictions_from_outputs(outputs: ModelOutputs, spec: ArchitectureSpec
     cloudy = u_cloud >= spec.threshold
     liquid = u_liquid >= u_ice
     label = np.where(cloudy, np.where(liquid, LABEL_LIQUID, LABEL_ICE),
-                     LABEL_CLEAR).astype(np.int64)
+                     LABEL_CLEAR)
     cot = np.where(cloudy, outputs.y_cot_hat.value, np.nan)
-    if spec.conditional_phase:
+    score_liquid, score_ice = u_liquid, u_ice
+    if spec.flags.conditional_phase:
         # Phase heads only ever see (predicted-)cloudy pixels, so the
         # calibrated class score is the joint path probability.
-        score_liquid = u_cloud * u_liquid
-        score_ice = u_cloud * u_ice
-    else:
-        score_liquid = u_liquid.copy()
-        score_ice = u_ice.copy()
+        score_liquid, score_ice = u_cloud * u_liquid, u_cloud * u_ice
     return Predictions(
         label=label, cloudy=cloudy, cot_log10=cot,
-        cot_raw=outputs.y_cot_hat.value.copy(),
-        score_cloud=u_cloud.copy(), score_clear=u_clear.copy(),
-        score_liquid=score_liquid, score_ice=score_ice)
+        cot_raw=outputs.y_cot_hat.value, score_cloud=u_cloud,
+        score_clear=u_clear, score_liquid=score_liquid, score_ice=score_ice)
 
 
 def predict(model: Model, X: np.ndarray) -> Predictions:

@@ -178,7 +178,7 @@ def compute_loss(outputs: ModelOutputs, targets: LossTargets,
             f"outputs cover {outputs.u_cloud.value.shape} pixels, targets {n}")
     zero = E.constant(0.0)
 
-    if spec.hierarchical:
+    if spec.flags.hierarchical:
         l_hc, cmask, cphase = _hierarchical_ce(outputs, targets)
     else:
         mask_ce = E.add(_bce_pair(outputs.u_cloud, targets.l_cloud),

@@ -212,7 +212,7 @@ class Model:
         spec, ps = self.spec, self.params
         x = E.constant(checked_input(X, spec.input_dim))
 
-        if spec.single_hidden:
+        if spec.flags.single_hidden:
             h = E.relu(E.dense(x, ps["hidden.w"], ps["hidden.b"]))
             out5 = E.dense(h, ps["out.w"], ps["out.b"])
             probs = E.clamped_sigmoid(out5)
@@ -224,10 +224,10 @@ class Model:
         n_enc = len(spec.encoder_widths)
         z = _chain(x, ps, "encoder", n_enc, final_relu=True)
         x_recon = None
-        if spec.has_decoder and train_mode:
+        if spec.flags.has_decoder and train_mode:
             x_recon = _chain(z, ps, "decoder", n_enc, final_relu=False)
 
-        if spec.hierarchical:
+        if spec.flags.hierarchical:
             # The mask and phase pairs are mutually exclusive outcomes, so the
             # two-column heads are normalized with a row softmax; the loss
             # terms are then proper cross-entropies with no degenerate
@@ -256,7 +256,7 @@ class Model:
             u_liquid, u_ice = E.col(cls_u, 2), E.col(cls_u, 3)
 
         aux_probs = theta2 = None
-        if spec.aux_enabled and (train_mode or spec.attention_enabled):
+        if spec.flags.aux_enabled and (train_mode or spec.flags.attention_enabled):
             # attention reads the aux hidden vector even when aux_probs is skipped
             theta2 = _chain(z, ps, "aux_head", len(spec.head_hidden), final_relu=True)
             if train_mode:
@@ -264,7 +264,7 @@ class Model:
                 aux_probs = E.softmax_rows(aux_logits)
 
         theta1 = _chain(z, ps, "reg_head", len(spec.head_hidden), final_relu=True)
-        if spec.attention_enabled:
+        if spec.flags.attention_enabled:
             theta_r = cross_attention(theta1, theta2, ps["attn.wq"],
                                       ps["attn.wk"], ps["attn.wv"], ps["attn.wz"])
         else:
@@ -312,14 +312,14 @@ def build_model(spec: ArchitectureSpec, seed: int) -> Model:
     """Deterministically initialize a model (same spec + seed -> same values)."""
     rng = np.random.default_rng(seed)
     ps = ParamStore()
-    if spec.single_hidden:
+    if spec.flags.single_hidden:
         ps.add_dense("hidden", rng, spec.input_dim, spec.mlp_hidden)
         ps.add_dense("out", rng, spec.mlp_hidden, 5)
         return Model(spec, ps)
 
     widths = [spec.input_dim, *spec.encoder_widths]
-    head_widths = [spec.latent_dim, *spec.head_hidden]
-    if spec.sequential:
+    head_widths = [spec.encoder_widths[-1], *spec.head_hidden]
+    if spec.flags.sequential:
         subnets = {}
         for net, (_, labels) in SEQ_STAGES.items():
             sub = subnets[net] = ParamStore()
@@ -330,17 +330,17 @@ def build_model(spec: ArchitectureSpec, seed: int) -> Model:
         return SequentialModel(spec, ps, subnets)
 
     _add_chain(ps, rng, "encoder", widths)
-    if spec.has_decoder:
+    if spec.flags.has_decoder:
         _add_chain(ps, rng, "decoder", widths[::-1])
-    heads = ([("mask_head", 2), ("phase_head", 2)] if spec.hierarchical
+    heads = ([("mask_head", 2), ("phase_head", 2)] if spec.flags.hierarchical
              else [("cls_head", 4)])
-    if spec.aux_enabled:
+    if spec.flags.aux_enabled:
         heads.append(("aux_head", 3))
     for name, out_dim in heads + [("reg_head", 1)]:
         _add_chain(ps, rng, name, head_widths)
         ps.add_dense(f"{name}_out", rng, head_widths[-1], out_dim)
-    if spec.attention_enabled:
-        d = spec.attention_dim
+    if spec.flags.attention_enabled:
+        d = spec.head_hidden[-1]
         for w_name in ("attn.wq", "attn.wk", "attn.wv", "attn.wz"):
             ps.add_weight(w_name, rng, d, d)
     return Model(spec, ps)

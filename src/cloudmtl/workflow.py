@@ -93,8 +93,6 @@ class RunResult:
     standardizer: Standardizer
     train_result: TrainResult
     report: EvalReport | None        # None when the test split is empty
-    train_idx: np.ndarray
-    val_idx: np.ndarray
     test_idx: np.ndarray
 
 
@@ -147,7 +145,6 @@ def _fit_and_score(ds: PixelDataset, spec: ArchitectureSpec,
         pred, report = evaluate_model(model, standardizer, ds.subset(test_idx))
     return RunResult(model=model, standardizer=standardizer,
                      train_result=train_result, report=report,
-                     train_idx=train_idx, val_idx=val_idx,
                      test_idx=test_idx), pred
 
 

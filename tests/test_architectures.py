@@ -147,7 +147,7 @@ def test_output_shapes_and_flags():
 
 def test_conditional_phase_flag():
     """Hierarchical variants and SEQ report phase given cloudy; flat ones not."""
-    conditional = {v for v in VARIANTS if small(v).conditional_phase}
+    conditional = {v for v in VARIANTS if small(v).flags.conditional_phase}
     assert conditional == {"SEQ", "MT-HCR", "MT-HCCR", "MT-HCCAR"}
 
 

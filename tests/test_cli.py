@@ -235,6 +235,7 @@ def assert_input_error(capsys, argv, path, line=None):
     assert path in err
     if line is not None:
         assert f"line {line}:" in err
+    return err
 
 
 # A field over the csv module's 131,072-character limit
@@ -269,6 +270,92 @@ def test_train_config_directory_exits_2(tmp_path, data_csv, capsys):
                                 str(tmp_path / "x"), "--config", str(config),
                                 *FAST], str(config))
     assert not os.path.exists(tmp_path / "x")
+
+
+#: --config files the reader refuses: (the file's text, None for no file;
+#: what the error says)
+UNREADABLE_CONFIGS = [
+    (None, "config file not found: "),
+    ('{"train": ', ": invalid JSON ("),
+    ("[1, 2]", ": top level must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("text,says", UNREADABLE_CONFIGS,
+                         ids=["missing", "not-json", "not-an-object"])
+def test_train_unreadable_config_exits_2(tmp_path, data_csv, capsys, text,
+                                         says):
+    config = tmp_path / "cfg.json"
+    if text is not None:
+        config.write_text(text)
+    err = assert_input_error(capsys, ["train", "--data", data_csv, "--outdir",
+                                      str(tmp_path / "x"), "--config",
+                                      str(config), *FAST], str(config))
+    assert says in err
+    assert not os.path.exists(tmp_path / "x")
+
+
+#: run commands refused before any training: (argv, all of stderr)
+REFUSED_RUNS = [
+    (["ablate", "--variants", ","], "error: empty variant list: ','\n"),
+    (["train", "--train-frac", "0"],
+     "error: split plan leaves the training set empty\n"),
+]
+
+
+@pytest.mark.parametrize("argv,stderr", REFUSED_RUNS,
+                         ids=["empty-variant-list", "empty-training-set"])
+def test_run_refused_before_training_exits_2(tmp_path, data_csv, capsys, argv,
+                                             stderr):
+    command, *flags = argv
+    out = tmp_path / "x"
+    assert main([command, "--data", data_csv, "--outdir", str(out), *FAST,
+                 *flags]) == 2
+    assert capsys.readouterr().err == stderr
+    assert not out.exists()
+
+
+def test_train_zero_epochs_writes_a_header_only_history(tmp_path, data_csv,
+                                                        capsys):
+    outdir = tmp_path / "run"
+    assert main(["train", "--data", data_csv, "--variant", "MT-CR",
+                 "--outdir", str(outdir), *FAST, "--epochs", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "trained" not in out and "test: acc_bi=" in out
+    assert (outdir / "history.csv").read_text().splitlines() == [
+        "epoch,l_cmask,l_cphase,l_reg,l_caux,l_rec,l_lasso,total,val_total"]
+
+
+@pytest.fixture(scope="module")
+def clear_csv(tmp_path_factory):
+    """Pixels that are all clear, on which no cloudy-pixel metric is
+    defined."""
+    path = str(tmp_path_factory.mktemp("clear") / "clear.csv")
+    assert main(["gen-data", "--sensor", "ABI", "--n", "200", "--seed", "3",
+                 "--priors", "1", "0", "0", "--out", path]) == 0
+    return path
+
+
+def test_kfold_stops_on_a_metric_undefined_on_a_fold(tmp_path, clear_csv,
+                                                      capsys):
+    assert main(["kfold", "--data", clear_csv, "--outdir", str(tmp_path / "kf"),
+                 "--k", "2", "--variants", "MT-CR", *FAST,
+                 "--epochs", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: fold 0 of MT-CR: metric mse_all is undefined on this fold\n")
+
+
+def test_train_on_clear_pixels_writes_null_metrics(tmp_path, clear_csv,
+                                                   capsys):
+    outdir = tmp_path / "run"
+    assert main(["train", "--data", clear_csv, "--variant", "MT-CR",
+                 "--outdir", str(outdir), *FAST]) == 0
+    assert "mse=n/a r2=n/a" in capsys.readouterr().out
+    report = json.loads((outdir / "eval.json").read_text())
+    assert report["n_cloudy"] == 0
+    assert {k for k, v in report.items() if v is None} == {
+        "auprc_cloudy", "auprc_liquid", "auprc_ice", "fmg_liquid", "fmg_ice",
+        "mse_all", "mse_liquid", "mse_ice", "r2_all", "r2_liquid", "r2_ice"}
 
 
 def test_train_invalid_lr_exits_2(tmp_path, data_csv, capsys):

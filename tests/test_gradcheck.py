@@ -72,16 +72,25 @@ def test_kink_entries_are_skipped_not_failed():
 
 
 def test_report_summary_mentions_worst_parameter():
-    ps = _quadratic_store()
+    """Only entry 1 of ``theta`` gets a wrong gradient, so the summary names
+    that entry; no other word of the summary contains "theta"."""
+    ps = ParamStore()
+    ps.add("theta", np.array([0.5, -1.0, 2.0]))
+    bump = np.array([0.0, 1.0, 0.0])
 
     def loss(params):
-        w = params["w"]
-        return E.reduce_sum(E.mul(w, w))
+        t = params["theta"]
+        out = E.reduce_sum(E.mul(t, t))
+        return E.Tensor(out.value, parents=(t,),
+                        vjp=lambda g: (g * (2.0 * t.value + bump),))
 
     rep = finite_diff_check(loss, ps)
+    assert (rep.worst_param, rep.worst_index) == ("theta", 1)
     text = rep.summary()
-    assert "w" in text
-    assert "max rel err" in text
+    assert text.startswith("FAIL: max rel err ")
+    assert " at theta[1] over 3 entries" in text
+    assert "theta" not in finite_diff_check(lambda p: E.reduce_sum(
+        E.mul(p["theta"], 0.0)), ps).summary()
 
 
 def test_zero_analytic_gradient_with_fd_noise_passes():

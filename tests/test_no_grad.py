@@ -149,7 +149,7 @@ def test_infer_runs_only_the_layers_predictions_read(variant, monkeypatch):
     skipped = {layer for layer in layers
                if layer.startswith("decoder.") or layer == "aux_head_out"
                or (layer.startswith("aux_head.")
-                   and not model.spec.attention_enabled)}
+                   and not model.spec.flags.attention_enabled)}
     assert read == layers - skipped
 
 

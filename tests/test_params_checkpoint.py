@@ -1,13 +1,14 @@
 """Parameter store registration, init determinism, and checkpoint files."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 import cloudmtl.engine as E
 from cloudmtl import workflow
-from cloudmtl.data import Standardizer
+from cloudmtl.cli import main
 from cloudmtl.engine import ParamStore, glorot_uniform, load_checkpoint, save_checkpoint
 from cloudmtl.engine import params as params_module
 from cloudmtl.errors import ConfigError, DataError, NumericError, StateError
@@ -236,16 +237,27 @@ MALFORMED = [
 
 @pytest.fixture(scope="module")
 def checkpoint_doc(tmp_path_factory):
-    spec = ArchitectureSpec(variant="MT-HCCAR", input_dim=16,
-                            encoder_widths=(8, 4), head_hidden=(4,))
-    model = build_model(spec, seed=1)
-    std = Standardizer.fit(np.random.default_rng(4).normal(size=(20, 16)))
-    path = str(tmp_path_factory.mktemp("ckpt") / "good.json")
-    save_checkpoint(path, model.params, architecture=spec.to_dict(),
-                    config={"seed": 1}, extras={"standardizer": std.to_dict()})
+    """The JSON document of a checkpoint that ``cloudmtl train`` wrote."""
+    tmp = tmp_path_factory.mktemp("ckpt")
+    data, outdir = str(tmp / "abi.csv"), str(tmp / "run")
+    assert main(["gen-data", "--sensor", "ABI", "--n", "200", "--seed", "4",
+                 "--out", data]) == 0
+    assert main(["train", "--data", data, "--variant", "MT-HCCAR",
+                 "--outdir", outdir, "--encoder-widths", "8,4",
+                 "--head-hidden", "4", "--epochs", "1", "--seed", "1"]) == 0
+    path = os.path.join(outdir, "checkpoint.json")
     workflow.load_trained(path)          # the unedited file loads
     with open(path) as f:
         return json.load(f)
+
+
+def _load_error(path) -> str:
+    """The message of the DataError that ``load_trained(path)`` raises; it
+    names ``path``."""
+    with pytest.raises(DataError) as err:
+        workflow.load_trained(str(path))
+    assert str(path) in str(err.value)
+    return str(err.value)
 
 
 @pytest.mark.parametrize("case,edit,names_param", MALFORMED,
@@ -257,16 +269,57 @@ def test_load_trained_rejects_malformed_checkpoint(tmp_path, checkpoint_doc,
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc).replace('"BIG"', "1e400"))
-    with pytest.raises(DataError) as err:
-        workflow.load_trained(str(path))
-    assert str(path) in str(err.value)
+    message = _load_error(path)
     if names_param:
-        assert repr(param) in str(err.value)
+        assert repr(param) in message
+
+
+def _standardizer(edit):
+    return lambda doc: edit(doc["extras"]["standardizer"])
+
+
+#: (case, edit of the checkpoint document, what the error says)
+MALFORMED_DOCUMENT = [
+    ("format_version 2", _set("format_version", None, 2),
+     "unsupported or missing format_version 2"),
+    ("parameters not a list", _set("parameters", None, {}),
+     "parameters must be a list"),
+    ("entry without cols", lambda doc: doc["parameters"][0].pop("cols"),
+     "parameter entry missing 'cols'"),
+    ("name not a string", _set_entry("name", 7),
+     "parameter 7: name must be a string"),
+    ("extras not an object", _set("extras", None, [1]),
+     "checkpoint extras must be an object"),
+    ("no standardizer", lambda doc: doc["extras"].pop("standardizer"),
+     "checkpoint lacks standardizer statistics"),
+    ("standardizer without scale", _standardizer(lambda d: d.pop("scale")),
+     "standardizer must hold mean and scale"),
+    ("mean not numbers", _standardizer(lambda d: d.update(mean=["a"] * 16)),
+     "standardizer: could not convert string to float: 'a'"),
+    ("zero scale", _standardizer(lambda d: d["scale"].__setitem__(3, 0.0)),
+     "standardizer scale must be positive"),
+]
+
+
+@pytest.mark.parametrize("case,edit,says", MALFORMED_DOCUMENT,
+                         ids=[c[0] for c in MALFORMED_DOCUMENT])
+def test_load_trained_says_what_is_wrong(tmp_path, checkpoint_doc, case, edit,
+                                         says):
+    doc = json.loads(json.dumps(checkpoint_doc))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert says in _load_error(path)
+
+
+def test_load_trained_rejects_a_missing_or_non_json_file(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    assert "checkpoint file not found" in _load_error(path)
+    path.write_text('{"format_version": 1,')
+    assert "is not valid JSON" in _load_error(path)
 
 
 def test_load_trained_rejects_non_utf8_checkpoint(tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b'{"format_version": 1, "parameters": ["\xff"]}')
-    with pytest.raises(DataError, match="UTF-8") as err:
-        workflow.load_trained(str(path))
-    assert str(path) in str(err.value)
+    assert "is not UTF-8 text" in _load_error(path)

@@ -114,6 +114,16 @@ def test_backward_accumulates_additively():
     assert np.array_equal(x.grad, 2.0 * g1)
 
 
+def test_backward_on_a_leaf_root_seeds_its_grad_only():
+    """A leaf root gets the seed as its grad, twice on two passes, and holds
+    no pending cotangent after."""
+    x = E.constant(np.array([0.5, -1.5]), name="x")
+    E.backward(x, upstream=np.array([2.0, 3.0]))
+    E.backward(x, upstream=np.array([2.0, 3.0]))
+    assert np.array_equal(x.grad, [4.0, 6.0])
+    assert x._cotangent is None
+
+
 def test_backward_rejects_shape_mismatch():
     x = E.constant(np.ones((2, 2)))
     out = E.reduce_sum(x)
