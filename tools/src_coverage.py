@@ -2,6 +2,8 @@
 
     python3 tools/src_coverage.py [pytest args]     # default: the testpaths
 
+Test paths are taken from the repository root, where the run takes place.
+
 Runs pytest in this process with a line tracer (``sys.settrace``, and
 ``threading.settrace`` for the threads tests start) on frames whose file is
 under ``src/``, with hypothesis derandomized so that two runs trace the same
