@@ -85,12 +85,6 @@ class ParamStore:
         except KeyError:
             raise StateError(f"unknown parameter {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 

@@ -34,12 +34,11 @@ VARIANT_MLP = "MLP-BASELINE"
 
 
 class VariantFlags(NamedTuple):
-    """The components a variant switches on."""
+    """The heads, attention and trunk kind a variant switches on."""
 
     hierarchical: bool = False
     aux_enabled: bool = False
     attention_enabled: bool = False
-    has_decoder: bool = False
     conditional_phase: bool = False  # phase probabilities given cloudy
     sequential: bool = False
     single_hidden: bool = False
@@ -47,14 +46,12 @@ class VariantFlags(NamedTuple):
 
 _VARIANT_FLAGS = {
     VARIANT_SEQ: VariantFlags(conditional_phase=True, sequential=True),
-    VARIANT_CR: VariantFlags(has_decoder=True),
-    VARIANT_HCR: VariantFlags(hierarchical=True, has_decoder=True,
-                              conditional_phase=True),
-    VARIANT_HCCR: VariantFlags(hierarchical=True, has_decoder=True,
-                               conditional_phase=True, aux_enabled=True),
-    VARIANT_HCCAR: VariantFlags(hierarchical=True, has_decoder=True,
-                                conditional_phase=True, aux_enabled=True,
-                                attention_enabled=True),
+    VARIANT_CR: VariantFlags(),
+    VARIANT_HCR: VariantFlags(hierarchical=True, conditional_phase=True),
+    VARIANT_HCCR: VariantFlags(hierarchical=True, conditional_phase=True,
+                               aux_enabled=True),
+    VARIANT_HCCAR: VariantFlags(hierarchical=True, conditional_phase=True,
+                                aux_enabled=True, attention_enabled=True),
     VARIANT_MLP: VariantFlags(single_hidden=True),
 }
 

@@ -53,7 +53,6 @@ class LossTargets:
     l_ice: np.ndarray
     y_cot: np.ndarray        # (n,) log10 COT, 0.0 filler where clear
     aux_onehot: np.ndarray   # (n, 3) one-hot thickness bin, zero rows if clear
-    cloudy: np.ndarray       # (n,) bool
 
     @classmethod
     def from_dataset(cls, ds, features: np.ndarray,
@@ -66,7 +65,6 @@ class LossTargets:
             l_ice=(ds.label == LABEL_ICE).astype(np.float64),
             y_cot=np.nan_to_num(ds.cot_log10, nan=0.0),
             aux_onehot=thickness_onehot(ds.cot_log10, cloudy, bins),
-            cloudy=cloudy,
         )
 
     def take(self, idx: np.ndarray) -> "LossTargets":
@@ -150,11 +148,10 @@ def cloudy_abs_error(y_hat: Tensor, targets: LossTargets,
                      reg_norm: str) -> Tensor:
     """Absolute thickness error summed over truly-cloudy pixels, divided by
     their count if ``reg_norm="mean"``."""
-    cloudy_f = targets.cloudy.astype(np.float64)
     abs_err = E.absval(E.sub(y_hat, E.constant(targets.y_cot)))
-    err = E.reduce_sum(E.mul(abs_err, E.constant(cloudy_f)))
+    err = E.reduce_sum(E.mul(abs_err, E.constant(targets.l_cloud)))
     if reg_norm == "mean":
-        err = E.div(err, E.constant(max(float(cloudy_f.sum()), 1.0)))
+        err = E.div(err, E.constant(max(float(targets.l_cloud.sum()), 1.0)))
     return err
 
 
@@ -202,10 +199,6 @@ def compute_loss(outputs: ModelOutputs, targets: LossTargets,
         l_caux = zero
 
     if outputs.x_recon is not None:
-        if outputs.x_recon.value.shape != targets.x.shape:
-            raise DimensionError(
-                f"reconstruction shape {outputs.x_recon.value.shape} does not "
-                f"match input {targets.x.shape}")
         diff = E.sub(outputs.x_recon, E.constant(targets.x))
         l_rec = E.reduce_mean(E.mul(diff, diff))
     else:

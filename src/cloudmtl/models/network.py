@@ -153,18 +153,6 @@ def cross_attention(theta1, theta2, w_q, w_k, w_v, w_z) -> Tensor:
     Scores, softmax and mixing are one :func:`engine.attention_mix` node;
     the projections and residual stay separate ops, so a tracer wrapping
     engine ops by name still sees the ``attn`` layer."""
-    theta1, theta2, w_q, w_k, w_v, w_z = (
-        t if isinstance(t, Tensor) else E.constant(t)
-        for t in (theta1, theta2, w_q, w_k, w_v, w_z))
-    d = theta1.value.shape[1]
-    for name, w in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v), ("w_z", w_z)):
-        if w.value.shape != (d, d):
-            raise DimensionError(
-                f"{name} must be ({d}, {d}) to match the feature width, "
-                f"got {w.value.shape}")
-    if theta2.value.shape != theta1.value.shape:
-        raise DimensionError(
-            f"theta1 {theta1.value.shape} and theta2 {theta2.value.shape} differ")
     q = E.matmul(theta2, E.transpose(w_q))
     k = E.matmul(theta1, E.transpose(w_k))
     v = E.matmul(theta1, E.transpose(w_v))
@@ -223,9 +211,7 @@ class Model:
 
         n_enc = len(spec.encoder_widths)
         z = _chain(x, ps, "encoder", n_enc, final_relu=True)
-        x_recon = None
-        if spec.flags.has_decoder and train_mode:
-            x_recon = _chain(z, ps, "decoder", n_enc, final_relu=False)
+        x_recon = _chain(z, ps, "decoder", n_enc, final_relu=False) if train_mode else None
 
         if spec.flags.hierarchical:
             # The mask and phase pairs are mutually exclusive outcomes, so the
@@ -330,8 +316,7 @@ def build_model(spec: ArchitectureSpec, seed: int) -> Model:
         return SequentialModel(spec, ps, subnets)
 
     _add_chain(ps, rng, "encoder", widths)
-    if spec.flags.has_decoder:
-        _add_chain(ps, rng, "decoder", widths[::-1])
+    _add_chain(ps, rng, "decoder", widths[::-1])
     heads = ([("mask_head", 2), ("phase_head", 2)] if spec.flags.hierarchical
              else [("cls_head", 4)])
     if spec.flags.aux_enabled:

@@ -129,9 +129,10 @@ def _stage_subset(model: SequentialModel, targets: LossTargets) -> np.ndarray:
     u_cloud = forward_chunks(
         lambda rows: model.stage_output(next(iter(SEQ_STAGES)), targets.x[rows]),
         len(targets)).value[:, 0]
-    idx = np.flatnonzero((u_cloud >= model.spec.threshold) & targets.cloudy)
+    cloudy = targets.l_cloud > 0.0
+    idx = np.flatnonzero((u_cloud >= model.spec.threshold) & cloudy)
     if idx.size == 0:
-        idx = np.flatnonzero(targets.cloudy)
+        idx = np.flatnonzero(cloudy)
     return idx
 
 

@@ -238,6 +238,47 @@ def assert_input_error(capsys, argv, path, line=None):
     return err
 
 
+def _header_edited(src, dst, edit):
+    """Copy pixel CSV ``src`` to ``dst`` with one band column or all of them
+    renamed, or with no data rows; a quoted header name takes the reader off
+    its fast path."""
+    with open(src, encoding="utf-8") as f:
+        header, *rows = f.read().split("\n")
+    cells = header.split(",")
+    bands = [i for i, c in enumerate(cells) if c.startswith("refl_")]
+    if edit == "one-band":
+        cells[bands[0]] = "refl_abc"
+    elif edit == "all-bands":
+        for i in bands:
+            cells[i] = "band_" + cells[i][len("refl_"):]
+    else:
+        rows = [""]
+        if edit == "quoted-header-only":
+            cells[0] = f'"{cells[0]}"'
+    dst.write_text("\n".join([",".join(cells), *rows]), encoding="utf-8")
+    return str(dst)
+
+
+#: header edits the pixel-CSV reader refuses: (edit, what the error says)
+BAD_PIXEL_HEADERS = [
+    ("one-band", "malformed band column 'refl_abc'"),
+    ("all-bands", "reflectance columns missing or misnamed"),
+    ("header-only", "no data rows"),
+    ("quoted-header-only", "no data rows"),
+]
+
+
+@pytest.mark.parametrize("edit,says", BAD_PIXEL_HEADERS,
+                         ids=[e for e, _ in BAD_PIXEL_HEADERS])
+def test_train_bad_pixel_header_exits_2(tmp_path, data_csv, capsys, edit,
+                                        says):
+    data = _header_edited(data_csv, tmp_path / "bad.csv", edit)
+    out = tmp_path / "x"
+    assert main(["train", "--data", data, "--outdir", str(out), *FAST]) == 2
+    assert capsys.readouterr().err == f"error: {data}: {says}\n"
+    assert not out.exists()
+
+
 # A field over the csv module's 131,072-character limit
 HUGE_CELL = "0." + "0" * 140_000 + "5"
 
@@ -343,6 +384,16 @@ def test_kfold_stops_on_a_metric_undefined_on_a_fold(tmp_path, clear_csv,
                  "--epochs", "1"]) == 2
     assert capsys.readouterr().err == (
         "error: fold 0 of MT-CR: metric mse_all is undefined on this fold\n")
+
+
+def test_seq_on_clear_pixels_stops_at_the_phase_stage(tmp_path, clear_csv,
+                                                      capsys):
+    out = tmp_path / "seq"
+    assert main(["train", "--data", clear_csv, "--variant", "SEQ",
+                 "--outdir", str(out), *FAST, "--epochs", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: sequential stage phase_net has no training pixels\n")
+    assert not out.exists()
 
 
 def test_train_on_clear_pixels_writes_null_metrics(tmp_path, clear_csv,
@@ -652,6 +703,49 @@ def test_select_oversized_grid_field_exits_2(tmp_path, capsys):
     edited = _edited_copy(grid_path, tmp_path / "huge.csv", 3, 5, HUGE_CELL)
     assert_input_error(capsys, ["select", "--grid", edited,
                                 "--out", str(tmp_path / "o")], edited, line=3)
+
+
+GRID_HEAD = "model,dataset,metric,direction"
+
+#: grids and --complexity orders that select refuses: (grid text, extra
+#: flags, all of stderr with {path} for the grid file)
+BAD_SELECTIONS = {
+    "mixed-directions": (
+        f"{GRID_HEAD},mu,se\nMT-CR,D,MSE,lower,0.5,0.01\n"
+        "MT-HCR,D,MSE,higher,0.4,0.01\n", [],
+        "error: metric 'MSE' has inconsistent direction flags\n"),
+    "zero-best-mean": (
+        f"{GRID_HEAD},mu,se\nMT-CR,D,ACC,higher,0,0.01\n"
+        "MT-HCR,D,ACC,higher,0,0.01\n", [],
+        "error: relative gap undefined: best mean is 0 in cell (D, ACC)\n"),
+    "duplicate-complexity": (
+        f"{GRID_HEAD},mu,se\nMT-CR,D,ACC,higher,0.5,0.01\n",
+        ["--complexity", "MT-CR,MT-CR,MT-HCR"],
+        "error: complexity order contains duplicates: "
+        "['MT-CR', 'MT-CR', 'MT-HCR']\n"),
+    "unknown-tail": (
+        f"{GRID_HEAD},mean,se\nMT-CR,D,ACC,higher,0.5,0.01\n", [],
+        "error: {path}: header tail must be mu,se or fold_1..fold_K, "
+        "got ['mean', 'se']\n"),
+    "one-fold": (
+        f"{GRID_HEAD},fold_1\nMT-CR,D,ACC,higher,0.5\n", [],
+        "error: {path}: line 2: need at least 2 fold values for "
+        "(MT-CR, D, ACC), got shape (1,)\n"),
+    "nan-fold": (
+        f"{GRID_HEAD},fold_1,fold_2\nMT-CR,D,ACC,higher,0.5,nan\n", [],
+        "error: {path}: line 2: non-finite fold value for (MT-CR, D, ACC)\n"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SELECTIONS)
+def test_select_refused_grid_exits_2(tmp_path, capsys, case):
+    text, flags, stderr = BAD_SELECTIONS[case]
+    grid_path, out = tmp_path / "grid.csv", tmp_path / "o"
+    grid_path.write_text(text, encoding="utf-8")
+    assert main(["select", "--grid", str(grid_path), "--out", str(out),
+                 *flags]) == 2
+    assert capsys.readouterr().err == stderr.format(path=grid_path)
+    assert not out.exists()
 
 
 def test_select_missing_grid_exits_2(tmp_path, capsys):

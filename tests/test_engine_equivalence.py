@@ -523,7 +523,7 @@ def hierarchical_graph(fn, probs, labels, upstream):
     targets = LossTargets(
         x=np.zeros((n, 1)), l_cloud=labels[0], l_clear=labels[1],
         l_liquid=labels[2], l_ice=labels[3], y_cot=np.zeros(n),
-        aux_onehot=np.zeros((n, 3)), cloudy=labels[0] > 0)
+        aux_onehot=np.zeros((n, 3)))
     node, l_cmask, l_cphase = fn(outputs, targets)
     E.backward(node, upstream=upstream)
     return node.value, (l_cmask, l_cphase), [t.grad for t in leaves]

@@ -97,14 +97,16 @@ def test_zero_analytic_gradient_with_fd_noise_passes():
     """Cancellation can make the true gradient 0 while central differences
     return pure roundoff; the resolution guard must not fail such entries."""
     ps = ParamStore()
-    ps.add("b", np.array([0.0]))
+    ps.add("b", np.array([0.5]))
 
     def loss(params):
         b = params["b"]
-        # |1 + b| + |1 - b| has exactly zero derivative at b = 0
-        left = E.absval(E.add(1.0, b))
-        right = E.absval(E.sub(1.0, b))
-        return E.reduce_sum(E.add(left, right))
+        # (b + 2047.5) - (b + 0.25) has zero derivative, but rounding b + 2047.5
+        # leaves its central difference at about 1e-8, above REL_FLOOR
+        return E.reduce_sum(E.sub(E.add(b, 2047.5), E.add(b, 0.25)))
 
     rep = finite_diff_check(loss, ps)
+    assert rep.below_resolution == 1
+    assert rep.checked == 1 and not rep.skipped
     assert rep.passed
+    assert "(0 kink-skipped, 1 below FD resolution)" in rep.summary()

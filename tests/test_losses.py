@@ -38,8 +38,7 @@ def hand_targets(l_cloud, l_liquid, y_cot, x=None, aux=None):
         l_cloud=l_cloud, l_clear=1.0 - l_cloud,
         l_liquid=l_liquid, l_ice=l_ice,
         y_cot=np.asarray(y_cot, dtype=np.float64),
-        aux_onehot=np.zeros((n, 3)) if aux is None else np.asarray(aux, float),
-        cloudy=cloudy)
+        aux_onehot=np.zeros((n, 3)) if aux is None else np.asarray(aux, float))
 
 
 HSPEC = ArchitectureSpec(variant="MT-HCR", input_dim=2,
@@ -222,7 +221,7 @@ def test_stage_loss_matches_numpy(net, reg_norm):
     model = build_model(spec, seed=14)
     tg = LossTargets.from_dataset(ds, feats, spec.bins)
     if net == "cot_net":
-        tg = tg.take(np.flatnonzero(tg.cloudy))
+        tg = tg.take(np.flatnonzero(tg.l_cloud > 0.0))
     ps = model.subnet_params[net]
     out = model.stage_output(net, tg.x)
     total, br = stage_loss(net, out, tg, spec, ps)
@@ -264,7 +263,7 @@ def test_stage_loss_gradient_matches_finite_differences(net):
     model = build_model(spec, seed=14)
     tg = LossTargets.from_dataset(ds, feats, spec.bins)
     if net != "mask_net":     # the later stages train on cloudy pixels
-        tg = tg.take(np.flatnonzero(tg.cloudy))
+        tg = tg.take(np.flatnonzero(tg.l_cloud > 0.0))
 
     def loss_fn(ps):
         return stage_loss(net, model.stage_output(net, tg.x), tg, spec, ps)[0]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudmtl import engine as E
-from cloudmtl.errors import DimensionError
+from cloudmtl.errors import DimensionError, StateError
 
 
 def test_constant_wraps_float64():
@@ -129,6 +129,41 @@ def test_backward_rejects_shape_mismatch():
     out = E.reduce_sum(x)
     with pytest.raises(DimensionError):
         E.backward(out, upstream=np.ones(3))
+
+
+#: operand checks: (call, error type, its message)
+BAD_OPERANDS = {
+    "matmul-1d": (lambda: E.matmul(np.ones(3), np.ones((3, 2))), DimensionError,
+                  "matmul expects 2-D operands, got (3,) and (3, 2)"),
+    "transpose-1d": (lambda: E.transpose(np.ones(3)), DimensionError,
+                     "transpose expects a 2-D operand, got (3,)"),
+    "dense-bias": (lambda: E.dense(np.ones((1, 2)), np.ones((2, 3)), np.ones(2)),
+                   DimensionError,
+                   "dense bias shape (2,) incompatible with weight (2, 3)"),
+    "l1-norm-empty": (lambda: E.l1_norm([]), DimensionError,
+                      "l1_norm needs at least one tensor"),
+    "attention-k-v": (lambda: E.attention_mix(np.ones((2, 3)), np.ones((2, 3)),
+                                              np.ones((2, 4))), DimensionError,
+                      "attention_mix expects (n,d),(n,e),(n,e), got (2, 3), "
+                      "(2, 3) and (2, 4)"),
+    "col-1d": (lambda: E.col(np.ones(3), 0), DimensionError,
+               "col expects a 2-D operand, got (3,)"),
+    "col-past-end": (lambda: E.col(np.ones((2, 3)), 3), DimensionError,
+                     "column 3 out of range for shape (2, 3)"),
+    "as-column-2d": (lambda: E.as_column(np.ones((2, 3))), DimensionError,
+                     "as_column expects a 1-D operand, got (2, 3)"),
+    "backward-array": (lambda: E.backward(np.ones(2)), StateError,
+                       "backward requires a Tensor produced by a recorded "
+                       "forward pass"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OPERANDS)
+def test_op_rejects_a_bad_operand(case):
+    call, error, message = BAD_OPERANDS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_div_and_log_grads():

@@ -191,8 +191,9 @@ def unchunked_stage_subset(model, targets):
     with no_grad():
         u_cloud = model.stage_output(next(iter(SEQ_STAGES)),
                                      targets.x).value[:, 0]
-    idx = np.flatnonzero((u_cloud >= model.spec.threshold) & targets.cloudy)
-    return idx if idx.size else np.flatnonzero(targets.cloudy)
+    cloudy = targets.l_cloud > 0.0
+    idx = np.flatnonzero((u_cloud >= model.spec.threshold) & cloudy)
+    return idx if idx.size else np.flatnonzero(cloudy)
 
 
 def unchunked_train(model, train, config, val):
