@@ -17,14 +17,13 @@ partitions by ``--k`` and uses no field of the split plan.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .atomic import write_text
 from .data import SplitPlan, generate_dataset, get_sensor, load_csv, save_csv
 from .engine import TrainConfig, dumps_deterministic
-from .errors import CloudMtlError, ConfigError, DataError
+from .errors import CloudMtlError, ConfigError, DataError, read_json
 from .models import COMPLEXITY_ORDER, VARIANTS, ArchitectureSpec
 from .models.network import one_blas_thread
 from .selection import compute_selection, read_stats_grid, render_table, write_fold_values_csv
@@ -47,25 +46,6 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expects comma-separated integers, got {text!r}") from None
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON ({e})") from None
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    return doc
 
 
 def _section(args: argparse.Namespace, file_cfg: dict, key: str) -> dict:
@@ -122,7 +102,7 @@ def _run_inputs(args: argparse.Namespace):
     when given), then build the architecture of each requested variant, the
     training config and the split plan, in that order. A ConfigError in a
     setting is prefixed with the ``--config`` path when there is one."""
-    file_cfg = _load_config_file(args.config)
+    file_cfg = read_json(args.config) if args.config is not None else {}
     sensor = get_sensor(args.sensor) if args.sensor else None
     ds = load_csv(args.data, sensor=sensor)
     variants = ([args.variant] if args.cmd == "train"
@@ -214,8 +194,10 @@ def cmd_kfold(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    grid = read_stats_grid(args.grid)
     order = _parse_name_list(args.complexity, "complexity")
+    if len(set(order)) != len(order):
+        raise ConfigError(f"--complexity names a model twice: {order}")
+    grid = read_stats_grid(args.grid)
     weights = None
     if args.weights:
         weights = {}
@@ -228,7 +210,10 @@ def cmd_select(args: argparse.Namespace) -> int:
                 weights[k.strip()] = float(v)
             except ValueError:
                 raise ConfigError(f"weight for {k.strip()!r} is not numeric") from None
-    scores = compute_selection(grid, order, weights=weights)
+    try:
+        scores = compute_selection(grid, order, weights=weights)
+    except ConfigError as e:
+        raise ConfigError(f"{args.grid}: {e}") from None
     scores_json = dumps_deterministic(scores.to_dict()) + "\n"
     table = render_table(scores, grid)
     os.makedirs(args.out, exist_ok=True)

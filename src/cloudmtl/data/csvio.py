@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from ..atomic import atomic_write
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, reading
 from .dataset import FLOAT_COLUMNS, PixelDataset, LABEL_CLEAR, LABEL_NAMES
 from .sensors import (
     ANCILLARY_FEATURES, GEOMETRY_FEATURES, SURFACE_TYPES, SensorConfig,
@@ -169,7 +169,7 @@ def _load_fast(path: str, sensor: SensorConfig | None) -> PixelDataset | None:
     max_line = csv.field_size_limit()
     pixel_id, surface, label = array("q"), array("q"), array("q")
     cot = array("d")
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with reading(path) as f:
         head = f.readline().rstrip("\r\n")
         if '"' in head or len(head) > max_line:
             return None
@@ -203,24 +203,18 @@ def _load_fast(path: str, sensor: SensorConfig | None) -> PixelDataset | None:
 def read_csv_file(path: str, parse: Callable):
     """``parse(header, records, path)`` on the CSV file ``path``, where
     ``records`` yields ``(at, fields)`` per non-blank record, ``at`` being
-    ``"<path>: line N"``. A wrong field count, no records, an empty, missing
-    or non-UTF-8 file or a ``csv`` error raise :class:`DataError` naming the
-    file, and the line if known."""
-    try:
-        f = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    try:
-        with f:
-            reader = csv.reader(f)
+    ``"<path>: line N"``. A wrong field count, no records, an empty file, a
+    ``csv`` error or any failure of :func:`~cloudmtl.errors.reading` raise
+    :class:`DataError` naming the file, and the line if known."""
+    with reading(path) as f:
+        reader = csv.reader(f)
+        try:
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: empty file")
             return parse(header, _records(reader, path, len(header)), path)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _records(reader, path: str, width: int):

@@ -167,6 +167,19 @@ class Standardizer:
         return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(mean=np.asarray(d["mean"], dtype=np.float64),
-                   scale=np.asarray(d["scale"], dtype=np.float64))
+    def from_dict(cls, d) -> "Standardizer":
+        """The standardizer of a :meth:`to_dict` document; raises DataError
+        unless ``d`` lists finite means and as many finite positive scales."""
+        if not isinstance(d, dict) or not {"mean", "scale"} <= set(d):
+            raise DataError("standardizer must hold mean and scale")
+        try:
+            mean, scale = (np.asarray(d[k], float) for k in ("mean", "scale"))
+        except (TypeError, ValueError) as e:
+            raise DataError(f"standardizer: {e}") from None
+        if (mean.ndim != 1 or scale.shape != mean.shape
+                or not np.isfinite(np.concatenate([mean, scale])).all()):
+            raise DataError("standardizer mean and scale must be equal-length "
+                            f"finite lists, got shapes {mean.shape}, {scale.shape}")
+        if not (scale > 0).all():
+            raise DataError("standardizer scale must be positive")
+        return cls(mean=mean, scale=scale)

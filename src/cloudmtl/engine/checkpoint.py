@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from typing import Any
 
 import numpy as np
 
 from ..atomic import write_text
-from ..errors import DataError, NumericError
+from ..errors import DataError, NumericError, read_json
 from .params import ParamStore
 
 
@@ -111,28 +110,17 @@ def save_checkpoint(path: str, params: ParamStore,
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read a checkpoint; returns the document with values as float64 arrays.
-
-    The returned dict has keys ``format_version``, ``architecture``,
-    ``config``, ``extras`` and ``values`` (name -> ndarray). A file that is
-    not UTF-8 JSON, or a parameter entry that is not an object with positive
-    JSON integer ``rows``/``cols``, as many finite values and an integer
-    ``ndim`` of 2, or of 1 with one row, raises :class:`DataError` naming
-    the path (and the parameter).
-    """
-    if not os.path.exists(path):
-        raise DataError(f"checkpoint file not found: {path}")
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise DataError(f"checkpoint {path} is not valid JSON: {e}") from e
-        except UnicodeDecodeError as e:
-            raise DataError(f"checkpoint {path} is not UTF-8 text ({e.reason})") from None
-    if not isinstance(doc, dict) or doc.get("format_version") != 1:
+    """The checkpoint in ``path``, read by :func:`~cloudmtl.errors.read_json`:
+    its ``format_version``, ``architecture``, ``config``, ``extras`` and
+    ``values`` (name -> float64 array). A parameter entry that is not an
+    object with a new name, positive JSON integer ``rows``/``cols``, as many
+    finite values and an integer ``ndim`` of 2, or of 1 with one row, raises
+    :class:`DataError` naming the path and the parameter."""
+    doc = read_json(path)
+    if doc.get("format_version") != 1:
         raise DataError(
             f"checkpoint {path}: unsupported or missing format_version "
-            f"{doc.get('format_version') if isinstance(doc, dict) else doc!r}")
+            f"{doc.get('format_version')!r}")
     entries = doc.get("parameters", [])
     if not isinstance(entries, list):
         raise DataError(f"checkpoint {path}: parameters must be a list")
@@ -147,6 +135,8 @@ def load_checkpoint(path: str) -> dict:
         where = f"checkpoint {path}: parameter {name!r}"
         if not isinstance(name, str):
             raise DataError(f"{where}: name must be a string")
+        if name in values:
+            raise DataError(f"{where} appears twice")
         rows, cols, ndim = entry["rows"], entry["cols"], entry.get("ndim", 2)
         for key, value in (("rows", rows), ("cols", cols), ("ndim", ndim)):
             if isinstance(value, bool) or not isinstance(value, int):
@@ -163,10 +153,6 @@ def load_checkpoint(path: str) -> dict:
         if ndim not in (1, 2) or ndim == 1 and rows != 1:
             raise DataError(f"{where} declares ndim {ndim} for {rows}x{cols} values")
         values[name] = vals.reshape((rows, cols)[-ndim:])
-    return {
-        "format_version": 1,
-        "architecture": doc.get("architecture"),
-        "config": doc.get("config"),
-        "extras": doc.get("extras"),
-        "values": values,
-    }
+    return {"format_version": 1,
+            **{key: doc.get(key) for key in ("architecture", "config", "extras")},
+            "values": values}

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package, the one setting check,
+"""Exception taxonomy, the one setting check, the reader of every input file
 and the checked reader that builds a config dataclass from a JSON document.
 
 The CLI maps these onto exit codes: configuration/data/usage problems exit
@@ -6,10 +6,12 @@ with 2, runtime numeric failures with 1 (see cli.main).
 """
 
 import dataclasses
+import json
 import math
 import numbers
 import types
 import typing
+from contextlib import contextmanager
 
 
 class CloudMtlError(Exception):
@@ -112,3 +114,30 @@ def from_doc(cls, doc, what: str):
         raise ConfigError(f"missing {what} fields: {missing}")
     return cls(**{k: tuple(v) if isinstance(v, list) else v
                   for k, v in doc.items()})
+
+
+@contextmanager
+def reading(path: str) -> typing.Iterator[typing.IO[str]]:
+    """Open ``path`` as UTF-8 text, newlines as they are; a failure to open
+    or read it, or bytes not UTF-8, raise :class:`DataError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            yield f
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+def read_json(path: str) -> dict:
+    """The JSON object in ``path``, read by :func:`reading`; invalid JSON
+    or another top level raises :class:`DataError` naming the path."""
+    with reading(path) as f:
+        text = f.read()
+    try:
+        doc = json.loads(text)
+    except ValueError as e:              # bad JSON, or an integer too long
+        raise DataError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: top level must be a JSON object")
+    return doc

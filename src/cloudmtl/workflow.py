@@ -188,38 +188,23 @@ def load_trained(path: str) -> tuple[Model, Standardizer, dict]:
     parts do not fit together raises :class:`DataError` naming the path."""
     doc = load_checkpoint(path)
     extras = doc["extras"] if doc["extras"] is not None else {}
-    if not isinstance(extras, dict):
-        raise DataError(f"{path}: checkpoint extras must be an object")
     try:
+        if not isinstance(extras, dict):
+            raise DataError("checkpoint extras must be an object")
+        if "standardizer" not in extras:
+            raise DataError("checkpoint lacks standardizer statistics")
         config = TrainConfig.from_dict(
             {} if doc["config"] is None else doc["config"])
         spec = ArchitectureSpec.from_dict(doc["architecture"])
         model = build_model(spec, config.seed)
         model.params.load_values(doc["values"])
-    except (ConfigError, StateError) as e:
+        standardizer = Standardizer.from_dict(extras["standardizer"])
+        if standardizer.mean.shape != (spec.input_dim,):
+            raise DataError(f"standardizer holds {standardizer.mean.size} "
+                            f"features, the architecture {spec.input_dim}")
+    except (ConfigError, DataError, StateError) as e:
         raise DataError(f"{path}: {e}") from None
-    if "standardizer" not in extras:
-        raise DataError(f"{path}: checkpoint lacks standardizer statistics")
-    standardizer = _checked_standardizer(extras["standardizer"], spec.input_dim,
-                                         path)
     return model, standardizer, doc
-
-
-def _checked_standardizer(d, input_dim: int, path: str) -> Standardizer:
-    if not isinstance(d, dict) or not {"mean", "scale"} <= set(d):
-        raise DataError(f"{path}: standardizer must hold mean and scale")
-    try:
-        std = Standardizer.from_dict(d)
-    except (TypeError, ValueError) as e:
-        raise DataError(f"{path}: standardizer: {e}") from None
-    for name, v in (("mean", std.mean), ("scale", std.scale)):
-        if v.shape != (input_dim,) or not np.isfinite(v).all():
-            raise DataError(
-                f"{path}: standardizer {name} must be {input_dim} finite "
-                f"values, got shape {v.shape}")
-    if not (std.scale > 0).all():
-        raise DataError(f"{path}: standardizer scale must be positive")
-    return std
 
 
 def _report_cell(report: EvalReport, attr: str, context: str) -> float:

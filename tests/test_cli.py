@@ -316,7 +316,7 @@ def test_train_config_directory_exits_2(tmp_path, data_csv, capsys):
 #: --config files the reader refuses: (the file's text, None for no file;
 #: what the error says)
 UNREADABLE_CONFIGS = [
-    (None, "config file not found: "),
+    (None, "cannot read "),
     ('{"train": ', ": invalid JSON ("),
     ("[1, 2]", ": top level must be a JSON object"),
 ]
@@ -713,15 +713,25 @@ BAD_SELECTIONS = {
     "mixed-directions": (
         f"{GRID_HEAD},mu,se\nMT-CR,D,MSE,lower,0.5,0.01\n"
         "MT-HCR,D,MSE,higher,0.4,0.01\n", [],
-        "error: metric 'MSE' has inconsistent direction flags\n"),
+        "error: {path}: metric 'MSE' has inconsistent direction flags\n"),
     "zero-best-mean": (
         f"{GRID_HEAD},mu,se\nMT-CR,D,ACC,higher,0,0.01\n"
         "MT-HCR,D,ACC,higher,0,0.01\n", [],
-        "error: relative gap undefined: best mean is 0 in cell (D, ACC)\n"),
+        "error: {path}: relative gap undefined: best mean is 0 in cell "
+        "(D, ACC)\n"),
+    "duplicate-row": (
+        f"{GRID_HEAD},mu,se\nMT-CR,D,ACC,higher,0.5,0.01\n"
+        "MT-CR,D,ACC,higher,0.4,0.01\n", [],
+        "error: {path}: duplicate statistics for model 'MT-CR'\n"),
+    "incomplete": (
+        f"{GRID_HEAD},mu,se\nMT-CR,D,ACC,higher,0.5,0.01\n"
+        "MT-HCR,D,MSE,lower,0.4,0.01\n", [],
+        "error: {path}: incomplete grid; missing (model, dataset, metric) "
+        "cells: [('MT-HCR', 'D', 'ACC'), ('MT-CR', 'D', 'MSE')]\n"),
+    # refused before the grid, which is not a grid at all, is read
     "duplicate-complexity": (
-        f"{GRID_HEAD},mu,se\nMT-CR,D,ACC,higher,0.5,0.01\n",
-        ["--complexity", "MT-CR,MT-CR,MT-HCR"],
-        "error: complexity order contains duplicates: "
+        "not a grid\n", ["--complexity", "MT-CR,MT-CR,MT-HCR"],
+        "error: --complexity names a model twice: "
         "['MT-CR', 'MT-CR', 'MT-HCR']\n"),
     "unknown-tail": (
         f"{GRID_HEAD},mean,se\nMT-CR,D,ACC,higher,0.5,0.01\n", [],

@@ -12,7 +12,7 @@ from cloudmtl.data.dataset import (
 from cloudmtl.data.synth import (
     DEFAULT_PRIORS, _sig, _surface_albedo_table, cloud_growth,
 )
-from cloudmtl.errors import ConfigError
+from cloudmtl.errors import ConfigError, DataError
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +187,47 @@ def test_generate_peak_is_about_the_result():
     result = sum(v.nbytes for v in vars(ds).values()
                  if isinstance(v, np.ndarray))
     assert peak <= 3 * result, f"generate_dataset {peak / result:.2f}x"
+
+
+def _clear_pixel_with_thickness(ds):
+    i = int(np.flatnonzero(ds.label == LABEL_CLEAR)[0])
+    ds.cot_log10[i] = 0.5
+    return i
+
+
+#: (case, edit of a valid 12-pixel dataset, returning the pixel it edits
+#: if the message names it; what ``validate`` says)
+INVALID_DATASETS = [
+    ("short column", lambda ds: setattr(ds, "ozone", ds.ozone[:-1]),
+     "column 'ozone' has shape (11,), expected (12,)"),
+    ("too few bands",
+     lambda ds: setattr(ds, "reflectance", ds.reflectance[:, :-1]),
+     "reflectance has shape (12, 5), expected (12, 6) for sensor ABI"),
+    ("label 3", lambda ds: ds.label.__setitem__(4, 3),
+     "pixel 4: label 3 not in {0,1,2}"),
+    ("surface code 4", lambda ds: ds.surface.__setitem__(7, 4),
+     "pixel 7: surface code 4 out of range"),
+    ("clear with thickness", _clear_pixel_with_thickness,
+     "pixel {i}: clear but cot_log10 is present"),
+]
+
+
+@pytest.mark.parametrize("case,edit,says", INVALID_DATASETS,
+                         ids=[c[0] for c in INVALID_DATASETS])
+def test_validate_names_what_is_wrong(case, edit, says):
+    ds = generate_dataset(get_sensor("ABI"), 12, seed=2)
+    says = says.replace("{i}", str(edit(ds)))
+    with pytest.raises(DataError) as err:
+        ds.validate()
+    assert str(err.value) == says
+
+
+def test_standardizer_refuses_no_rows_and_a_wrong_width():
+    with pytest.raises(DataError) as err:
+        Standardizer.fit(np.zeros((0, 3)))
+    assert str(err.value) == "cannot fit standardizer on shape (0, 3)"
+    std = Standardizer.fit(np.arange(12.0).reshape(4, 3))
+    with pytest.raises(DataError) as err:
+        std.transform(np.zeros((2, 2)))
+    assert str(err.value) == ("feature dimension 2 does not match "
+                              "standardizer dimension 3")

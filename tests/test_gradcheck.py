@@ -5,7 +5,7 @@ import pytest
 
 from cloudmtl import engine as E
 from cloudmtl.engine import ParamStore, finite_diff_check
-from cloudmtl.errors import DeterminismError
+from cloudmtl.errors import DeterminismError, NumericError
 
 
 def _quadratic_store():
@@ -110,3 +110,27 @@ def test_zero_analytic_gradient_with_fd_noise_passes():
     assert rep.checked == 1 and not rep.skipped
     assert rep.passed
     assert "(0 kink-skipped, 1 below FD resolution)" in rep.summary()
+
+
+def test_non_scalar_loss_is_refused():
+    ps = _quadratic_store()
+    with pytest.raises(NumericError) as err:
+        finite_diff_check(lambda p: p["w"], ps)
+    assert str(err.value) == (
+        "finite_diff_check requires a scalar loss, got shape (2, 2)")
+
+
+def test_non_finite_loss_is_refused():
+    with pytest.raises(NumericError) as err:
+        finite_diff_check(lambda p: E.constant(np.inf), _quadratic_store())
+    assert str(err.value) == "loss is non-finite at the evaluation point: inf"
+
+
+def test_non_contiguous_parameter_is_checked_on_a_contiguous_copy():
+    ps = ParamStore()
+    ps.add("w", np.asfortranarray(np.arange(1.0, 5.0).reshape(2, 2)))
+    assert not ps["w"].value.flags["C_CONTIGUOUS"]
+    rep = finite_diff_check(lambda p: E.reduce_sum(E.mul(p["w"], p["w"])), ps)
+    assert rep.passed and rep.checked == 4
+    assert ps["w"].value.flags["C_CONTIGUOUS"]
+    assert np.array_equal(ps["w"].value, np.arange(1.0, 5.0).reshape(2, 2))

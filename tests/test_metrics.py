@@ -280,3 +280,17 @@ def test_fmg_validation():
         fmg(np.zeros(2), np.zeros(3), np.zeros(2, dtype=bool))
     with pytest.raises(NumericError):
         fmg(np.array([np.nan]), np.array([1.0]), np.array([True]))
+
+
+def test_scores_and_labels_of_different_lengths_are_refused():
+    with pytest.raises(DimensionError) as err:
+        auprc_class(np.zeros(3), np.zeros(2))
+    assert str(err.value) == ("scores (3,) and labels (2,) must be "
+                              "equal-length vectors")
+
+
+def test_weighted_auprc_without_positives_is_undefined():
+    with pytest.raises(MetricUndefinedError) as err:
+        auprc_weighted([(np.array([0.2, 0.7]), np.array([0, 0])),
+                        (np.array([0.4]), np.array([False]))])
+    assert str(err.value) == "weighted AUPRC undefined without positive labels"

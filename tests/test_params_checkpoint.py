@@ -9,7 +9,10 @@ import pytest
 import cloudmtl.engine as E
 from cloudmtl import workflow
 from cloudmtl.cli import main
-from cloudmtl.engine import ParamStore, glorot_uniform, load_checkpoint, save_checkpoint
+from cloudmtl.engine import (
+    ParamStore, dumps_deterministic, glorot_uniform, load_checkpoint,
+    save_checkpoint,
+)
 from cloudmtl.engine import params as params_module
 from cloudmtl.errors import ConfigError, DataError, NumericError, StateError
 from cloudmtl.models import VARIANTS, ArchitectureSpec, build_model
@@ -115,6 +118,26 @@ def test_checkpoint_file_is_deterministic(tmp_path):
     save_checkpoint(p1, ps, architecture={}, config={}, extras={})
     save_checkpoint(p2, ps, architecture={}, config={}, extras={})
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_glorot_refuses_a_zero_fan():
+    with pytest.raises(ConfigError) as err:
+        glorot_uniform(np.random.default_rng(0), 0, 3)
+    assert str(err.value) == "fan_in/fan_out must be positive, got 0, 3"
+
+
+def test_checkpoint_refuses_what_it_cannot_write(tmp_path):
+    with pytest.raises(DataError) as err:
+        dumps_deterministic({"a": [object()]})
+    assert str(err.value) == "cannot serialize object of type object"
+    ps = ParamStore()
+    ps.add("cube", np.zeros((2, 2, 2)))
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(DataError) as err:
+        save_checkpoint(str(path), ps)
+    assert str(err.value) == ("checkpoint supports 1-D and 2-D parameters, "
+                              "'cube' has shape (2, 2, 2)")
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_non_finite(tmp_path):
@@ -298,6 +321,20 @@ MALFORMED_DOCUMENT = [
      "standardizer: could not convert string to float: 'a'"),
     ("zero scale", _standardizer(lambda d: d["scale"].__setitem__(3, 0.0)),
      "standardizer scale must be positive"),
+    ("infinite scale",
+     _standardizer(lambda d: d["scale"].__setitem__(3, "BIG")),
+     "standardizer mean and scale must be equal-length finite lists, got "
+     "shapes (16,), (16,)"),
+    ("mean a matrix", _standardizer(lambda d: d.update(mean=[d["mean"]])),
+     "standardizer mean and scale must be equal-length finite lists, got "
+     "shapes (1, 16), (16,)"),
+    ("standardizer too wide", _standardizer(lambda d: d.update(
+        mean=d["mean"] * 2, scale=d["scale"] * 2)),
+     "standardizer holds 32 features, the architecture 16"),
+    ("parameter twice",
+     lambda doc: doc["parameters"].append({**doc["parameters"][0], "values": [
+         9.0] * len(doc["parameters"][0]["values"])}),
+     "parameter 'encoder.0.w' appears twice"),
 ]
 
 
@@ -308,18 +345,42 @@ def test_load_trained_says_what_is_wrong(tmp_path, checkpoint_doc, case, edit,
     doc = json.loads(json.dumps(checkpoint_doc))
     edit(doc)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace('"BIG"', "1e400"))
     assert says in _load_error(path)
 
 
 def test_load_trained_rejects_a_missing_or_non_json_file(tmp_path):
     path = tmp_path / "checkpoint.json"
-    assert "checkpoint file not found" in _load_error(path)
+    assert _load_error(path) == f"cannot read {path}: No such file or directory"
     path.write_text('{"format_version": 1,')
-    assert "is not valid JSON" in _load_error(path)
+    assert _load_error(path) == (
+        f"{path}: invalid JSON (Expecting property name enclosed in double "
+        "quotes: line 1 column 22 (char 21))")
 
 
 def test_load_trained_rejects_non_utf8_checkpoint(tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b'{"format_version": 1, "parameters": ["\xff"]}')
-    assert "is not UTF-8 text" in _load_error(path)
+    assert _load_error(path) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
+#: files that hold no JSON object: (case, how to make one at a path, what
+#: the error says after the path)
+NOT_AN_OBJECT = [
+    ("directory", lambda p: p.mkdir(), "cannot read {path}: Is a directory"),
+    ("a list", lambda p: p.write_text("[1, 2]"),
+     "{path}: top level must be a JSON object"),
+    ("an integer too long", lambda p: p.write_text("1" * 5000),
+     "{path}: invalid JSON (Exceeds the limit (4300 digits) for integer "
+     "string conversion: value has 5000 digits; use "
+     "sys.set_int_max_str_digits() to increase the limit)"),
+]
+
+
+@pytest.mark.parametrize("case,make,says", NOT_AN_OBJECT,
+                         ids=[c[0] for c in NOT_AN_OBJECT])
+def test_load_trained_rejects_a_file_without_a_json_object(tmp_path, case,
+                                                           make, says):
+    path = tmp_path / "checkpoint.json"
+    make(path)
+    assert _load_error(path) == says.format(path=path)

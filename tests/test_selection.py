@@ -237,3 +237,41 @@ def test_render_table_contains_all_cells():
         assert f"metric: {metric}" in text
     assert "totals" in text
     assert text.count("MT-HCCAR") == 13  # 12 cells + totals line
+
+
+def test_malformed_exponent_is_refused():
+    with pytest.raises(DataError) as err:
+        display_quantum("1e")
+    assert str(err.value) == "malformed exponent in '1e'"
+
+
+def test_no_fold_rows_are_refused(tmp_path):
+    path = tmp_path / "folds.csv"
+    with pytest.raises(DataError) as err:
+        write_fold_values_csv(str(path), [])
+    assert str(err.value) == "no rows to write"
+    assert not path.exists()
+
+
+def test_summary_without_a_decimal_quantum_writes_repr(tmp_path):
+    """A mean whose quantum is 0, or is not half a unit of a decimal place,
+    is written by ``repr``; one of 0.0005 gets three decimals."""
+    grid = [FoldStats("A", "D", "ACC", False, 0.25, 0.01, mu_quantum=q)
+            for q in (0.0, 0.3, 5.0, 0.0005)]
+    path = tmp_path / "grid.csv"
+    write_summary_csv(str(path), grid)
+    rows = path.read_text().splitlines()[1:]
+    assert [r.split(",")[4] for r in rows] == ["0.25", "0.25", "0.25", "0.250"]
+
+
+def test_empty_grid_is_refused():
+    with pytest.raises(ConfigError) as err:
+        compute_selection([], ORDER)
+    assert str(err.value) == "selection grid is empty"
+
+
+def test_complexity_order_with_a_repeat_is_refused():
+    order = ("MT-CR", "MT-HCR", "MT-CR", "MT-HCCAR")
+    with pytest.raises(ConfigError) as err:
+        compute_selection(reference_grid(), order)
+    assert str(err.value) == f"complexity order contains duplicates: {order}"

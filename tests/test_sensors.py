@@ -60,3 +60,9 @@ def test_validate_rejects_disorder():
 
 def test_surface_types_fixed():
     assert SURFACE_TYPES == ("land", "snow", "desert", "ocean")
+
+
+def test_validate_rejects_no_bands():
+    with pytest.raises(ConfigError) as err:
+        validate_sensor(SensorConfig("NONE", ()))
+    assert str(err.value) == "sensor 'NONE' has no bands"

@@ -84,3 +84,9 @@ def test_kfold_partition_property(n, k, seed):
     assert set(union.tolist()) == set(range(n))
     sizes = [len(f) for f in folds]
     assert max(sizes) - min(sizes) <= 1
+
+
+def test_split_of_no_pixels_is_refused():
+    with pytest.raises(ConfigError) as err:
+        split_indices(0, SplitPlan())
+    assert str(err.value) == "cannot split an empty dataset (n=0)"

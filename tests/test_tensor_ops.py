@@ -195,3 +195,8 @@ def test_forward_never_mutates_inputs():
     E.softmax_rows(x)
     E.clamp(x, 0.0, 1.5)
     assert np.array_equal(x.value, [[1.0, 2.0]])
+
+
+def test_repr_gives_the_shape_and_any_name():
+    assert repr(E.constant(np.zeros((2, 3)))) == "Tensor(shape=(2, 3))"
+    assert repr(E.constant(1.0, name="w")) == "Tensor(shape=() name='w')"
