@@ -136,7 +136,7 @@ def read_json(path: str) -> dict:
         text = f.read()
     try:
         doc = json.loads(text)
-    except ValueError as e:              # bad JSON, or an integer too long
+    except (ValueError, RecursionError) as e:  # also too long or too deep
         raise DataError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: top level must be a JSON object")

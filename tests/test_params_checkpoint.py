@@ -364,8 +364,8 @@ def test_load_trained_rejects_non_utf8_checkpoint(tmp_path):
     assert _load_error(path) == f"{path}: not UTF-8 text (invalid start byte)"
 
 
-#: files that hold no JSON object: (case, how to make one at a path, what
-#: the error says after the path)
+#: files that hold no JSON object: (case, how to make one at a path, the
+#: whole message, with {path} for it)
 NOT_AN_OBJECT = [
     ("directory", lambda p: p.mkdir(), "cannot read {path}: Is a directory"),
     ("a list", lambda p: p.write_text("[1, 2]"),
@@ -374,6 +374,9 @@ NOT_AN_OBJECT = [
      "{path}: invalid JSON (Exceeds the limit (4300 digits) for integer "
      "string conversion: value has 5000 digits; use "
      "sys.set_int_max_str_digits() to increase the limit)"),
+    ("nested too deep", lambda p: p.write_text("[" * 100_000),
+     "{path}: invalid JSON (maximum recursion depth exceeded while decoding "
+     "a JSON array from a unicode string)"),
 ]
 
 
