@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from .atomic import write_text
 from .data import SplitPlan, generate_dataset, get_sensor, load_csv, save_csv
@@ -26,16 +27,19 @@ from .engine import TrainConfig, dumps_deterministic
 from .errors import CloudMtlError, ConfigError, DataError, read_json
 from .models import COMPLEXITY_ORDER, VARIANTS, ArchitectureSpec
 from .models.network import one_blas_thread
-from .selection import compute_selection, read_stats_grid, render_table, write_fold_values_csv
+from .selection import compute_selection, read_stats_grid, render_table
 from . import workflow
 
 DEFAULT_COMPLEXITY = ",".join(COMPLEXITY_ORDER)
 
 
-def _parse_name_list(text: str, what: str) -> list[str]:
+def _parse_name_list(text: str, flag: str) -> list[str]:
+    """The names of ``flag``'s ``text``: one or more, each once."""
     names = [t.strip() for t in text.split(",") if t.strip()]
     if not names:
-        raise ConfigError(f"empty {what} list: {text!r}")
+        raise ConfigError(f"empty {flag} list: {text!r}")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"{flag} names a model twice: {names}")
     return names
 
 
@@ -97,16 +101,18 @@ def _run_parents() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return run, split
 
 
+@contextmanager
 def _run_inputs(args: argparse.Namespace):
-    """Read ``--config`` and ``--data`` (cross-checked against ``--sensor``
-    when given), then build the architecture of each requested variant, the
-    training config and the split plan, in that order. A ConfigError in a
-    setting is prefixed with the ``--config`` path when there is one."""
+    """Check the variant list, read ``--config`` and ``--data`` (checked
+    against ``--sensor`` when given), then yield the architecture of each
+    variant, the training config and the split plan. A ConfigError in a
+    setting is prefixed with the ``--config`` path when there is one, and a
+    DataError of the run inside, which refuses the pixels, with ``--data``."""
+    variants = ([args.variant] if args.cmd == "train"
+                else _parse_name_list(args.variants, "--variants"))
     file_cfg = read_json(args.config) if args.config is not None else {}
     sensor = get_sensor(args.sensor) if args.sensor else None
     ds = load_csv(args.data, sensor=sensor)
-    variants = ([args.variant] if args.cmd == "train"
-                else _parse_name_list(args.variants, "variant"))
     try:
         arch = _section(args, file_cfg, "architecture")
         specs = [ArchitectureSpec.from_dict(
@@ -118,7 +124,10 @@ def _run_inputs(args: argparse.Namespace):
         if args.config is None:
             raise
         raise ConfigError(f"{args.config}: {e}") from None
-    return ds, specs, config, plan
+    try:
+        yield ds, specs, config, plan
+    except DataError as e:
+        raise DataError(f"{args.data}: {e}") from None
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -146,11 +155,11 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    ds, (spec,), config, plan = _run_inputs(args)
-    result = workflow.run_training(
-        ds, spec, config, plan, outdir=args.outdir,
-        dump_scatter=args.dump_scatter, sensor_name=ds.sensor.name,
-        data_source={"path": args.data})
+    with _run_inputs(args) as (ds, (spec,), config, plan):
+        result = workflow.run_training(
+            ds, spec, config, plan, outdir=args.outdir,
+            dump_scatter=args.dump_scatter, sensor_name=ds.sensor.name,
+            data_source={"path": args.data})
     for key, records in result.train_result.histories.items():
         if not records:
             continue
@@ -170,9 +179,10 @@ def _fmt_opt(v: float | None) -> str:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    ds, specs, config, plan = _run_inputs(args)
-    results = workflow.run_ablation(ds, specs, config, plan,
-                                    outdir=args.outdir, sensor_name=ds.sensor.name)
+    with _run_inputs(args) as (ds, specs, config, plan):
+        results = workflow.run_ablation(ds, specs, config, plan,
+                                        outdir=args.outdir,
+                                        sensor_name=ds.sensor.name)
     for spec in specs:
         r = results[spec.variant]
         print(f"{spec.variant}: params={r.model.params.param_count()} "
@@ -182,21 +192,17 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_kfold(args: argparse.Namespace) -> int:
-    ds, specs, config, _ = _run_inputs(args)
-    label = args.dataset_label or ds.sensor.name
-    result = workflow.run_kfold(ds, specs, config, args.k,
-                                outdir=args.outdir, dataset_label=label)
-    grid_path = os.path.join(args.outdir, "fold_values.csv")
-    write_fold_values_csv(grid_path, result.fold_rows)
-    print(f"{args.k}-fold run over {len(specs)} variants; "
-          f"fold grid: {grid_path}")
+    with _run_inputs(args) as (ds, specs, config, _):
+        label = args.dataset_label or ds.sensor.name
+        workflow.run_kfold(ds, specs, config, args.k, outdir=args.outdir,
+                           dataset_label=label)
+    print(f"{args.k}-fold run over {len(specs)} variants; fold grid: "
+          f"{os.path.join(args.outdir, workflow.FOLD_GRID_NAME)}")
     return 0
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    order = _parse_name_list(args.complexity, "complexity")
-    if len(set(order)) != len(order):
-        raise ConfigError(f"--complexity names a model twice: {order}")
+    order = _parse_name_list(args.complexity, "--complexity")
     grid = read_stats_grid(args.grid)
     weights = None
     if args.weights:

@@ -1,8 +1,7 @@
 """Sensor registry, synthetic pixel generation, CSV I/O, and splitting."""
 
 from .sensors import (
-    SensorConfig, get_sensor, sensor_names, validate_sensor,
-    SURFACE_TYPES, BASE_FEATURE_COUNT,
+    SensorConfig, get_sensor, sensor_names, validate_sensor, SURFACE_TYPES,
 )
 from .dataset import (
     PixelDataset, Standardizer,
@@ -15,7 +14,7 @@ from .splits import SplitPlan, split_indices, kfold_indices
 
 __all__ = [
     "SensorConfig", "get_sensor", "sensor_names", "validate_sensor",
-    "SURFACE_TYPES", "BASE_FEATURE_COUNT",
+    "SURFACE_TYPES",
     "PixelDataset", "Standardizer",
     "LABEL_CLEAR", "LABEL_LIQUID", "LABEL_ICE", "LABEL_NAMES",
     "COT_LOG10_MIN", "COT_LOG10_MAX",

@@ -30,7 +30,8 @@ import numpy as np
 
 from ..atomic import atomic_write
 from ..errors import ConfigError, DataError, reading
-from .dataset import FLOAT_COLUMNS, PixelDataset, LABEL_CLEAR, LABEL_NAMES
+from .dataset import (FLOAT_COLUMNS, LABEL_CLEAR, LABEL_NAMES, PixelDataset,
+                      check_cot_range)
 from .sensors import (
     ANCILLARY_FEATURES, GEOMETRY_FEATURES, SURFACE_TYPES, SensorConfig,
     get_sensor, sensor_names, validate_sensor,
@@ -149,7 +150,7 @@ def _dataset(sensor: SensorConfig, pixel_id, surface, label, cot,
         label=np.array(label, dtype=np.int64),
         cot_log10=np.array(cot, dtype=np.float64),
         pixel_id=np.array(pixel_id, dtype=np.int64), **floats)
-    ds.validate()  # non-finite values and cot_log10 out of range fail here
+    ds.validate()  # fast path: a bad value fails here, the row path names its line
     return ds
 
 
@@ -267,11 +268,13 @@ def _parse_rows(header: list[str], records, path: str,
                 f"{at}: clear pixel must have empty cot_log10, got {cot_text!r}")
         if label_text != "clear" and cot_text == "":
             raise DataError(f"{at}: cloudy pixel is missing cot_log10")
+        thickness = (math.nan if label_text == "clear"
+                     else _parse_float(cot_text, at, "cot_log10"))
+        check_cot_range(thickness, f"{at}: ")
         pixel_id.append(pid)
         surface.append(_SURFACE_TO_CODE[row[_SURFACE]])
         block.append(floats)
         label.append(_NAME_TO_LABEL[label_text])
-        cot.append(math.nan if label_text == "clear"
-                   else _parse_float(cot_text, at, "cot_log10"))
+        cot.append(thickness)
     return _dataset(file_sensor, pixel_id, surface, label, cot,
                     np.array(block, dtype=np.float64))

@@ -33,6 +33,16 @@ LABEL_NAMES = {LABEL_CLEAR: "clear", LABEL_LIQUID: "liquid", LABEL_ICE: "ice"}
 COT_LOG10_MIN = -1.5
 COT_LOG10_MAX = 2.5
 
+
+def check_cot_range(cot, where: str = "") -> None:
+    """Raise DataError ``"<where>cot_log10 outside [MIN, MAX]"`` if ``cot``
+    (a number or an array) leaves that range by over 1e-12; NaN passes."""
+    if (np.any(cot < COT_LOG10_MIN - 1e-12)
+            or np.any(cot > COT_LOG10_MAX + 1e-12)):
+        raise DataError(
+            f"{where}cot_log10 outside [{COT_LOG10_MIN}, {COT_LOG10_MAX}]")
+
+
 #: the float fields, in record order: the ancillary values, then the geometry
 FLOAT_COLUMNS = ("pressure", "water_vapor", "ozone",
                  "view_zenith", "solar_zenith", "rel_azimuth")
@@ -99,11 +109,7 @@ class PixelDataset:
             i = int(bad.argmax())
             raise DataError(f"pixel {i}: clear but cot_log10 is present")
         del bad, cloudy, missing
-        # cot_log10 is NaN exactly on clear pixels now, and NaN compares False
-        if (np.any(self.cot_log10 < COT_LOG10_MIN - 1e-12)
-                or np.any(self.cot_log10 > COT_LOG10_MAX + 1e-12)):
-            raise DataError(
-                f"cot_log10 outside [{COT_LOG10_MIN}, {COT_LOG10_MAX}]")
+        check_cot_range(self.cot_log10)  # NaN exactly on clear pixels now
         for name in FLOAT_COLUMNS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DataError(f"column {name!r} contains non-finite values")

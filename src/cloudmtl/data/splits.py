@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import ConfigError, check_number, from_doc, require
+from ..errors import ConfigError, DataError, check_number, from_doc, require
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,10 @@ def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Partition range(n) into k disjoint folds covering every index once.
 
     Fold sizes differ by at most one; the first ``n % k`` folds get the extra
-    element. Requires 2 <= k <= n.
+    element. A k below 2 raises ConfigError, one above n DataError.
     """
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
     if k > n:
-        raise ConfigError(f"k={k} exceeds the number of pixels n={n}")
+        raise DataError(f"k={k} exceeds the number of pixels n={n}")
     return np.array_split(np.random.default_rng(seed).permutation(n), k)

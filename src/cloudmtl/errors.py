@@ -27,7 +27,8 @@ class ConfigError(CloudMtlError, ValueError):
 
 
 class DataError(CloudMtlError, ValueError):
-    """A dataset or file violates the documented schema or invariants."""
+    """A dataset or file violates the documented schema or invariants, or
+    holds too few pixels of a kind for the run asked of it."""
 
 
 class NumericError(CloudMtlError, ArithmeticError):

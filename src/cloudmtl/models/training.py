@@ -30,7 +30,7 @@ from ..engine import (
     TrainConfig, AdamState, ParamStore, backward, no_grad, optimizer_step,
 )
 from ..data.csvio import csv_text
-from ..errors import ConfigError
+from ..errors import ConfigError, DataError
 from .losses import LossTargets, compute_loss, stage_loss
 from .config import SEQ_STAGES
 from .network import Model, SequentialModel, forward_chunks
@@ -143,7 +143,7 @@ def _train_sequential(model: SequentialModel, train_targets: LossTargets,
     train, val = train_targets, val_targets
     for i, net in enumerate(SEQ_STAGES):
         if len(train) == 0:
-            raise ConfigError(f"sequential stage {net} has no training pixels")
+            raise DataError(f"sequential stage {net} has no training pixels")
         histories[net] = _fit(model.subnet_params[net],
                               partial(model.stage_output, net),
                               partial(stage_loss, net, spec=model.spec,

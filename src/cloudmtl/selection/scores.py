@@ -14,12 +14,13 @@ every (dataset, metric) cell:
   metric and overall.
 
 * **Selection-count score** (``p_1se``): per cell, an indicator that the
-  one-standard-error rule picks this model; totals weight each metric by a
-  configurable weight (default 1), so the overall score is the number of
-  cells a model wins.
+  one-standard-error rule picks this model: the earliest in the complexity
+  order whose mean, widened by its ``mu_quantum``, lies within one standard
+  error of the best mean (ties for best go to the earliest). Totals weight
+  each metric (default 1), so the overall score is the cells a model wins.
 
-The grid must be complete (every model needs statistics in every cell),
-otherwise the missing cells are reported in the error.
+``_group_grid`` checks the grid once: complete, each (model, dataset,
+metric) once, and each model once in the complexity order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Sequence
 
 from ..errors import ConfigError, check_number
 from .stats import FoldStats
-from .rules import one_se_rule
 
 Cell = tuple[str, str]  # (dataset, metric)
 
@@ -78,27 +78,52 @@ class SelectionScores:
         }
 
 
-def _group_grid(grid: Sequence[FoldStats]
+def one_se_rule(group: Sequence[FoldStats], complexity_order: Sequence[str]
+                ) -> tuple[FoldStats, FoldStats]:
+    """The (best, selected) entries of one cell's statistics, as
+    ``_group_grid`` checks them: one or more, each model once and in order."""
+    rank = {m: i for i, m in enumerate(complexity_order)}
+    lower = group[0].lower_better
+    best = min(group, key=lambda s: (s.mu if lower else -s.mu, rank[s.model]))
+    lo = best.mu - best.se
+    hi = best.mu + best.se
+    members = [s for s in group
+               if lo - s.mu_quantum <= s.mu <= hi + s.mu_quantum]
+    # best is always a member of its own region
+    return best, min(members, key=lambda s: rank[s.model])
+
+
+def _group_grid(grid: Sequence[FoldStats], complexity_order: Sequence[str]
                 ) -> tuple[list[str], list[str], list[str], dict[Cell, list[FoldStats]]]:
     if not grid:
         raise ConfigError("selection grid is empty")
+    if len(set(complexity_order)) != len(complexity_order):
+        raise ConfigError(
+            f"complexity order contains duplicates: {complexity_order}")
     cells: dict[Cell, list[FoldStats]] = {}
     directions: dict[str, bool] = {}
+    present: set[tuple[str, str, str]] = set()
     for s in grid:
-        if s.metric in directions and directions[s.metric] != s.lower_better:
+        if directions.setdefault(s.metric, s.lower_better) != s.lower_better:
             raise ConfigError(
                 f"metric {s.metric!r} has inconsistent direction flags")
-        directions[s.metric] = s.lower_better
+        if (s.model, s.dataset, s.metric) in present:
+            raise ConfigError(f"duplicate statistics for model {s.model!r}")
+        present.add((s.model, s.dataset, s.metric))
         cells.setdefault((s.dataset, s.metric), []).append(s)
     models = list(dict.fromkeys(s.model for s in grid))
     datasets = list(dict.fromkeys(s.dataset for s in grid))
     metrics = list(dict.fromkeys(s.metric for s in grid))
-    present = {(s.model, s.dataset, s.metric) for s in grid}
     missing = [(mod, d, m) for d in datasets for m in metrics for mod in models
                if (mod, d, m) not in present]
     if missing:
         raise ConfigError(
             f"incomplete grid; missing (model, dataset, metric) cells: {missing}")
+    unknown = [m for m in models if m not in complexity_order]
+    if unknown:
+        raise ConfigError(
+            f"models {unknown} are missing from the complexity order "
+            f"{list(complexity_order)}")
     return models, datasets, metrics, cells
 
 
@@ -106,12 +131,7 @@ def compute_selection(grid: Sequence[FoldStats],
                       complexity_order: Sequence[str],
                       weights: dict[str, float] | None = None) -> SelectionScores:
     """Evaluate both scores on a complete grid."""
-    models, datasets, metrics, cells = _group_grid(grid)
-    unknown = [m for m in models if m not in complexity_order]
-    if unknown:
-        raise ConfigError(
-            f"models {unknown} are missing from the complexity order "
-            f"{list(complexity_order)}")
+    models, datasets, metrics, cells = _group_grid(grid, complexity_order)
     w = {m: 1.0 for m in metrics}
     if weights:
         extra = set(weights) - set(metrics)

@@ -39,11 +39,13 @@ from .models import (
     train_model,
 )
 from .models.network import forward_chunks
+from .selection import write_fold_values_csv
 
 CONFIG_NAME = "config.json"
 CHECKPOINT_NAME = "checkpoint.json"
 EVAL_NAME = "eval.json"
 SCATTER_NAME = "scatter.csv"
+FOLD_GRID_NAME = "fold_values.csv"
 
 #: metrics extracted from each fold's report for model selection:
 #: (metric name, lower is better, EvalReport attribute)
@@ -157,7 +159,8 @@ def run_training(ds: PixelDataset, spec: ArchitectureSpec, config: TrainConfig,
     _check_feature_dim(ds, spec)
     train_idx, val_idx, test_idx = split_indices(len(ds), plan)
     if train_idx.size == 0:
-        raise ConfigError("split plan leaves the training set empty")
+        raise DataError("split plan leaves the training set empty: train "
+                        f"fraction {plan.train} of n={len(ds)} pixels")
     result, pred = _fit_and_score(ds, spec, config, train_idx, val_idx,
                                   test_idx)
 
@@ -214,27 +217,20 @@ def _report_cell(report: EvalReport, attr: str, context: str) -> float:
     return float(value)
 
 
-@dataclass
-class KfoldResult:
-    """Per-fold reports plus selection-ready fold rows."""
-
-    reports: dict[tuple[str, int], EvalReport]
-    fold_rows: list[tuple[str, str, str, bool, list[float]]]
-
-
 def run_kfold(ds: PixelDataset, specs: list[ArchitectureSpec],
               config: TrainConfig, k: int, outdir: str | None = None,
-              dataset_label: str = "DATA") -> KfoldResult:
-    """K-fold cross-validation of each variant on one fold partition: fold
+              dataset_label: str = "DATA"
+              ) -> list[tuple[str, str, str, bool, list[float]]]:
+    """The fold grid's rows of each variant on one fold partition: fold
     ``i`` is scored after training on the other folds with seed
-    ``config.seed + i``, with no validation pixels."""
+    ``config.seed + i``, with no validation pixels. ``outdir`` gets each
+    ``eval_<variant>_fold<i>.json``, then the grid as ``FOLD_GRID_NAME``."""
     ds.validate()
     names = _check_specs(ds, specs)
     folds = kfold_indices(len(ds), k, config.seed)
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
 
-    reports: dict[tuple[str, int], EvalReport] = {}
     values: dict[tuple[str, str], list[float]] = {
         (name, metric): [] for name in names for metric, _, _ in KFOLD_METRICS}
     all_idx = np.arange(len(ds))
@@ -245,7 +241,6 @@ def run_kfold(ds: PixelDataset, specs: list[ArchitectureSpec],
         for spec in specs:
             report = _fit_and_score(ds, spec, fold_config, train_idx, no_val,
                                     test_idx)[0].report
-            reports[(spec.variant, i)] = report
             context = f"fold {i} of {spec.variant}"
             for metric, _, attr in KFOLD_METRICS:
                 values[(spec.variant, metric)].append(
@@ -258,7 +253,9 @@ def run_kfold(ds: PixelDataset, specs: list[ArchitectureSpec],
     fold_rows = [(name, dataset_label, metric, lower, values[(name, metric)])
                  for name in names
                  for metric, lower, _ in KFOLD_METRICS]
-    return KfoldResult(reports=reports, fold_rows=fold_rows)
+    if outdir is not None:
+        write_fold_values_csv(os.path.join(outdir, FOLD_GRID_NAME), fold_rows)
+    return fold_rows
 
 
 ABLATION_COLUMNS = ("variant", "param_count") + METRIC_COLUMNS
@@ -282,7 +279,8 @@ def run_ablation(ds: PixelDataset, specs: list[ArchitectureSpec],
     variants' artifacts."""
     _check_specs(ds, specs)
     if split_indices(len(ds), plan)[2].size == 0:
-        raise ConfigError("ablation requires a non-empty test split")
+        raise DataError("ablation requires a non-empty test split: test "
+                        f"fraction {plan.test} of n={len(ds)} pixels")
     results: dict[str, RunResult] = {}
     table_rows: list[tuple[str, int, EvalReport]] = []
     manifest: dict[str, dict] = {}

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from cloudmtl.data import SensorConfig, SplitPlan, generate_dataset, get_sensor,
 from cloudmtl.engine import TrainConfig
 from cloudmtl.errors import ConfigError
 from cloudmtl.models import ArchitectureSpec, network
-from cloudmtl.selection import write_summary_csv
+from cloudmtl.selection import fold_stats, read_stats_grid, write_summary_csv
 
 from reference_grid import EXPECTED_P1SE, reference_grid
 
@@ -336,23 +337,62 @@ def test_train_unreadable_config_exits_2(tmp_path, data_csv, capsys, text,
     assert not os.path.exists(tmp_path / "x")
 
 
-#: run commands refused before any training: (argv, all of stderr)
+#: run commands refused before any training: (argv, all of stderr with
+#: {data} for the 400-pixel data file); a refusal of a flag alone names no file
 REFUSED_RUNS = [
-    (["ablate", "--variants", ","], "error: empty variant list: ','\n"),
+    (["ablate", "--variants", ","], "error: empty --variants list: ','\n"),
     (["train", "--train-frac", "0"],
-     "error: split plan leaves the training set empty\n"),
+     "error: {data}: split plan leaves the training set empty: train "
+     "fraction 0.0 of n=400 pixels\n"),
+    (["kfold", "--variants", "MT-CR,MT-HCR,MT-CR", "--k", "2"],
+     "error: --variants names a model twice: ['MT-CR', 'MT-HCR', 'MT-CR']\n"),
+    (["ablate", "--variants", "MT-CR,SEQ", "--test-frac", "0"],
+     "error: {data}: ablation requires a non-empty test split: test "
+     "fraction 0.0 of n=400 pixels\n"),
+    (["kfold", "--variants", "MT-CR", "--k", "401"],
+     "error: {data}: k=401 exceeds the number of pixels n=400\n"),
 ]
 
 
 @pytest.mark.parametrize("argv,stderr", REFUSED_RUNS,
-                         ids=["empty-variant-list", "empty-training-set"])
+                         ids=["empty-variant-list", "empty-training-set",
+                              "repeated-variant", "empty-test-split",
+                              "k-above-n"])
 def test_run_refused_before_training_exits_2(tmp_path, data_csv, capsys, argv,
                                              stderr):
     command, *flags = argv
     out = tmp_path / "x"
     assert main([command, "--data", data_csv, "--outdir", str(out), *FAST,
                  *flags]) == 2
-    assert capsys.readouterr().err == stderr
+    assert capsys.readouterr().err == stderr.format(data=data_csv)
+    assert not out.exists()
+
+
+def test_one_row_csv_leaves_the_training_set_empty(tmp_path, data_csv,
+                                                    capsys):
+    data, out = tmp_path / "one.csv", tmp_path / "x"
+    with open(data_csv, encoding="utf-8") as f:
+        data.write_text(f.readline() + f.readline(), encoding="utf-8")
+    assert main(["train", "--data", str(data), "--outdir", str(out),
+                 *FAST]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}: split plan leaves the training set empty: train "
+        "fraction 0.625 of n=1 pixels\n")
+    assert not out.exists()
+
+
+def test_thickness_out_of_range_names_file_and_line(tmp_path, capsys):
+    src, out = tmp_path / "abi.csv", tmp_path / "x"
+    assert main(["gen-data", "--sensor", "ABI", "--n", "40", "--seed", "3",
+                 "--out", str(src)]) == 0
+    lines = src.read_text(encoding="utf-8").split("\n")
+    line_no = next(i for i, line in enumerate(lines, 1)
+                   if i > 1 and line and not line.endswith(","))
+    data = _edited_copy(src, tmp_path / "thick.csv", line_no, -1, "3.0")
+    capsys.readouterr()
+    assert main(["train", "--data", data, "--outdir", str(out), *FAST]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}: line {line_no}: cot_log10 outside [-1.5, 2.5]\n")
     assert not out.exists()
 
 
@@ -383,7 +423,8 @@ def test_kfold_stops_on_a_metric_undefined_on_a_fold(tmp_path, clear_csv,
                  "--k", "2", "--variants", "MT-CR", *FAST,
                  "--epochs", "1"]) == 2
     assert capsys.readouterr().err == (
-        "error: fold 0 of MT-CR: metric mse_all is undefined on this fold\n")
+        f"error: {clear_csv}: fold 0 of MT-CR: metric mse_all is undefined "
+        "on this fold\n")
 
 
 def test_seq_on_clear_pixels_stops_at_the_phase_stage(tmp_path, clear_csv,
@@ -392,7 +433,8 @@ def test_seq_on_clear_pixels_stops_at_the_phase_stage(tmp_path, clear_csv,
     assert main(["train", "--data", clear_csv, "--variant", "SEQ",
                  "--outdir", str(out), *FAST, "--epochs", "1"]) == 2
     assert capsys.readouterr().err == (
-        "error: sequential stage phase_net has no training pixels\n")
+        f"error: {clear_csv}: sequential stage phase_net has no training "
+        "pixels\n")
     assert not out.exists()
 
 
@@ -764,6 +806,20 @@ def test_select_missing_grid_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+def test_module_run_as_a_script_exits_with_the_code_of_main(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    grid = str(tmp_path / "none.csv")
+    monkeypatch.setattr(sys, "argv", ["cloudmtl", "select", "--grid", grid,
+                                      "--out", str(tmp_path / "o")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("cloudmtl.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {grid}: No such file or directory\n")
+
+
 # ------------------------------------------------------------------ workflow
 
 @pytest.mark.parametrize("run", ["ablation", "kfold"])
@@ -784,7 +840,7 @@ def test_variant_list_checked_before_any_training(tmp_path, run, variants):
     assert not (out / "MT-CR").exists() and not out.exists()
 
 
-def test_kfold_rows_have_identical_partition():
+def test_kfold_rows_have_identical_partition(tmp_path):
     """Both variants must be scored on the same folds: their per-fold
     reports pair up over the identical pixel subsets."""
     ds = generate_dataset(get_sensor("ABI"), 200, seed=30)
@@ -792,12 +848,15 @@ def test_kfold_rows_have_identical_partition():
                               encoder_widths=(8, 4), head_hidden=(4,))
              for v in ("MT-CR", "MT-HCR")]
     cfg = TrainConfig(lr=1e-3, epochs=1, batch_size=64, seed=0)
-    res = workflow.run_kfold(ds, specs, cfg, 4)
-    assert len(res.reports) == 8
-    for i in range(4):
-        assert res.reports[("MT-CR", i)].n_pixels == \
-            res.reports[("MT-HCR", i)].n_pixels
-    assert sum(res.reports[("MT-CR", i)].n_pixels for i in range(4)) == 200
-    metrics = {r[2] for r in res.fold_rows}
-    assert metrics == {"ACC_bi", "AUPRC_w", "MSE", "R2"}
-    assert all(len(r[4]) == 4 for r in res.fold_rows)
+    rows = workflow.run_kfold(ds, specs, cfg, 4, outdir=str(tmp_path))
+    n_pixels = {v: [json.loads((tmp_path / f"eval_{v}_fold{i}.json")
+                               .read_text())["n_pixels"] for i in range(4)]
+                for v in ("MT-CR", "MT-HCR")}
+    assert n_pixels["MT-CR"] == n_pixels["MT-HCR"]
+    assert sum(n_pixels["MT-CR"]) == 200
+    assert [r[:4] for r in rows] == [
+        (v, "DATA", metric, lower) for v in ("MT-CR", "MT-HCR")
+        for metric, lower, _ in workflow.KFOLD_METRICS]
+    assert all(len(r[4]) == 4 for r in rows)
+    assert read_stats_grid(str(tmp_path / workflow.FOLD_GRID_NAME)) == [
+        fold_stats(*row) for row in rows]

@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -91,10 +92,10 @@ def inputs(tmp_path_factory):
     return paths
 
 
-def exits_0_or_names(source: str, mutations, argv) -> None:
+def exits_0_or_names(source: str, mutations, argv) -> int:
     """Run ``argv(path, out)`` on a mutated copy at ``path`` of the file
     ``source``: it exits 0, or 2 with one error line naming ``path`` and
-    no ``out``."""
+    no ``out``. Returns the exit code."""
     with tempfile.TemporaryDirectory() as tmp, open(source, "rb") as f:
         path = os.path.join(tmp, os.path.basename(source))
         out = os.path.join(tmp, "out")
@@ -107,11 +108,12 @@ def exits_0_or_names(source: str, mutations, argv) -> None:
         err = stderr.getvalue()
         if rc == 0:
             assert os.path.isdir(out)
-            return
+            return rc
         assert rc == 2, err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert path in err, err
         assert not os.path.exists(out)
+        return rc
 
 
 TRAIN = ["train", "--variant", "MLP-BASELINE", "--epochs", "1"]
@@ -138,3 +140,23 @@ def test_mutated_config(inputs, mutations):
     exits_0_or_names(inputs["cfg.json"], mutations, lambda path, out: [
         *TRAIN, "--data", inputs["abi.csv"], "--config", path,
         "--outdir", out])
+
+
+def fixed_mutation(data: bytes, case: str):
+    """A mutation of the pixel CSV ``data`` that the random examples do not
+    reach: truncation just before the end of the first data row, or a flip
+    that turns the first cloudy pixel's ``cot_log10`` led by 0, 1 or 2 into
+    one led by 3, above the 2.5 bound."""
+    if case == "one-data-row":
+        end = data.index(b"\n", data.index(b"\n") + 1)
+        return ("truncate", (end + 0.5) / len(data))
+    i = re.search(rb",(?:liquid|ice),([012])", data).start(1)
+    return ("flip", (i + 0.5) / len(data), data[i] ^ ord("3"))
+
+
+@pytest.mark.parametrize("case", ["one-data-row", "thickness-out-of-range"])
+def test_fixed_mutation_is_refused_naming_the_file(inputs, case):
+    with open(inputs["abi.csv"], "rb") as f:
+        mutation = fixed_mutation(f.read(), case)
+    assert exits_0_or_names(inputs["abi.csv"], [mutation], lambda path, out: [
+        *TRAIN, "--data", path, "--outdir", out]) == 2

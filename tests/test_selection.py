@@ -77,16 +77,11 @@ def test_one_se_quantum_widens_candidate_interval():
     assert one_se_rule(widened, ORDER)[1].model == "MT-CR"   # within own quantum
 
 
-def test_one_se_group_validation():
-    with pytest.raises(ConfigError):
-        one_se_rule([], ORDER)
-    with pytest.raises(ConfigError):
-        one_se_rule([fs("MT-CR", 0.9, 0.01), fs("MT-CR", 0.8, 0.01)], ORDER)
-    with pytest.raises(ConfigError):
-        one_se_rule([fs("UNKNOWN", 0.9, 0.01)], ORDER)
-    with pytest.raises(ConfigError):
-        one_se_rule([fs("MT-CR", 0.9, 0.01),
-                     fs("MT-HCR", 0.8, 0.01, dataset="OTHER")], ORDER)
+def test_grid_with_a_repeated_row_is_refused():
+    grid = [fs("MT-CR", 0.9, 0.01), fs("MT-CR", 0.8, 0.01)]
+    with pytest.raises(ConfigError) as err:
+        compute_selection(grid, ORDER)
+    assert str(err.value) == "duplicate statistics for model 'MT-CR'"
 
 
 # ------------------------------------------------------------ reference grid

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudmtl.data import SplitPlan, kfold_indices, split_indices
-from cloudmtl.errors import ConfigError
+from cloudmtl.errors import ConfigError, DataError
 
 
 def test_sizes_match_fractions():
@@ -65,8 +65,9 @@ def test_kfold_deterministic():
 def test_kfold_validation():
     with pytest.raises(ConfigError):
         kfold_indices(10, 1, seed=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError) as err:
         kfold_indices(3, 5, seed=0)
+    assert str(err.value) == "k=5 exceeds the number of pixels n=3"
 
 
 @settings(max_examples=40, deadline=None)

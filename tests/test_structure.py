@@ -1,4 +1,5 @@
-"""Variant and SEQ-stage names are spelled out in ``models/config.py`` alone.
+"""Variant and SEQ-stage names are spelled out in ``models/config.py`` alone,
+and a subpackage exports only names used outside it.
 
 Every other module of ``src/cloudmtl`` reads a variant's structure from its
 flags and SEQ's stages from ``SEQ_STAGES``. So outside docstrings no string
@@ -7,12 +8,16 @@ constant there names a SEQ stage, and no comparison tests a string constant
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 from cloudmtl.models import VARIANTS
 from cloudmtl.models.config import SEQ_STAGES
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cloudmtl"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cloudmtl"
 CONFIG = SRC / "models" / "config.py"
 
 
@@ -59,3 +64,26 @@ def test_no_comparison_tests_against_a_variant_name():
                             or name.startswith("VARIANT_")):
                         found.append(f"{path}:{node.lineno}")
     assert not found
+
+
+SUBPACKAGES = sorted(p.parent.name for p in SRC.glob("*/__init__.py"))
+
+
+@pytest.mark.parametrize("package", SUBPACKAGES)
+def test_every_export_is_used_outside_its_package(package):
+    """A use is a name, an attribute, an imported name or a string constant
+    (``bench/tracing.py`` reaches engine ops by name) in a module of
+    ``src/``, ``bench/``, ``tools/`` or ``tests/`` outside the package."""
+    used = set()
+    for top in ("src", "bench", "tools", "tests"):
+        for path in (ROOT / top).rglob("*.py"):
+            if SRC / package in path.parents:
+                continue
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    used.add(n.value)
+                used.add(getattr(n, "id", getattr(n, "attr", None)))
+                used.add(getattr(n, "name", None) if isinstance(n, ast.alias)
+                         else None)
+    exports = importlib.import_module(f"cloudmtl.{package}").__all__
+    assert [name for name in exports if name not in used] == []
